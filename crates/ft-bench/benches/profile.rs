@@ -3,9 +3,9 @@
 //! Two cells compare the engine with and without the profiling
 //! scaffolding on the standard two-crash paper-scale run:
 //!
-//! * `runtime/profile/execute` — the plain engine (the baseline);
-//! * `runtime/profile/execute_profiled` — the same run through
-//!   [`execute_profiled`]; without the `phase-profile` cargo feature the
+//! * `runtime/profile/run` — the plain engine (the baseline);
+//! * `runtime/profile/run_profiled` — the same run through
+//!   [`Simulation::run_profiled`]; without the `phase-profile` cargo feature the
 //!   timers are compiled out and the two cells must agree within noise,
 //!   with it the gap *is* the measurement overhead.
 //!
@@ -31,7 +31,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use ft_algos::{caft, CommModel};
 use ft_bench::paper_instance;
 use ft_platform::ProcId;
-use ft_runtime::{execute_profiled, EngineConfig, PhaseProfile, RecoveryPolicy, Simulation};
+use ft_runtime::{PhaseProfile, RecoveryPolicy, Simulation};
 use ft_sim::FaultScenario;
 use std::hint::black_box;
 
@@ -41,10 +41,6 @@ fn bench_profile(c: &mut Criterion) {
     let nominal = sched.latency();
     let scenario = FaultScenario::timed(&[(ProcId(2), nominal * 0.3), (ProcId(7), nominal * 0.6)]);
     let sim = Simulation::of(&inst, &sched).policy(RecoveryPolicy::ReReplicate);
-    let cfg = EngineConfig {
-        policy: RecoveryPolicy::ReReplicate,
-        ..EngineConfig::default()
-    };
 
     // Profiling only measures: the outcome is byte-identical either way.
     let plain = sim.run(&scenario);
@@ -52,13 +48,13 @@ fn bench_profile(c: &mut Criterion) {
     assert_eq!(
         serde_json::to_string(&plain).unwrap(),
         serde_json::to_string(&profiled).unwrap(),
-        "execute_profiled must not steer the run"
+        "run_profiled must not steer the run"
     );
 
     let mut group = c.benchmark_group("runtime/profile");
-    group.bench_function("execute", |b| b.iter(|| black_box(sim.run(&scenario))));
-    group.bench_function("execute_profiled", |b| {
-        b.iter(|| black_box(execute_profiled(&inst, &sched, &scenario, &cfg)))
+    group.bench_function("run", |b| b.iter(|| black_box(sim.run(&scenario))));
+    group.bench_function("run_profiled", |b| {
+        b.iter(|| black_box(sim.run_profiled(&scenario)))
     });
     group.finish();
 

@@ -6,7 +6,8 @@
 //!   static replay it must reproduce. The `online engine` cell drives a
 //!   warm [`Executor`] — the zero-alloc arena path every batch entry
 //!   point uses — so it measures the steady-state event loop, not the
-//!   per-run setup; `one-shot execute` keeps the cold path honest and
+//!   per-run setup; `one-shot execute` (a one-shot `Simulation::run`)
+//!   keeps the cold path honest and
 //!   `static replay` is the floor;
 //! * `runtime/grid-sweep` — one million failure-free runs sharded across
 //!   an 8-cell policy grid via `simulate_grid`: all cells share one
@@ -51,7 +52,7 @@
 //! Scale note (open-policy PR): the recovery redesign routed every event
 //! through the `Policy` trait *and* replaced the engine's per-completion
 //! `Vec<Act>` allocation (one per completion event, ~V+E per run — the
-//! allocation-heaviest per-op path in a profile of `execute`) with a
+//! allocation-heaviest per-op path in a profile of a one-shot run) with a
 //! reusable scratch buffer, alongside a second reusable buffer for the
 //! per-event policy actions (two buffers — the element types differ).
 //! Net effect on `runtime/execute` at the 100-task paper scale:
@@ -67,8 +68,8 @@ use ft_bench::paper_instance;
 use ft_graph::gen::{random_layered, RandomDagParams};
 use ft_platform::{random_instance, PlatformParams, ProcId, Topology};
 use ft_runtime::{
-    execute, simulate_grid, Contention, DetectionModel, EngineConfig, Executor, FailureKind,
-    LifetimeDist, MonteCarloConfig, RecoveryPolicy, Simulation,
+    simulate_grid, Contention, DetectionModel, EngineConfig, Executor, FailureKind, LifetimeDist,
+    MonteCarloConfig, RecoveryPolicy, Simulation,
 };
 use ft_serve::{ArtifactCache, JobSpec};
 use ft_sim::{replay, FaultScenario};
@@ -104,8 +105,9 @@ fn bench_no_failure_overhead(c: &mut Criterion) {
     let sched = caft(&inst, 1, CommModel::OnePort, 0);
     let none = FaultScenario::none();
     let cfg = EngineConfig::default();
+    let sim = Simulation::of(&inst, &sched);
     // Semantics check: engine == replay on the failure-free run.
-    let online = execute(&inst, &sched, &none, &cfg).latency().unwrap();
+    let online = sim.run(&none).latency().unwrap();
     let stat = replay(&inst, &sched, &none).latency().unwrap();
     assert!(
         (online - stat).abs() < 1e-9,
@@ -123,9 +125,7 @@ fn bench_no_failure_overhead(c: &mut Criterion) {
         b.iter(|| black_box(exec.run(black_box(&none)).completed()))
     });
     // The cold path: plan resolution + arena growth on every call.
-    group.bench_function("one-shot execute", |b| {
-        b.iter(|| black_box(execute(&inst, &sched, &none, &cfg)))
-    });
+    group.bench_function("one-shot execute", |b| b.iter(|| black_box(sim.run(&none))));
     group.bench_function("static replay", |b| {
         b.iter(|| black_box(replay(&inst, &sched, &none)))
     });

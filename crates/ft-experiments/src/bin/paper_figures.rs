@@ -31,7 +31,7 @@
 //!                                   # saved / detection lag + counters)
 //! paper-figures validate --quick    # evaluate every committed
 //!                                   # VALIDATION_<family>.json (exit 1 on
-//!                                   # any FAILED claim)
+//!                                   # any FAILED claim or missing record)
 //! paper-figures validate --family grid --quick     # one family
 //! paper-figures validate --quick --bless           # re-target the records
 //! paper-figures validate --quick --out dir/        # write refreshed
@@ -67,7 +67,8 @@ struct Dump {
 /// `VALIDATION_<family>.json`, print the claim tables (plus the
 /// completion isoclines for the grid), optionally re-target the records
 /// (`--bless`) or write the refreshed records elsewhere (`--out`, the CI
-/// artifact path), and exit 1 when any claim FAILED.
+/// artifact path), and exit 1 when any claim FAILED or a family has no
+/// committed record (unless `--bless` is creating it).
 ///
 /// `--records DIR` points both loading and blessing at a different
 /// record set — the full-resolution lane keeps its records under
@@ -108,7 +109,16 @@ fn run_validate(args: &[String], quick: bool) {
     {
         let committed = load_family(&dir, fam);
         match &committed {
-            None => eprintln!("note: no committed record for '{fam}' yet (run with --bless)"),
+            None if do_bless => {
+                eprintln!("note: no committed record for '{fam}' yet; blessing one")
+            }
+            None => {
+                eprintln!(
+                    "error: no committed record for '{fam}' in {} (run with --bless to create one)",
+                    dir.display()
+                );
+                all_passed = false;
+            }
             Some(c) if c.quick != quick => eprintln!(
                 "warning: committed '{fam}' record holds {} targets but this run uses {} \
                  dimensions — errors reflect the dimension change, not a regression",
@@ -138,7 +148,7 @@ fn run_validate(args: &[String], quick: bool) {
         all_passed &= record.passed();
     }
     if !all_passed {
-        eprintln!("validation FAILED — see the claim tables above");
+        eprintln!("validation FAILED — see the claim tables and errors above");
         std::process::exit(1);
     }
 }

@@ -2,14 +2,11 @@
 //!
 //! `ft-runtime`'s [`Observer`] trait streams every engine event, every
 //! materialized operation and the final outcome of a run as they happen.
-//! This crate turns that stream into durable, tool-friendly artifacts:
-//!
-//! * [`JsonlSink`] — an observer that writes one structured JSON record
-//!   per observation to any [`io::Write`] (JSON Lines: one object per
-//!   line, parseable independently, `jq`/pandas-ready);
-//! * re-exports of the whole observability surface
-//!   ([`Observer`], [`TraceObserver`], [`MetricSet`], [`PhaseProfile`],
-//!   …) so downstream tooling can depend on `ft-obs` alone.
+//! This crate turns that stream into a durable, tool-friendly artifact:
+//! [`JsonlSink`], an observer that writes one structured JSON record per
+//! observation to any [`io::Write`] (JSON Lines: one object per line,
+//! parseable independently, `jq`/pandas-ready). Attach it with
+//! [`Simulation::run_observed`](ft_runtime::Simulation::run_observed).
 //!
 //! ## Record shapes
 //!
@@ -38,7 +35,7 @@
 //!
 //! let mut sink = JsonlSink::new(Vec::new());
 //! let scenario = ft_sim::FaultScenario::timed(&[(ft_platform::ProcId(0), 1.0)]);
-//! Simulation::of(&inst, &sched).observe(&mut sink).run(&scenario);
+//! Simulation::of(&inst, &sched).run_observed(&scenario, &mut sink);
 //! let bytes = sink.finish().unwrap();
 //! for line in String::from_utf8(bytes).unwrap().lines() {
 //!     serde_json::from_str::<serde::Value>(line).unwrap();
@@ -50,12 +47,7 @@
 
 use std::io;
 
-pub use ft_runtime::{
-    execute_observed, execute_observed_with, execute_profiled, execute_profiled_with,
-    execute_traced, execute_traced_with, EngineTrace, Histogram, MetricSet, NoopObserver,
-    ObservedSimulation, Observer, OpTrace, Phase, PhaseProfile, PhaseStat, RunOutcome, TraceEvent,
-    TraceEventKind, TraceObserver,
-};
+use ft_runtime::{Observer, OpTrace, RunOutcome, TraceEvent, TraceEventKind};
 
 use serde::{Serialize, Value};
 
@@ -89,7 +81,8 @@ fn tagged(record: &str, payload: Value) -> Value {
 ///
 /// Writes are line-buffered into the underlying writer as they happen; a
 /// run observed through a `JsonlSink` therefore streams to disk instead
-/// of buffering the trace ([`TraceObserver`] is the in-memory
+/// of buffering the trace
+/// ([`TraceObserver`](ft_runtime::TraceObserver) is the in-memory
 /// alternative). I/O errors are sticky: the first failure stops further
 /// writes and is surfaced by [`finish`](JsonlSink::finish).
 pub struct JsonlSink<W: io::Write> {
@@ -171,7 +164,7 @@ mod tests {
     use ft_algos::{caft, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_platform::{random_instance, PlatformParams, ProcId};
-    use ft_runtime::{execute_traced, EngineConfig};
+    use ft_runtime::{Simulation, TraceObserver};
     use ft_sim::FaultScenario;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -187,15 +180,17 @@ mod tests {
     #[test]
     fn jsonl_lines_parse_and_mirror_the_buffered_trace() {
         let (inst, sched) = fixture();
-        let cfg = EngineConfig::default();
+        let sim = Simulation::of(&inst, &sched);
         let scenario = FaultScenario::timed(&[(ProcId(0), sched.latency() / 3.0)]);
 
         let mut sink = JsonlSink::new(Vec::new());
-        let out = execute_observed(&inst, &sched, &scenario, &cfg, &mut sink);
+        let out = sim.run_observed(&scenario, &mut sink);
         assert!(sink.records() > 0);
         let bytes = sink.finish().unwrap();
 
-        let (out2, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let mut tracer = TraceObserver::new();
+        let out2 = sim.run_observed(&scenario, &mut tracer);
+        let trace = tracer.into_trace();
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&out2).unwrap()
@@ -246,10 +241,9 @@ mod tests {
         }
 
         let (inst, sched) = fixture();
-        let cfg = EngineConfig::default();
         let scenario = FaultScenario::timed(&[(ProcId(0), 1.0)]);
         let mut sink = JsonlSink::new(Failing);
-        execute_observed(&inst, &sched, &scenario, &cfg, &mut sink);
+        Simulation::of(&inst, &sched).run_observed(&scenario, &mut sink);
         assert_eq!(sink.records(), 0);
         assert!(sink.finish().is_err());
     }

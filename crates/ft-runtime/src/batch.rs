@@ -69,13 +69,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Configuration of a Monte-Carlo batch.
-///
-/// This is the **legacy positional surface**, kept as a thin layer under
-/// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo): the
-/// builder collapses the historical `engine.seed` / `seed` duplication
-/// into its single seed knob, while this struct still exposes both fields
-/// so pre-builder experiments replay byte-for-byte.
+/// Configuration of a Monte-Carlo batch: the positional form of
+/// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo), taken by
+/// [`simulate_many`], [`simulate_grid`] and [`ChunkedBatch`]. Unlike the
+/// builder's single seed, it carries the engine seed (`engine.seed`) and
+/// the scenario-stream seed (`seed`) separately.
 #[derive(Clone, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct MonteCarloConfig {
     /// Number of independent runs.
@@ -122,30 +120,12 @@ impl MonteCarloConfig {
 /// [`BatchSummary`], regardless of thread count (see the module docs for
 /// why the merge is bit-exact).
 pub fn simulate_many(inst: &Instance, sched: &FtSchedule, cfg: &MonteCarloConfig) -> BatchSummary {
-    // One batch loop for both dispatch forms: execute_with(&cfg.policy)
-    // is execute(cfg) and the built-in label is the policy's own.
-    simulate_many_with(inst, sched, cfg, &cfg.engine.policy)
-}
-
-/// [`simulate_many`] with an explicit [`Policy`] implementation: every
-/// run dispatches `policy` through the open action path (see
-/// [`execute_with`](crate::execute_with)); `cfg.engine.policy` only
-/// fills the summary's
-/// serializable `policy` field, while
-/// [`policy_label`](BatchSummary::policy_label) reports the label of the
-/// policy that actually ran. Determinism and the streaming aggregation
-/// guarantees are identical to [`simulate_many`]'s.
-pub fn simulate_many_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-) -> BatchSummary {
-    simulate_many_inner(inst, sched, cfg, policy, None)
+    simulate_many_inner(inst, sched, cfg, &cfg.engine.policy, None)
 }
 
 /// A streaming Monte-Carlo progress snapshot, handed to the callback of
-/// [`simulate_many_with_progress`] after each finished run.
+/// [`Simulation::monte_carlo_with_progress`](crate::Simulation::monte_carlo_with_progress)
+/// after each finished run.
 #[derive(Clone, Copy, Debug)]
 pub struct Progress {
     /// Runs finished so far, across all workers (1-based: the callback
@@ -170,24 +150,13 @@ impl Progress {
     }
 }
 
-/// [`simulate_many_with`] with a streaming progress callback: `progress`
-/// fires once per finished run with a [`Progress`] snapshot (runs
-/// completed, elapsed, ETA). The callback observes completions in
-/// whatever order the rayon workers finish — nondeterministic — but it
-/// cannot influence the aggregation, so the returned [`BatchSummary`] is
-/// byte-identical to [`simulate_many_with`]'s.
-pub fn simulate_many_with_progress(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    progress: &(dyn Fn(Progress) + Sync),
-) -> BatchSummary {
-    simulate_many_inner(inst, sched, cfg, policy, Some(progress))
-}
-
-/// The one batch loop behind every `simulate_many*` form.
-fn simulate_many_inner(
+/// The one batch loop behind [`simulate_many`] and
+/// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo). Every run
+/// dispatches `policy`; `cfg.engine.policy` only fills the summary's
+/// serializable `policy` field, while its label names `policy`. The
+/// optional `progress` callback fires once per finished run, in whatever
+/// order the rayon workers finish, and cannot influence the aggregation.
+pub(crate) fn simulate_many_inner(
     inst: &Instance,
     sched: &FtSchedule,
     cfg: &MonteCarloConfig,
@@ -348,7 +317,7 @@ pub fn simulate_grid(
     out
 }
 
-/// A resumable, chunked form of [`simulate_many_with`]: the batch's runs
+/// A resumable, chunked form of [`simulate_many`]: the batch's runs
 /// are executed in caller-paced chunks, each chunk through the same
 /// rayon fold/reduce as [`simulate_many`], and folded into one held
 /// [`BatchAccumulator`]. Between chunks the caller can take a
@@ -358,7 +327,7 @@ pub fn simulate_grid(
 ///
 /// Because run `i`'s scenario depends only on `(cfg.seed, i)` and the
 /// accumulator merge is bit-exact (see the module docs), the final
-/// summary is **byte-identical** to a direct [`simulate_many_with`] call
+/// summary is **byte-identical** to a direct [`simulate_many`] call
 /// regardless of how the runs were chunked — the property `ft-serve`
 /// leans on to stream result deltas without changing the science.
 ///
@@ -490,7 +459,7 @@ impl<'a> ChunkedBatch<'a> {
     }
 
     /// A partial [`BatchSummary`] over the runs executed so far — the
-    /// exact summary [`simulate_many_with`] would return for a batch of
+    /// exact summary [`simulate_many`] would return for a batch of
     /// [`completed_runs`](ChunkedBatch::completed_runs) runs. Mergeable
     /// downstream: successive snapshots supersede each other (each covers
     /// all runs so far, not a delta).
@@ -501,7 +470,7 @@ impl<'a> ChunkedBatch<'a> {
     }
 
     /// Executes any outstanding runs, then closes the batch. The result
-    /// is byte-identical to [`simulate_many_with`] on the same
+    /// is byte-identical to [`simulate_many`] on the same
     /// configuration, regardless of prior chunking.
     pub fn finish(mut self) -> BatchSummary {
         while self.run_chunk(usize::MAX) > 0 {}
@@ -831,7 +800,7 @@ fn exp2i(e: i32) -> f64 {
 mod tests {
     use super::*;
     use crate::detection::DetectionModel;
-    use crate::engine::execute;
+    use crate::engine::run_once;
     use ft_algos::{caft, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_platform::{random_instance, PlatformParams};
@@ -931,7 +900,15 @@ mod tests {
         let mut acc = BatchAccumulator::new(sched.latency());
         for i in 0..cfg.runs {
             let scenario = cfg.scenario_of_run(m, i);
-            let out = execute(&inst, &sched, &scenario, &cfg.engine);
+            let out = run_once(
+                &inst,
+                &sched,
+                &scenario,
+                &cfg.engine,
+                &cfg.engine.policy,
+                None,
+                None,
+            );
             acc.record(scenario.earliest_crash(), &out);
         }
         let sequential = acc.finish(cfg.engine.policy);
@@ -954,13 +931,13 @@ mod tests {
             seed: 41,
         };
         let fired = AtomicUsize::new(0);
-        let with =
-            simulate_many_with_progress(&inst, &sched, &cfg, &cfg.engine.policy, &|p: Progress| {
-                fired.fetch_add(1, Ordering::Relaxed);
-                assert!(p.completed_runs >= 1 && p.completed_runs <= p.total_runs);
-                assert!(p.fraction() > 0.0 && p.fraction() <= 1.0);
-                assert!(p.elapsed >= Duration::ZERO);
-            });
+        let progress = |p: Progress| {
+            fired.fetch_add(1, Ordering::Relaxed);
+            assert!(p.completed_runs >= 1 && p.completed_runs <= p.total_runs);
+            assert!(p.fraction() > 0.0 && p.fraction() <= 1.0);
+            assert!(p.elapsed >= Duration::ZERO);
+        };
+        let with = simulate_many_inner(&inst, &sched, &cfg, &cfg.engine.policy, Some(&progress));
         assert_eq!(fired.load(Ordering::Relaxed), cfg.runs);
         let without = simulate_many(&inst, &sched, &cfg);
         assert_eq!(

@@ -1,6 +1,6 @@
 //! The online execution engine: timed crashes, detection, recovery.
 //!
-//! [`execute`] runs a static [`FtSchedule`] against a *timed*
+//! The engine runs a static [`FtSchedule`] against a *timed*
 //! [`FaultScenario`]: each listed processor works normally until its crash
 //! time and is fail-stop dead afterwards. The engine is an operation-graph
 //! discrete-event simulation in the style of `ft-sim`'s replay (same
@@ -69,13 +69,13 @@
 //!    byte-for-byte (the availability identity, pinned by
 //!    `tests/timed_model.rs`); see DESIGN.md §6.
 //!
-//! Determinism: `execute` is a pure function of
+//! Determinism: a run is a pure function of
 //! `(instance, schedule, scenario, config)`.
 //!
 //! # Example
 //!
 //! ```
-//! use ft_runtime::{execute, DetectionModel, EngineConfig, RecoveryPolicy};
+//! use ft_runtime::{DetectionModel, RecoveryPolicy, Simulation};
 //! use ft_algos::{caft, CommModel};
 //! use ft_graph::gen::{random_layered, RandomDagParams};
 //! use ft_platform::{random_instance, PlatformParams, ProcId};
@@ -89,12 +89,10 @@
 //! // Crash one processor halfway through; resume its work from
 //! // checkpoints written every 2 time units at 0.05 each.
 //! let scenario = ft_sim::FaultScenario::timed(&[(ProcId(2), sched.latency() * 0.5)]);
-//! let cfg = EngineConfig {
-//!     policy: RecoveryPolicy::checkpoint(2.0, 0.05),
-//!     detection: DetectionModel::uniform(1.0),
-//!     ..EngineConfig::default()
-//! };
-//! let out = execute(&inst, &sched, &scenario, &cfg);
+//! let out = Simulation::of(&inst, &sched)
+//!     .policy(RecoveryPolicy::checkpoint(2.0, 0.05))
+//!     .detection(DetectionModel::uniform(1.0))
+//!     .run(&scenario);
 //! assert_eq!(out.detections, 1);
 //! // Every completed computation paid its checkpoint writes…
 //! assert!(out.checkpoint_overhead > 0.0);
@@ -105,11 +103,11 @@
 #[cfg(doc)]
 use crate::detection::DetectionModel;
 use crate::metrics::RunOutcome;
-use crate::observe::{Observer, PhaseProfile, TraceObserver};
+use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{EngineScratch, EventQueue, StaticPlan};
+use crate::scratch::{EngineScratch, EventQueue, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::TaskId;
 use ft_model::{FtSchedule, Replica, ReplicaRef};
@@ -117,32 +115,21 @@ use ft_net::{NetworkModel, NetworkState};
 use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
 
-/// Runs the schedule online under the timed scenario and recovery policy.
-/// Dispatches `cfg.policy` through the open [`Policy`] trait — the same
-/// path [`execute_with`] exposes for custom policies.
-pub fn execute(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> RunOutcome {
-    execute_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute`] with an explicit [`Policy`] implementation: the open half
-/// of the recovery dispatch path. `policy` supersedes `cfg.policy`
-/// (which only matters for serialization); everything else in `cfg`
-/// (detection model, seed) applies as usual. The built-in policies pass
-/// through this exact function, so a custom policy that mirrors a
-/// built-in's actions reproduces its runs byte-for-byte.
-pub fn execute_with(
+/// Runs one scenario on a throwaway template-free plan, through an arena
+/// borrowed from the process-wide pool: the one-shot path behind
+/// [`Simulation::run`](crate::Simulation::run) and its observed and
+/// profiled forms. A one-shot run builds its op graph once anyway, so a
+/// template would only add a second build (DESIGN.md §15).
+pub(crate) fn run_once(
     inst: &Instance,
     sched: &FtSchedule,
     scenario: &FaultScenario,
     cfg: &EngineConfig,
     policy: &dyn Policy,
+    observer: Option<&mut dyn Observer>,
+    profile: Option<&mut PhaseProfile>,
 ) -> RunOutcome {
-    let plan = StaticPlan::without_template(inst, sched, policy);
+    let plan = StaticPlan::one_shot(inst, sched, policy);
     let pool = crate::scratch::global_pool();
     let mut scratch = pool.take();
     run_into(
@@ -153,144 +140,22 @@ pub fn execute_with(
         policy,
         &plan,
         &mut scratch,
-        None,
-        None,
+        observer,
+        profile,
     );
     let out = std::mem::take(&mut scratch.outcome);
     pool.put(scratch);
     out
-}
-
-/// [`execute`], additionally returning the full [`EngineTrace`]: every
-/// operation the engine materialized (static, ghost-failed and recovery
-/// alike) and the event log in processing order. The outcome is
-/// byte-identical to the untraced run — tracing only records, it never
-/// steers. Intended for audits and invariant suites (the
-/// `engine_invariants` property tests pin, among others, that no traced
-/// operation ever overlaps a down window of its processor); per-run cost
-/// is one extra allocation per op, so prefer [`execute`] in hot loops.
-pub fn execute_traced(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> (RunOutcome, EngineTrace) {
-    execute_traced_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute_traced`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]); the substrate of the custom-policy properties in
-/// the `engine_invariants` suite.
-pub fn execute_traced_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-) -> (RunOutcome, EngineTrace) {
-    let mut observer = TraceObserver::new();
-    let out = execute_observed_with(inst, sched, scenario, cfg, policy, &mut observer);
-    (out, observer.into_trace())
-}
-
-/// [`execute`] with a streaming [`Observer`] attached: the engine pushes
-/// every processed event, every materialized operation and the final
-/// outcome into `observer` as they happen (see [`Observer`] for ordering
-/// guarantees). The outcome is byte-identical to the unobserved run —
-/// observers only listen, they never steer. [`execute_traced`] is this
-/// function with a [`TraceObserver`]; a [`crate::NoopObserver`] reproduces
-/// plain [`execute`] at one extra branch per event (both identities pinned
-/// by `tests/timed_model.rs`).
-pub fn execute_observed(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    observer: &mut dyn Observer,
-) -> RunOutcome {
-    execute_observed_with(inst, sched, scenario, cfg, &cfg.policy, observer)
-}
-
-/// [`execute_observed`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]).
-pub fn execute_observed_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-    observer: &mut dyn Observer,
-) -> RunOutcome {
-    let plan = StaticPlan::without_template(inst, sched, policy);
-    let pool = crate::scratch::global_pool();
-    let mut scratch = pool.take();
-    run_into(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan,
-        &mut scratch,
-        Some(observer),
-        None,
-    );
-    let out = std::mem::take(&mut scratch.outcome);
-    pool.put(scratch);
-    out
-}
-
-/// [`execute`], additionally collecting a [`PhaseProfile`]: wall-clock
-/// attribution of the run across the engine's hot-loop phases. The
-/// timers are compiled in only under the `phase-profile` cargo feature —
-/// without it this still runs (and the outcome is identical) but every
-/// phase aggregate stays zero. The outcome is byte-identical to
-/// [`execute`] in both configurations; profiling only measures.
-pub fn execute_profiled(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-) -> (RunOutcome, PhaseProfile) {
-    execute_profiled_with(inst, sched, scenario, cfg, &cfg.policy)
-}
-
-/// [`execute_profiled`] with an explicit [`Policy`] implementation (see
-/// [`execute_with`]).
-pub fn execute_profiled_with(
-    inst: &Instance,
-    sched: &FtSchedule,
-    scenario: &FaultScenario,
-    cfg: &EngineConfig,
-    policy: &dyn Policy,
-) -> (RunOutcome, PhaseProfile) {
-    let mut profile = PhaseProfile::new();
-    let plan = StaticPlan::without_template(inst, sched, policy);
-    let pool = crate::scratch::global_pool();
-    let mut scratch = pool.take();
-    run_into(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan,
-        &mut scratch,
-        None,
-        Some(&mut profile),
-    );
-    let out = std::mem::take(&mut scratch.outcome);
-    pool.put(scratch);
-    (out, profile)
 }
 
 /// Runs one scenario through the reusable `scratch` arena, leaving the
 /// outcome in `scratch.outcome` — the single execution path every entry
-/// point (one-shot, observed, profiled, batch, grid, [`Executor`]) goes
+/// point (one-shot [`Simulation`] runs, batches, grids, [`Executor`]) goes
 /// through. With a warm arena and a templated plan this performs zero
 /// heap allocations on failure-free scenarios; the result is
 /// byte-identical either way.
 ///
+/// [`Simulation`]: crate::Simulation
 /// [`Executor`]: crate::Executor
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_into<'a>(
@@ -334,16 +199,14 @@ pub(crate) fn run_into<'a>(
 
 /// Builds the static op template of a dead0-free run — the op arena and
 /// `static_exec` of a build under [`FaultScenario::none`] — by running
-/// the legacy builder once. [`StaticPlan::new`] stores the result;
-/// [`Engine::build_from_template`] clones it per run.
+/// the full builder once over `plan`. [`StaticPlan::new`] stores the
+/// result; [`Engine::build_from_template`] clones it per run.
 pub(crate) fn build_template(
     inst: &Instance,
     sched: &FtSchedule,
     policy: &dyn Policy,
-    plans: &[Option<(f64, f64)>],
-    topo_position: &[usize],
-    network: &NetworkModel,
-) -> (Vec<Op>, Vec<Vec<Option<u32>>>) {
+    plan: &StaticPlan,
+) -> OpTemplate {
     let none = FaultScenario::none();
     let cfg = EngineConfig::default();
     let mut scratch = EngineScratch::default();
@@ -353,16 +216,16 @@ pub(crate) fn build_template(
         &none,
         &cfg,
         policy,
-        plans,
-        topo_position,
-        network,
+        &plan.plans,
+        &plan.topo_position,
+        &plan.network,
         &mut scratch,
     );
     engine.build_static_ops();
-    (
-        std::mem::take(&mut engine.ops),
-        std::mem::take(&mut engine.static_exec),
-    )
+    OpTemplate {
+        ops: std::mem::take(&mut engine.ops),
+        static_exec: std::mem::take(&mut engine.static_exec),
+    }
 }
 
 /// Empties a per-element buffer vector to length `n`, keeping every
@@ -548,8 +411,9 @@ pub struct OpTrace {
     pub ck_pad: f64,
 }
 
-/// Observability record of one [`execute_traced`] run: the materialized
-/// operations and the processed events in order. Event times are monotone
+/// Observability record of one run, buffered by a
+/// [`TraceObserver`](crate::TraceObserver): the materialized operations
+/// and the processed events in order. Event times are monotone
 /// non-decreasing — one of the engine invariants the property suite pins.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct EngineTrace {
@@ -898,11 +762,12 @@ struct Engine<'a> {
     /// completion-discovery instant of ops resolved behind later events
     /// (ghost pass-through, DESIGN.md §4).
     frontier: f64,
-    /// Phase timers, attached by [`execute_profiled`]; only read with the
-    /// `phase-profile` feature. (`PhaseProfile` is a concrete type, so
-    /// this keeps `Engine<'a>` covariant — a `&mut dyn` observer field
-    /// would not, which is why the observer travels through
-    /// [`Engine::run`] as an argument instead.)
+    /// Phase timers, attached by
+    /// [`Simulation::run_profiled`](crate::Simulation::run_profiled);
+    /// only read with the `phase-profile` feature. (`PhaseProfile` is a
+    /// concrete type, so this keeps `Engine<'a>` covariant — a `&mut dyn`
+    /// observer field would not, which is why the observer travels
+    /// through [`Engine::run`] as an argument instead.)
     #[cfg_attr(not(feature = "phase-profile"), allow(dead_code))]
     profile: Option<&'a mut PhaseProfile>,
 }
@@ -923,7 +788,7 @@ impl<'a> Engine<'a> {
     /// each in place (capacities survive — the zero-allocation core).
     /// The op arena and `static_exec` are deliberately *not* reset here:
     /// the template fast path reuses their element buffers via
-    /// `clone_from`, and the legacy builder resets them itself.
+    /// `clone_from`, and the full builder resets them itself.
     ///
     /// The arena's buffers are moved out of `scratch` for the run;
     /// [`Engine::finish_into`] moves them back. A panicking run leaves
@@ -1120,34 +985,33 @@ impl<'a> Engine<'a> {
     /// template **only** in `Op::deadline`, which is a pure per-processor
     /// value (`deadline_after(p, 0)` of the executing/sending processor).
     /// Cloning the template in place and overwriting the deadlines is
-    /// therefore byte-identical to the legacy build; scenarios with a
-    /// crash at `t ≤ 0` (the adversarial replay identities) take the
-    /// legacy builder unchanged.
+    /// therefore byte-identical to the full build; one-shot plans (no
+    /// template) and scenarios with a crash at `t ≤ 0` (the adversarial
+    /// replay identities) take the full builder.
     fn build_ops(&mut self, plan: &StaticPlan) {
         let m = self.inst.num_procs();
         let any_dead0 = (0..m).any(|p| self.deadline_after(ProcId::from_index(p), 0.0) <= 0.0);
-        if plan.has_template && !any_dead0 {
-            self.build_from_template(plan);
-        } else {
-            self.build_static_ops();
+        match &plan.template {
+            Some(template) if !any_dead0 => self.build_from_template(template),
+            _ => self.build_static_ops(),
         }
     }
 
     /// The template fast path: clone the pre-built op graph reusing this
     /// arena's per-op buffers, then overwrite the crash deadlines.
-    fn build_from_template(&mut self, plan: &StaticPlan) {
+    fn build_from_template(&mut self, template: &OpTemplate) {
         let m = self.inst.num_procs();
         let mut pd = std::mem::take(&mut self.proc_deadline);
         pd.clear();
         for p in 0..m {
             pd.push(self.deadline_after(ProcId::from_index(p), 0.0));
         }
-        clone_vec_reusing(&mut self.ops, &plan.template_ops);
+        clone_vec_reusing(&mut self.ops, &template.ops);
         for op in &mut self.ops {
             op.deadline = pd[op.proc as usize];
         }
         self.proc_deadline = pd;
-        clone_vec_reusing(&mut self.static_exec, &plan.template_static_exec);
+        clone_vec_reusing(&mut self.static_exec, &template.static_exec);
     }
 
     /// Mirrors `ft_sim::replay` passes 1–2: prunes replicas dead or
@@ -2531,6 +2395,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use crate::detection::DetectionModel;
+    use crate::observe::TraceObserver;
     use crate::policy::RecoveryPolicy;
     use ft_algos::{caft, ftsa, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
@@ -2543,6 +2408,36 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_layered(&RandomDagParams::default().with_tasks(tasks), &mut rng);
         ft_platform::random_instance(g, &PlatformParams::default(), gran, &mut rng)
+    }
+
+    /// One pooled one-shot run under the built-in `cfg.policy`.
+    fn one_shot(
+        inst: &Instance,
+        sched: &FtSchedule,
+        scenario: &FaultScenario,
+        cfg: &EngineConfig,
+    ) -> RunOutcome {
+        run_once(inst, sched, scenario, cfg, &cfg.policy, None, None)
+    }
+
+    /// [`one_shot`] with the run buffered into an [`EngineTrace`].
+    fn traced(
+        inst: &Instance,
+        sched: &FtSchedule,
+        scenario: &FaultScenario,
+        cfg: &EngineConfig,
+    ) -> (RunOutcome, EngineTrace) {
+        let mut tracer = TraceObserver::new();
+        let out = run_once(
+            inst,
+            sched,
+            scenario,
+            cfg,
+            &cfg.policy,
+            Some(&mut tracer),
+            None,
+        );
+        (out, tracer.into_trace())
     }
 
     fn assert_matches_replay(out: &RunOutcome, rep: &ReplayOutcome) {
@@ -2571,7 +2466,7 @@ mod tests {
             let inst = setup(seed, 40, 1.0);
             for eps in [0usize, 1, 2] {
                 let sched = caft(&inst, eps, CommModel::OnePort, seed);
-                let out = execute(
+                let out = one_shot(
                     &inst,
                     &sched,
                     &FaultScenario::none(),
@@ -2590,7 +2485,7 @@ mod tests {
         let after = sched.full_makespan();
         let scenario = FaultScenario::timed(&[(ProcId(0), after), (ProcId(3), after + 5.0)]);
         for policy in RecoveryPolicy::ALL {
-            let out = execute(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
+            let out = one_shot(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
             let rep = replay(&inst, &sched, &FaultScenario::none());
             assert_matches_replay(&out, &rep);
             assert_eq!(out.detections, 2);
@@ -2606,7 +2501,7 @@ mod tests {
                 let sched = algo(&inst, eps, CommModel::OnePort, seed);
                 for p in inst.platform.procs() {
                     let scenario = FaultScenario::procs(&[p]);
-                    let out = execute(
+                    let out = one_shot(
                         &inst,
                         &sched,
                         &scenario,
@@ -2628,7 +2523,7 @@ mod tests {
         let nominal = sched.latency();
         for p in inst.platform.procs() {
             let scenario = FaultScenario::timed(&[(p, nominal * 0.4)]);
-            let out = execute(
+            let out = one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2649,7 +2544,7 @@ mod tests {
         let mut last_completed = false;
         for frac in [0.0, 0.3, 0.6, 0.9, 1.2] {
             let scenario = FaultScenario::timed(&[(p, nominal * frac)]);
-            let out = execute(
+            let out = one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2686,7 +2581,7 @@ mod tests {
                     seed: 0,
                     ..EngineConfig::default()
                 };
-                let out = execute(&inst, &sched, &scenario, &cfg);
+                let out = one_shot(&inst, &sched, &scenario, &cfg);
                 assert!(
                     out.completed(),
                     "reschedule failed to repair crash of {p} at {crash_at}"
@@ -2706,7 +2601,7 @@ mod tests {
         let nominal = sched.latency();
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.1), (ProcId(1), nominal * 0.2)]);
-        let absorb = execute(
+        let absorb = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2717,7 +2612,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let rerep = execute(
+        let rerep = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2766,14 +2661,14 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &cfg);
+        let out = one_shot(&inst, &sched, &scenario, &cfg);
         assert!(
             out.completed(),
             "deferred spawns must be retried once survivors become eligible"
         );
         assert!(out.recovery_replicas > 0);
         // Deterministic, like every engine entry point.
-        let again = execute(&inst, &sched, &scenario, &cfg);
+        let again = one_shot(&inst, &sched, &scenario, &cfg);
         assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -2799,7 +2694,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &cfg);
+        let out = one_shot(&inst, &sched, &scenario, &cfg);
         // Three detection events fire: crash 1 via the dead fast monitor
         // (replans onto the not-yet-known-dead ProcId(0) — knowledge
         // honesty), crash 0 via the slow monitors (no survivor has
@@ -2822,7 +2717,7 @@ mod tests {
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.2), (ProcId(4), nominal * 0.35)]);
         let run = |delta: f64| {
-            execute(
+            one_shot(
                 &inst,
                 &sched,
                 &scenario,
@@ -2859,8 +2754,8 @@ mod tests {
                 seed: 4,
                 ..EngineConfig::default()
             };
-            let a = execute(&inst, &sched, &scenario, &cfg);
-            let b = execute(&inst, &sched, &scenario, &cfg);
+            let a = one_shot(&inst, &sched, &scenario, &cfg);
+            let b = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(
                 serde_json::to_string(&a).unwrap(),
                 serde_json::to_string(&b).unwrap(),
@@ -2902,13 +2797,13 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let ck = execute(
+            let ck = one_shot(
                 &inst,
                 &sched,
                 &scenario,
                 &mk(RecoveryPolicy::checkpoint(f64::INFINITY, 0.7)),
             );
-            let rr = execute(&inst, &sched, &scenario, &mk(RecoveryPolicy::ReReplicate));
+            let rr = one_shot(&inst, &sched, &scenario, &mk(RecoveryPolicy::ReReplicate));
             assert_eq!(
                 serde_json::to_string(&ck).unwrap(),
                 serde_json::to_string(&rr).unwrap(),
@@ -2930,7 +2825,7 @@ mod tests {
         let interval = inst.mean_task_cost() * 0.25;
         let scenario =
             FaultScenario::timed(&[(ProcId(0), nominal * 0.3), (ProcId(1), nominal * 0.4)]);
-        let out = execute(
+        let out = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2955,7 +2850,7 @@ mod tests {
         let sched = ftsa(&inst, 1, CommModel::OnePort, 4);
         let after = sched.full_makespan();
         let scenario = FaultScenario::timed(&[(ProcId(0), after), (ProcId(3), after + 5.0)]);
-        let out = execute(
+        let out = one_shot(
             &inst,
             &sched,
             &scenario,
@@ -2974,7 +2869,7 @@ mod tests {
         let inst = setup(4, 35, 0.7);
         let sched = ftsa(&inst, 1, CommModel::OnePort, 4);
         let run = |ov: f64| {
-            execute(
+            one_shot(
                 &inst,
                 &sched,
                 &FaultScenario::none(),
@@ -3020,7 +2915,7 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let out = execute(&inst, &sched, &scenario, &cfg);
+            let out = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(out.detections, 1, "the lone crash must be detected");
             assert!(!out.completed());
             assert!(out.unrecoverable > 0, "lost tasks must be flagged");
@@ -3035,7 +2930,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let out = execute(&inst, &sched, &scenario, &gossip);
+        let out = one_shot(&inst, &sched, &scenario, &gossip);
         assert_eq!(out.detections, 0, "no observer, no rumor, no detection");
     }
 
@@ -3059,8 +2954,8 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let perm = execute(&inst, &sched, &FaultScenario::timed(&crashes), &cfg);
-            let tra = execute(&inst, &sched, &FaultScenario::transient(&transient), &cfg);
+            let perm = one_shot(&inst, &sched, &FaultScenario::timed(&crashes), &cfg);
+            let tra = one_shot(&inst, &sched, &FaultScenario::transient(&transient), &cfg);
             assert_eq!(
                 serde_json::to_string(&perm).unwrap(),
                 serde_json::to_string(&tra).unwrap(),
@@ -3094,14 +2989,14 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let perm = execute(
+        let perm = one_shot(
             &inst,
             &sched,
             &FaultScenario::timed(&[(ProcId(0), crash)]),
             &cfg,
         );
         assert!(!perm.completed(), "no reboot, no second chance");
-        let tra = execute(
+        let tra = one_shot(
             &inst,
             &sched,
             &FaultScenario::transient(&[(ProcId(0), crash, 2.0)]),
@@ -3115,7 +3010,7 @@ mod tests {
         assert!(tra.recovery_replicas > 0);
         assert!(tra.tasks_recovered() > 0);
         // Deterministic, like every engine entry point.
-        let again = execute(
+        let again = one_shot(
             &inst,
             &sched,
             &FaultScenario::transient(&[(ProcId(0), crash, 2.0)]),
@@ -3146,7 +3041,7 @@ mod tests {
                 seed: 0,
                 ..EngineConfig::default()
             };
-            let out = execute(&inst, &sched, &scenario, &cfg);
+            let out = one_shot(&inst, &sched, &scenario, &cfg);
             assert_eq!(out.detections, 2, "{policy}: both epochs detected");
             assert_eq!(out.rejoins, 1, "{policy}: one reboot known");
             assert_eq!(out.num_failures, 1, "one distinct processor failed");
@@ -3186,7 +3081,7 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let (out, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let (out, trace) = traced(&inst, &sched, &scenario, &cfg);
         assert_eq!(out.detections, 2);
         assert_eq!(out.rejoins, 1);
         for (i, op) in trace.ops.iter().enumerate() {
@@ -3214,8 +3109,8 @@ mod tests {
             seed: 0,
             ..EngineConfig::default()
         };
-        let plain = execute(&inst, &sched, &scenario, &cfg);
-        let (traced, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+        let plain = one_shot(&inst, &sched, &scenario, &cfg);
+        let (traced, trace) = traced(&inst, &sched, &scenario, &cfg);
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
             serde_json::to_string(&traced).unwrap(),
@@ -3257,21 +3152,21 @@ mod tests {
         let crashes: Vec<(ProcId, f64)> = inst.platform.procs().map(|p| (p, 0.0)).collect();
         let scenario = FaultScenario::timed(&crashes);
         for policy in RecoveryPolicy::ALL {
-            let out = execute(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
+            let out = one_shot(&inst, &sched, &scenario, &EngineConfig::with_policy(policy));
             assert!(!out.completed(), "{policy}: no processors, no progress");
             assert_eq!(out.latency(), None);
         }
     }
 
     /// A persistent [`Executor`](crate::Executor) run — warm arena, op
-    /// template, indexed event queue — must reproduce the one-shot
-    /// [`execute`] byte-for-byte on every scenario class: failure-free
-    /// (template fast path), mid-run crashes (template + availability
-    /// events), crashes at `t = 0` (legacy-build fallback inside a warm
-    /// executor), and everything interleaved through one arena so state
-    /// leakage between runs would be caught.
+    /// template, indexed event queue — must reproduce the one-shot run
+    /// byte-for-byte on every scenario class: failure-free (template fast
+    /// path), mid-run crashes (template + availability events), crashes
+    /// at `t = 0` (full-build fallback inside a warm executor), and
+    /// everything interleaved through one arena so state leakage between
+    /// runs would be caught.
     #[test]
-    fn executor_matches_one_shot_execute_byte_for_byte() {
+    fn executor_matches_one_shot_run_byte_for_byte() {
         let inst = setup(11, 30, 1.0);
         let sched = caft(&inst, 1, CommModel::OnePort, 3);
         let nominal = sched.latency();
@@ -3296,7 +3191,7 @@ mod tests {
                 for (i, scenario) in scenarios.iter().enumerate() {
                     let warm = serde_json::to_string(exec.run(scenario)).unwrap();
                     let cold =
-                        serde_json::to_string(&execute(&inst, &sched, scenario, &cfg)).unwrap();
+                        serde_json::to_string(&one_shot(&inst, &sched, scenario, &cfg)).unwrap();
                     assert_eq!(warm, cold, "{policy}: scenario {i}, pass {pass}");
                 }
             }

@@ -6,12 +6,14 @@
 //! (§1–§2) actually poses: processors crash **during** execution, failures
 //! are *detected* after a latency, and the runtime may *react*.
 //!
-//! * [`Simulation`] — the fluent front door:
+//! * [`Simulation`] — the front door:
 //!   `Simulation::of(&inst, &sched).policy(…).detection(…).seed(…)` with
-//!   [`run`](Simulation::run) for one scenario and
-//!   [`monte_carlo`](Simulation::monte_carlo) for streaming batches (the
-//!   positional [`execute`] / [`simulate_many`] calls remain as thin
-//!   wrappers);
+//!   [`run`](Simulation::run) for one scenario (plus its
+//!   [`run_observed`](Simulation::run_observed) and
+//!   [`run_profiled`](Simulation::run_profiled) forms) and
+//!   [`monte_carlo`](Simulation::monte_carlo) for streaming batches;
+//!   [`Executor`] is the warm per-scenario loop and [`simulate_grid`] the
+//!   warm multi-cell sweep;
 //! * [`LifetimeDist`] — exponential / Weibull / trace lifetimes, drawn into
 //!   timed [`FaultScenario`](ft_sim::FaultScenario)s ([`draw_scenario`]) —
 //!   permanently fail-stop, or transient ([`FailureKind`], [`RepairModel`],
@@ -19,7 +21,7 @@
 //!   time, rejoin knowledge spreads through the [`DetectionModel`], and
 //!   rejoined processors are re-enlisted by every recovery policy (the
 //!   availability machine Up → Down → Rejoined; DESIGN.md §6);
-//! * [`execute`] — the discrete-event online engine: replays the static
+//! * [`engine`] — the discrete-event online engine: replays the static
 //!   schedule's inherited orders (first-surviving-copy input policy, as in
 //!   `ft_sim::replay`), kills work at crash times, and repairs at
 //!   detections;
@@ -32,7 +34,7 @@
 //!   consulted at every availability event with a read-only
 //!   [`PolicyView`], answering with typed [`RecoveryAction`]s the engine
 //!   validates and applies (DESIGN.md §11; custom implementations attach
-//!   via [`Simulation::policy_impl`] or [`execute_with`]);
+//!   via [`Simulation::policy_impl`]);
 //! * [`RecoveryPolicy`] — the serializable built-ins implementing the
 //!   trait: [`Absorb`](RecoveryPolicy::Absorb) (paper baseline: static
 //!   replicas only), [`ReReplicate`](RecoveryPolicy::ReReplicate) (eager
@@ -50,14 +52,15 @@
 //!   through a mergeable [`BatchAccumulator`] (O(threads) memory, byte-
 //!   identical [`BatchSummary`] at any thread count);
 //! * [`Observer`] — streaming observability (DESIGN.md §12): the engine
-//!   pushes every event, op and outcome into an attached observer
-//!   ([`execute_observed`], [`Simulation::observe`]); [`execute_traced`]
-//!   is the buffered special case returning an [`EngineTrace`] (the
-//!   substrate of the `tests/engine_invariants.rs` property suite), and
-//!   batches carry exact mergeable [`MetricSet`] histograms on
+//!   pushes every event, op and outcome into the observer attached with
+//!   [`Simulation::run_observed`]; a [`TraceObserver`] buffers the run
+//!   into an [`EngineTrace`] (the substrate of the
+//!   `tests/engine_invariants.rs` property suite), and batches carry
+//!   exact mergeable [`MetricSet`] histograms on
 //!   [`BatchSummary::metrics`];
-//! * [`execute_profiled`] — feature-gated (`phase-profile`) wall-clock
-//!   attribution of the engine's hot-loop phases into a [`PhaseProfile`];
+//! * [`PhaseProfile`] — feature-gated (`phase-profile`) wall-clock
+//!   attribution of the engine's hot-loop phases
+//!   ([`Simulation::run_profiled`]);
 //! * [`report`] — one run against the §6 latency bounds.
 //!
 //! ## Consistency with the static stack
@@ -119,15 +122,11 @@ pub mod scratch;
 pub mod simulation;
 
 pub use batch::{
-    simulate_grid, simulate_many, simulate_many_with, simulate_many_with_progress,
-    BatchAccumulator, ChunkedBatch, ExactSum, MonteCarloConfig, Progress,
+    simulate_grid, simulate_many, BatchAccumulator, ChunkedBatch, ExactSum, MonteCarloConfig,
+    Progress,
 };
 pub use detection::DetectionModel;
-pub use engine::{
-    execute, execute_observed, execute_observed_with, execute_profiled, execute_profiled_with,
-    execute_traced, execute_traced_with, execute_with, EngineTrace, OpTrace, PolicyView,
-    TraceEvent, TraceEventKind,
-};
+pub use engine::{EngineTrace, OpTrace, PolicyView, TraceEvent, TraceEventKind};
 pub use lifetime::{draw_scenario, draw_scenario_with, FailureKind, LifetimeDist, RepairModel};
 pub use metrics::{report, BatchSummary, Histogram, MetricSet, RunOutcome, RunReport};
 pub use observe::{NoopObserver, Observer, Phase, PhaseProfile, PhaseStat, TraceObserver};
@@ -135,7 +134,7 @@ pub use policy::{
     CheckpointPlan, EngineConfig, Policy, PolicyEvent, RecoveryAction, RecoveryPolicy, TaskInfo,
 };
 pub use scratch::{EngineScratch, Executor, ScratchPool, StaticPlan};
-pub use simulation::{ObservedSimulation, Simulation};
+pub use simulation::Simulation;
 
 /// Re-exported from [`ft_net`]: the link-contention model transfers are
 /// charged under (see [`EngineConfig::contention`]).
@@ -145,14 +144,12 @@ pub use ft_net::{Contention, NetworkModel, NetworkState};
 /// One-stop imports for examples and applications.
 pub mod prelude {
     pub use crate::{
-        draw_scenario, draw_scenario_with, execute, execute_observed, execute_observed_with,
-        execute_profiled, execute_profiled_with, execute_traced, execute_traced_with, execute_with,
-        report, simulate_grid, simulate_many, simulate_many_with, simulate_many_with_progress,
-        BatchAccumulator, BatchSummary, CheckpointPlan, ChunkedBatch, Contention, DetectionModel,
-        EngineConfig, EngineScratch, EngineTrace, Executor, FailureKind, Histogram, LifetimeDist,
-        MetricSet, MonteCarloConfig, NoopObserver, ObservedSimulation, Observer, Phase,
-        PhaseProfile, PhaseStat, Policy, PolicyEvent, PolicyView, Progress, RecoveryAction,
-        RecoveryPolicy, RepairModel, RunOutcome, RunReport, ScratchPool, Simulation, StaticPlan,
-        TaskInfo, TraceEvent, TraceEventKind, TraceObserver,
+        draw_scenario, draw_scenario_with, report, simulate_grid, simulate_many, BatchAccumulator,
+        BatchSummary, CheckpointPlan, ChunkedBatch, Contention, DetectionModel, EngineConfig,
+        EngineScratch, EngineTrace, Executor, FailureKind, Histogram, LifetimeDist, MetricSet,
+        MonteCarloConfig, NoopObserver, Observer, Phase, PhaseProfile, PhaseStat, Policy,
+        PolicyEvent, PolicyView, Progress, RecoveryAction, RecoveryPolicy, RepairModel, RunOutcome,
+        RunReport, ScratchPool, Simulation, StaticPlan, TaskInfo, TraceEvent, TraceEventKind,
+        TraceObserver,
     };
 }

@@ -1,15 +1,16 @@
 //! Per-run and aggregate metrics of online executions.
 //!
-//! A [`RunOutcome`] is what [`crate::execute`] returns: per-task first
-//! completion times plus recovery and checkpoint accounting. [`report`]
-//! puts one run in context of the §6 static latency bounds;
+//! A [`RunOutcome`] is what [`Simulation::run`](crate::Simulation::run)
+//! returns: per-task first completion times plus recovery and checkpoint
+//! accounting. [`report`] puts one run in context of the §6 static
+//! latency bounds;
 //! [`BatchSummary`] is the deterministic Monte-Carlo aggregate of
 //! [`crate::simulate_many`].
 //!
 //! # Example
 //!
 //! ```
-//! use ft_runtime::{execute, report, EngineConfig};
+//! use ft_runtime::{report, Simulation};
 //! use ft_algos::{caft, CommModel};
 //! use ft_graph::gen::{random_layered, RandomDagParams};
 //! use ft_platform::{random_instance, PlatformParams};
@@ -20,7 +21,7 @@
 //! let inst = random_instance(g, &PlatformParams::default(), 1.0, &mut rng);
 //! let sched = caft(&inst, 1, CommModel::OnePort, 2);
 //!
-//! let out = execute(&inst, &sched, &ft_sim::FaultScenario::none(), &EngineConfig::default());
+//! let out = Simulation::of(&inst, &sched).run(&ft_sim::FaultScenario::none());
 //! assert!(out.completed());
 //! let rpt = report(&inst, &sched, &out);
 //! assert!(rpt.within_bound && (rpt.slowdown - 1.0).abs() < 1e-9);
@@ -33,7 +34,8 @@ use ft_platform::Instance;
 use ft_sim::latency_bounds;
 use serde::{Deserialize, Serialize};
 
-/// The outcome of one online execution ([`crate::execute`]).
+/// The outcome of one online execution
+/// ([`Simulation::run`](crate::Simulation::run)).
 ///
 /// `Default` is the all-zero outcome of a run over nothing; it exists so
 /// a reusable [`EngineScratch`](crate::EngineScratch) can hold an

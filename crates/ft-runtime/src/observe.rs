@@ -1,20 +1,16 @@
 //! Streaming observability: per-event engine observers and phase profiling.
 //!
-//! The online engine of [`crate::engine`] used to offer exactly two run
-//! modes: blind ([`crate::execute`]) or an all-or-nothing in-memory trace
-//! ([`crate::execute_traced`]).  This module generalizes both into a
-//! streaming [`Observer`] interface: the engine pushes every processed
-//! event ([`Observer::on_event`]), every materialized operation
-//! ([`Observer::on_op`]) and the final outcome ([`Observer::on_run_end`])
-//! into an observer as they happen, so consumers can aggregate, filter or
-//! export at Monte-Carlo scale without buffering whole traces.
+//! An [`Observer`] attached with
+//! [`Simulation::run_observed`](crate::Simulation::run_observed) receives
+//! every processed event ([`Observer::on_event`]), every materialized
+//! operation ([`Observer::on_op`]) and the final outcome
+//! ([`Observer::on_run_end`]) as they happen, so consumers can aggregate,
+//! filter or export at Monte-Carlo scale without buffering whole traces.
 //!
-//! Two built-in observers cover the old modes: [`NoopObserver`] (costs one
-//! predictable branch per event) and [`TraceObserver`], which rebuilds an
-//! [`EngineTrace`] byte-for-byte identical to what `execute_traced`
-//! returned before the refactor — an identity pinned by the test suite.
-//! The `ft-obs` crate adds a `JsonlSink` observer that streams structured
-//! JSONL records for offline analysis.
+//! Two built-in observers cover the common cases: [`NoopObserver`] (costs
+//! one predictable branch per event) and [`TraceObserver`], which buffers
+//! the run into an [`EngineTrace`]. The `ft-obs` crate adds a `JsonlSink`
+//! observer that streams structured JSONL records for offline analysis.
 //!
 //! # Determinism
 //!
@@ -29,7 +25,8 @@
 //! [`PhaseProfile`] aggregates per-[`Phase`] wall-clock timers over the
 //! engine's hot loop.  The timers are compiled in only under the
 //! `phase-profile` cargo feature so the default build keeps the untraced
-//! fast path; the types (and [`crate::execute_profiled`]) exist
+//! fast path; the types (and
+//! [`Simulation::run_profiled`](crate::Simulation::run_profiled)) exist
 //! unconditionally, the profile simply stays empty without the feature.
 
 use crate::engine::{EngineTrace, OpTrace, TraceEvent};
@@ -43,8 +40,7 @@ use serde::{Deserialize, Serialize};
 /// loop in deterministic engine order:
 ///
 /// 1. [`on_event`](Observer::on_event) once per processed event, in
-///    processing (heap pop) order — the same sequence `EngineTrace::events`
-///    used to record;
+///    processing (heap pop) order — the `EngineTrace::events` sequence;
 /// 2. [`on_op`](Observer::on_op) once per materialized operation after the
 ///    loop drains, in op creation order — the `EngineTrace::ops` sequence;
 /// 3. [`on_run_end`](Observer::on_run_end) exactly once with the final
@@ -71,18 +67,18 @@ pub trait Observer {
 /// The do-nothing observer: every hook keeps its empty default body.
 ///
 /// Attaching it costs one predictable branch per event over the untraced
-/// fast path, and the produced [`RunOutcome`] is byte-identical to
-/// [`crate::execute`] (pinned by `tests/timed_model.rs`).
+/// fast path, and the produced [`RunOutcome`] is byte-identical to the
+/// unobserved run (pinned by `tests/timed_model.rs`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoopObserver;
 
 impl Observer for NoopObserver {}
 
-/// An observer that buffers the full run into an [`EngineTrace`].
-///
-/// This is the pre-observer `execute_traced` behaviour re-expressed as an
-/// observer; [`crate::execute_traced`] is now a thin wrapper over it and
-/// the equivalence is pinned byte-for-byte by `tests/timed_model.rs`.
+/// An observer that buffers the full run into an [`EngineTrace`]: every
+/// operation the engine materialized (static, ghost-failed and recovery
+/// alike) and the event log in processing order. Intended for audits and
+/// invariant suites (`tests/engine_invariants.rs`); it costs one
+/// allocation per op, so prefer an unobserved run in hot loops.
 #[derive(Clone, Debug, Default)]
 pub struct TraceObserver {
     ops: Vec<OpTrace>,
@@ -181,8 +177,10 @@ pub struct PhaseStat {
 
 /// Wall-clock attribution of an engine run across [`Phase`]s.
 ///
-/// Collected by [`crate::execute_profiled`]; without the `phase-profile`
-/// cargo feature the timers compile out and every entry stays zero.
+/// Collected by
+/// [`Simulation::run_profiled`](crate::Simulation::run_profiled); without
+/// the `phase-profile` cargo feature the timers compile out and every
+/// entry stays zero.
 /// Serializes to the JSON exported by `ft-bench`'s profile case and the
 /// `BENCH_phases.json` baseline.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

@@ -429,7 +429,7 @@ pub enum RecoveryAction {
 /// The trait is object-safe: custom policies are passed as
 /// `Arc<dyn Policy>` via
 /// [`Simulation::policy_impl`](crate::Simulation::policy_impl) or as
-/// `&dyn Policy` via [`execute_with`](crate::execute_with). Built-ins
+/// `&dyn Policy` to [`ChunkedBatch`](crate::ChunkedBatch). Built-ins
 /// ([`RecoveryPolicy`]) go through the **same** dispatch path — pinned
 /// byte-for-byte against their pre-redesign behavior by
 /// `tests/timed_model.rs`. See the module docs for a worked custom
@@ -493,8 +493,9 @@ pub trait Policy: Send + Sync {
     /// Plans are amortized: batch entry points query this hook once per
     /// [`StaticPlan`](crate::StaticPlan) — i.e. once per `(instance,
     /// schedule, policy)`, not once per run — so the implementation must
-    /// be a pure function of `task` (the built-ins are). One-shot
-    /// [`execute`](crate::execute) still queries once per call.
+    /// be a pure function of `task` (the built-ins are). A one-shot
+    /// [`Simulation::run`](crate::Simulation::run) still queries once per
+    /// call.
     fn checkpoint_plan(&self, task: &TaskInfo<'_>) -> Option<CheckpointPlan> {
         let _ = task;
         None
@@ -593,14 +594,14 @@ impl Policy for RecoveryPolicy {
 /// Usually built through the [`Simulation`](crate::Simulation) front door
 /// rather than by hand; the struct stays public so configs remain plain
 /// serializable data. A non-serializable custom [`Policy`] is attached
-/// per run via [`Simulation::policy_impl`](crate::Simulation::policy_impl)
-/// or [`execute_with`](crate::execute_with), in which case the `policy`
-/// field is ignored for dispatch.
+/// per run via [`Simulation::policy_impl`](crate::Simulation::policy_impl),
+/// in which case the `policy` field is ignored for dispatch.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct EngineConfig {
     /// Recovery policy applied at each failure detection (the
-    /// serializable built-in form; superseded by an explicit
-    /// [`Policy`] argument to [`execute_with`](crate::execute_with)).
+    /// serializable built-in form; superseded by a custom [`Policy`]
+    /// attached with
+    /// [`Simulation::policy_impl`](crate::Simulation::policy_impl)).
     pub policy: RecoveryPolicy,
     /// When each survivor learns of a crash (uniform latency,
     /// per-processor delays, or gossip propagation — see

@@ -1,23 +1,20 @@
 //! The zero-allocation event core: reusable run arenas and pre-resolved
 //! static plans (DESIGN.md §15).
 //!
-//! Historically every [`execute`](crate::execute) call allocated its
-//! whole world from scratch: the op arena, one `Vec` wall per dependency
-//! list, a fresh `BinaryHeap` for the event queue, and per-task
-//! checkpoint plans re-queried from the policy — roughly a hundred heap
-//! allocations per run, paid 10⁶ times per Monte-Carlo batch. This
-//! module splits that cost into three reusable pieces:
+//! A run's cost splits into three reusable pieces:
 //!
 //! * [`StaticPlan`] — everything that depends only on `(instance,
 //!   schedule, policy)`: validated per-task checkpoint plans, the
-//!   topological order, and a **pre-built op template** (the full static
-//!   op graph with its dependency wiring) that a run clones *in place*.
-//!   The template is valid for every scenario with no crash at `t ≤ 0`:
-//!   such a build takes identical branches everywhere except the per-op
-//!   crash deadlines, which are a per-processor overwrite (the host of a
-//!   computation, the sender of a transfer). Scenarios that do kill a
-//!   processor at `t ≤ 0` — the adversarial replay identities — fall
-//!   back to the full legacy build, byte-for-byte.
+//!   topological order, the resolved network, and — for warm plans built
+//!   by [`StaticPlan::new`] — a **pre-built op template** (the full
+//!   static op graph with its dependency wiring) that a run clones *in
+//!   place*. The template is valid for every scenario with no crash at
+//!   `t ≤ 0`: such a build takes identical branches everywhere except the
+//!   per-op crash deadlines, which are a per-processor overwrite (the
+//!   host of a computation, the sender of a transfer). Scenarios that do
+//!   kill a processor at `t ≤ 0` — the adversarial replay identities —
+//!   and one-shot plans, which carry no template, take the full build,
+//!   byte-for-byte.
 //! * [`EngineScratch`] — every per-run buffer the engine touches, owned
 //!   across runs: the op arena, the indexed event queue, belief and
 //!   detection state, propagation scratch, and the previous run's
@@ -36,10 +33,10 @@
 //! possible steady-state surface: construct once, call
 //! [`run`](Executor::run) per scenario. Every path through this module
 //! returns outcomes **byte-identical** to the one-shot
-//! [`execute`](crate::execute) — the fast path only re-uses memory and
-//! skips redundant construction, it never changes an event order (the
-//! event-queue keys are all distinct, so *any* correct min-heap pops
-//! them in the same ascending order).
+//! [`Simulation::run`](crate::Simulation::run) — the fast path only
+//! re-uses memory and skips redundant construction, it never changes an
+//! event order (the event-queue keys are all distinct, so *any* correct
+//! min-heap pops them in the same ascending order).
 
 use crate::engine::{build_template, run_into, Act, Op};
 use crate::metrics::RunOutcome;
@@ -124,12 +121,12 @@ impl EventQueue {
 }
 
 /// Everything about a run that depends only on `(instance, schedule,
-/// policy)` — validated checkpoint plans, the topological order, and the
-/// pre-built static op template — computed once and shared by every run
-/// of a batch, chunk, or grid cell.
+/// policy)` — validated checkpoint plans, the topological order, the
+/// resolved network and, on warm plans, the static op template —
+/// computed once and shared by every run of a batch, chunk, or grid cell.
 ///
 /// See the [module docs](self) for when the template applies and why the
-/// fast path is byte-identical to the legacy build.
+/// fast path is byte-identical to the full build.
 pub struct StaticPlan {
     /// Per-task `(interval, overhead)` checkpoint plans from
     /// [`Policy::checkpoint_plan`], validated once here instead of once
@@ -137,15 +134,9 @@ pub struct StaticPlan {
     pub(crate) plans: Vec<Option<(f64, f64)>>,
     /// Topological position of each task (spawn-ordering key).
     pub(crate) topo_position: Vec<usize>,
-    /// The static op graph of a build with no crash at `t ≤ 0`, wiring
-    /// included; per-run cloned in place with only the crash deadlines
-    /// overwritten.
-    pub(crate) template_ops: Vec<Op>,
-    /// Static exec op per `(task, copy)` of the template build.
-    pub(crate) template_static_exec: Vec<Vec<Option<u32>>>,
-    /// Whether the template was built (false for the cheap one-shot form
-    /// that always takes the legacy build).
-    pub(crate) has_template: bool,
+    /// The op template of a warm plan; `None` on a one-shot plan, whose
+    /// single run takes the full build.
+    pub(crate) template: Option<OpTemplate>,
     /// Link ids and per-route hop tables of the platform's network,
     /// resolved once here; runs under a contended [`Contention`] mode
     /// charge transfers against it ([`ft_net::NetworkState`]), Ideal runs
@@ -155,38 +146,33 @@ pub struct StaticPlan {
     pub(crate) network: NetworkModel,
 }
 
+/// The static op graph of a build with no crash at `t ≤ 0`, wiring
+/// included; warm runs clone it in place and overwrite only the crash
+/// deadlines.
+pub(crate) struct OpTemplate {
+    /// The template build's op arena.
+    pub(crate) ops: Vec<Op>,
+    /// Static exec op per `(task, copy)` of the template build.
+    pub(crate) static_exec: Vec<Vec<Option<u32>>>,
+}
+
 impl StaticPlan {
-    /// Builds the full plan — checkpoint plans, topological order, and
+    /// Builds the warm plan — checkpoint plans, topological order, and
     /// the static op template — for runs of `sched` on `inst` under
     /// `policy`. One template build amortizes over every subsequent run.
     pub fn new(inst: &Instance, sched: &FtSchedule, policy: &dyn Policy) -> Self {
-        let mut plan = Self::without_template(inst, sched, policy);
-        let (template_ops, template_static_exec) = build_template(
-            inst,
-            sched,
-            policy,
-            &plan.plans,
-            &plan.topo_position,
-            &plan.network,
-        );
-        plan.template_ops = template_ops;
-        plan.template_static_exec = template_static_exec;
-        plan.has_template = true;
+        let mut plan = Self::one_shot(inst, sched, policy);
+        plan.template = Some(build_template(inst, sched, policy, &plan));
         plan
     }
 
-    /// Plans and topological order only — the one-shot
-    /// [`execute`](crate::execute) form, which pays the legacy build
-    /// once anyway and would gain nothing from a template.
-    pub(crate) fn without_template(
-        inst: &Instance,
-        sched: &FtSchedule,
-        policy: &dyn Policy,
-    ) -> Self {
+    /// The one-shot plan: everything but the op template. Its single run
+    /// pays the full op build once anyway, so a template would only add
+    /// a second one.
+    pub(crate) fn one_shot(inst: &Instance, sched: &FtSchedule, policy: &dyn Policy) -> Self {
         let v = inst.num_tasks();
         // One checkpoint_plan query per task, validated here so a
-        // misbehaving plan fails loudly before any op is built (the same
-        // checks the pre-redesign engine ran per execute call).
+        // misbehaving plan fails loudly before any op is built.
         let plans: Vec<Option<(f64, f64)>> = (0..v)
             .map(|t| {
                 let info = TaskInfo::new(inst, TaskId::from_index(t));
@@ -216,9 +202,7 @@ impl StaticPlan {
         StaticPlan {
             plans,
             topo_position,
-            template_ops: Vec::new(),
-            template_static_exec: Vec::new(),
-            has_template: false,
+            template: None,
             network: NetworkModel::new(&inst.platform),
         }
     }
@@ -228,8 +212,7 @@ impl std::fmt::Debug for StaticPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StaticPlan")
             .field("tasks", &self.plans.len())
-            .field("template_ops", &self.template_ops.len())
-            .field("has_template", &self.has_template)
+            .field("template_ops", &self.template.as_ref().map(|t| t.ops.len()))
             .finish_non_exhaustive()
     }
 }
@@ -298,10 +281,10 @@ pub struct ScratchPool {
     pool: Mutex<Vec<Box<EngineScratch>>>,
 }
 
-/// The process-wide arena pool behind the one-shot entry points
-/// ([`execute`](crate::execute) and friends): the first call pays the
-/// cold-arena construction, every later one-shot call of any shape
-/// starts from a warm arena. Outcomes are byte-identical either way —
+/// The process-wide arena pool behind one-shot runs
+/// ([`Simulation::run`](crate::Simulation::run) and its observed and
+/// profiled forms): the first call pays the cold-arena construction,
+/// every later one-shot call of any shape starts from a warm arena. Outcomes are byte-identical either way —
 /// the arena only recycles capacity, never state (every buffer is reset
 /// in `Engine::from_parts`).
 pub(crate) fn global_pool() -> &'static ScratchPool {
@@ -335,8 +318,8 @@ impl ScratchPool {
 
 /// A persistent single-thread executor: one [`StaticPlan`] plus one warm
 /// [`EngineScratch`] behind a `run(scenario)` call. The steady-state
-/// form of [`execute`](crate::execute) — byte-identical outcomes, none
-/// of the per-run construction.
+/// form of [`Simulation::run`](crate::Simulation::run) — byte-identical
+/// outcomes, none of the per-run construction.
 ///
 /// # Example
 ///
@@ -381,8 +364,8 @@ impl<'a> Executor<'a> {
     }
 
     /// Runs one scenario through the warm arena; the returned outcome is
-    /// byte-identical to `execute(inst, sched, scenario, cfg)` and valid
-    /// until the next `run` call.
+    /// byte-identical to a one-shot [`Simulation`](crate::Simulation) run
+    /// under `cfg` and valid until the next `run` call.
     pub fn run(&mut self, scenario: &FaultScenario) -> &RunOutcome {
         run_into(
             self.inst,

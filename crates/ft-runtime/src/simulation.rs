@@ -1,23 +1,13 @@
 //! The runtime's front door: a fluent [`Simulation`] builder.
 //!
-//! The historical surface — positional [`execute`] /
-//! [`simulate_many`](crate::simulate_many()) calls over an
-//! [`EngineConfig`] and a [`MonteCarloConfig`]
-//! with **two** seed fields — stays available as thin wrappers, but new
-//! code reads better through the builder:
-//!
-//! ```text
-//! old                                            new
-//! ─────────────────────────────────────────────  ───────────────────────
-//! execute(&inst, &sched, &scenario,              Simulation::of(&inst, &sched)
-//!     &EngineConfig { policy, detection_latency,     .policy(policy)
-//!                     seed })                        .detection(DetectionModel::uniform(δ))
-//!                                                    .seed(seed)
-//!                                                    .run(&scenario)
-//! simulate_many(&inst, &sched,                   Simulation::of(&inst, &sched)
-//!     &MonteCarloConfig { runs, lifetime,            .policy(policy).seed(seed)
-//!         engine, seed: other_seed })                .monte_carlo(runs, lifetime)
-//! ```
+//! Configure a simulation of one `(instance, schedule)` pair, then drive
+//! it: [`run`](Simulation::run) for one scenario,
+//! [`run_observed`](Simulation::run_observed) to stream the run into an
+//! [`Observer`], [`run_profiled`](Simulation::run_profiled) for a phase
+//! profile, and [`monte_carlo`](Simulation::monte_carlo) for a streaming
+//! batch. Warm loops over many scenarios use an
+//! [`Executor`](crate::Executor); sweeps over many batches use
+//! [`simulate_grid`](crate::simulate_grid).
 //!
 //! ## One seed stream
 //!
@@ -63,13 +53,9 @@
 //! assert_eq!(batch.runs, 200);
 //! ```
 
-use crate::batch::{
-    simulate_many, simulate_many_with, simulate_many_with_progress, MonteCarloConfig, Progress,
-};
+use crate::batch::{simulate_many_inner, MonteCarloConfig, Progress};
 use crate::detection::DetectionModel;
-use crate::engine::{
-    execute, execute_observed_with, execute_profiled, execute_profiled_with, execute_with,
-};
+use crate::engine::run_once;
 use crate::lifetime::{FailureKind, LifetimeDist};
 use crate::metrics::{BatchSummary, RunOutcome};
 use crate::observe::{Observer, PhaseProfile};
@@ -146,10 +132,7 @@ impl<'a> Simulation<'a> {
     /// [`Policy::label`] of the custom implementation when one is set,
     /// the built-in's label otherwise.
     pub fn policy_label(&self) -> String {
-        match &self.custom {
-            Some(p) => p.label(),
-            None => self.cfg.policy.label(),
-        }
+        self.dispatch().label()
     }
 
     /// Sets the detection model (validated against the platform size when
@@ -197,14 +180,67 @@ impl<'a> Simulation<'a> {
         &self.cfg
     }
 
-    /// Executes the schedule once against an explicit timed scenario.
-    /// Equivalent to [`execute`]`(inst, sched, scenario, self.config())`
-    /// — or to [`execute_with`] when a custom policy is attached.
-    pub fn run(&self, scenario: &FaultScenario) -> RunOutcome {
+    /// The policy that actually dispatches: the custom implementation
+    /// when one is set, the built-in otherwise.
+    fn dispatch(&self) -> &dyn Policy {
         match &self.custom {
-            Some(p) => execute_with(self.inst, self.sched, scenario, &self.cfg, p.as_ref()),
-            None => execute(self.inst, self.sched, scenario, &self.cfg),
+            Some(p) => p.as_ref(),
+            None => &self.cfg.policy,
         }
+    }
+
+    /// The batch configuration of a `runs`-run Monte-Carlo draw from
+    /// `lifetime` under this builder's single seed.
+    fn batch(&self, runs: usize, lifetime: LifetimeDist) -> MonteCarloConfig {
+        MonteCarloConfig {
+            runs,
+            lifetime,
+            failure: self.failure.clone(),
+            engine: self.cfg.clone(),
+            seed: self.cfg.seed,
+        }
+    }
+
+    /// One pooled one-shot run under this builder's configuration.
+    fn once(
+        &self,
+        scenario: &FaultScenario,
+        observer: Option<&mut dyn Observer>,
+        profile: Option<&mut PhaseProfile>,
+    ) -> RunOutcome {
+        let policy = self.dispatch();
+        run_once(
+            self.inst, self.sched, scenario, &self.cfg, policy, observer, profile,
+        )
+    }
+
+    /// Executes the schedule once against an explicit timed scenario.
+    pub fn run(&self, scenario: &FaultScenario) -> RunOutcome {
+        self.once(scenario, None, None)
+    }
+
+    /// [`run`](Simulation::run) with a streaming [`Observer`] attached:
+    /// the engine pushes every event, op and the outcome into `observer`
+    /// (see [`Observer`] for the ordering contract). The outcome is
+    /// byte-identical to the unobserved run — observers listen, they
+    /// never steer (pinned by `tests/timed_model.rs`).
+    pub fn run_observed(
+        &self,
+        scenario: &FaultScenario,
+        observer: &mut dyn Observer,
+    ) -> RunOutcome {
+        self.once(scenario, Some(observer), None)
+    }
+
+    /// [`run`](Simulation::run), additionally collecting a
+    /// [`PhaseProfile`]: wall-clock attribution across the engine's
+    /// hot-loop phases. Meaningful numbers require the `phase-profile`
+    /// cargo feature — without it the run still executes identically but
+    /// the profile stays zero.
+    pub fn run_profiled(&self, scenario: &FaultScenario) -> (RunOutcome, PhaseProfile) {
+        let mut profile = PhaseProfile::new();
+        let out = self.once(scenario, None, Some(&mut profile));
+        (out, profile)
     }
 
     /// Runs a deterministic Monte-Carlo batch: `runs` independent
@@ -212,18 +248,12 @@ impl<'a> Simulation<'a> {
     /// stream), aggregated by the streaming
     /// [`BatchAccumulator`](crate::BatchAccumulator) — O(threads) memory
     /// and a byte-identical [`BatchSummary`] regardless of thread count.
+    /// With a custom policy attached, the summary's serializable `policy`
+    /// field keeps `config().policy` while its label names the policy
+    /// that ran.
     pub fn monte_carlo(&self, runs: usize, lifetime: LifetimeDist) -> BatchSummary {
-        let cfg = MonteCarloConfig {
-            runs,
-            lifetime,
-            failure: self.failure.clone(),
-            engine: self.cfg.clone(),
-            seed: self.cfg.seed,
-        };
-        match &self.custom {
-            Some(p) => simulate_many_with(self.inst, self.sched, &cfg, p.as_ref()),
-            None => simulate_many(self.inst, self.sched, &cfg),
-        }
+        let cfg = self.batch(runs, lifetime);
+        simulate_many_inner(self.inst, self.sched, &cfg, self.dispatch(), None)
     }
 
     /// [`monte_carlo`](Simulation::monte_carlo) with a streaming progress
@@ -237,76 +267,8 @@ impl<'a> Simulation<'a> {
         lifetime: LifetimeDist,
         progress: &(dyn Fn(Progress) + Sync),
     ) -> BatchSummary {
-        let cfg = MonteCarloConfig {
-            runs,
-            lifetime,
-            failure: self.failure.clone(),
-            engine: self.cfg.clone(),
-            seed: self.cfg.seed,
-        };
-        let policy: &dyn Policy = match &self.custom {
-            Some(p) => p.as_ref(),
-            None => &cfg.engine.policy,
-        };
-        simulate_many_with_progress(self.inst, self.sched, &cfg, policy, progress)
-    }
-
-    /// Attaches a streaming [`Observer`] to this simulation: the returned
-    /// handle's [`run`](ObservedSimulation::run) pushes every event, op
-    /// and outcome into the observer (see [`Observer`] for the ordering
-    /// contract) while producing an outcome byte-identical to
-    /// [`run`](Simulation::run). The builder itself is unchanged and can
-    /// keep driving unobserved runs.
-    pub fn observe<'o>(&self, observer: &'o mut dyn Observer) -> ObservedSimulation<'a, 'o> {
-        ObservedSimulation {
-            sim: self.clone(),
-            observer,
-        }
-    }
-
-    /// [`run`](Simulation::run), additionally collecting a
-    /// [`PhaseProfile`]: wall-clock attribution across the engine's
-    /// hot-loop phases. Meaningful numbers require the `phase-profile`
-    /// cargo feature — without it the run still executes identically but
-    /// the profile stays zero.
-    pub fn run_profiled(&self, scenario: &FaultScenario) -> (RunOutcome, PhaseProfile) {
-        match &self.custom {
-            Some(p) => {
-                execute_profiled_with(self.inst, self.sched, scenario, &self.cfg, p.as_ref())
-            }
-            None => execute_profiled(self.inst, self.sched, scenario, &self.cfg),
-        }
-    }
-}
-
-/// A [`Simulation`] with a streaming [`Observer`] attached (built by
-/// [`Simulation::observe`]). Holds the observer mutably for its lifetime;
-/// drop it (or let it fall out of scope) to get the observer's buffers
-/// back.
-pub struct ObservedSimulation<'a, 'o> {
-    sim: Simulation<'a>,
-    observer: &'o mut dyn Observer,
-}
-
-impl ObservedSimulation<'_, '_> {
-    /// Executes the schedule once against an explicit timed scenario,
-    /// streaming into the attached observer. The outcome is byte-identical
-    /// to the unobserved [`Simulation::run`] (pinned by
-    /// `tests/timed_model.rs`).
-    pub fn run(&mut self, scenario: &FaultScenario) -> RunOutcome {
-        let sim = &self.sim;
-        let policy: &dyn Policy = match &sim.custom {
-            Some(p) => p.as_ref(),
-            None => &sim.cfg.policy,
-        };
-        execute_observed_with(
-            sim.inst,
-            sim.sched,
-            scenario,
-            &sim.cfg,
-            policy,
-            &mut *self.observer,
-        )
+        let cfg = self.batch(runs, lifetime);
+        simulate_many_inner(self.inst, self.sched, &cfg, self.dispatch(), Some(progress))
     }
 }
 
@@ -328,7 +290,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_run_equals_execute() {
+    fn builder_run_equals_warm_executor() {
         let (inst, sched) = setup();
         let scenario = FaultScenario::timed(&[(ProcId(1), sched.latency() * 0.4)]);
         let sim = Simulation::of(&inst, &sched)
@@ -336,10 +298,10 @@ mod tests {
             .detection(DetectionModel::uniform(0.5))
             .seed(11);
         let via_builder = sim.run(&scenario);
-        let via_positional = execute(&inst, &sched, &scenario, sim.config());
+        let mut exec = crate::Executor::new(&inst, &sched, sim.config());
         assert_eq!(
             serde_json::to_string(&via_builder).unwrap(),
-            serde_json::to_string(&via_positional).unwrap()
+            serde_json::to_string(exec.run(&scenario)).unwrap()
         );
     }
 
@@ -355,7 +317,7 @@ mod tests {
                 mean: sched.latency() * 2.0,
             },
         );
-        let legacy = simulate_many(
+        let positional = crate::simulate_many(
             &inst,
             &sched,
             &MonteCarloConfig {
@@ -370,7 +332,7 @@ mod tests {
         );
         assert_eq!(
             serde_json::to_string(&batch).unwrap(),
-            serde_json::to_string(&legacy).unwrap()
+            serde_json::to_string(&positional).unwrap()
         );
     }
 
@@ -397,7 +359,7 @@ mod tests {
             .detection(DetectionModel::uniform(0.5))
             .seed(4);
         let mut tracer = crate::TraceObserver::new();
-        let observed = sim.observe(&mut tracer).run(&scenario);
+        let observed = sim.run_observed(&scenario, &mut tracer);
         let plain = sim.run(&scenario);
         assert_eq!(
             serde_json::to_string(&observed).unwrap(),

@@ -242,6 +242,34 @@ fn malformed_spec_fails_with_diagnostic_and_queue_keeps_draining() {
 }
 
 #[test]
+fn deeply_nested_spec_fails_out_while_the_queue_keeps_draining() {
+    // Hostile input: a spec nested far past the JSON parser's depth
+    // limit. Unbounded recursion would overflow the claiming worker's
+    // stack and abort the whole daemon; bounded, it is one more
+    // malformed spec routed to failed/ with a diagnostic.
+    let root = temp_root("deep");
+    let queue = JobQueue::open(&root).unwrap();
+    let depth = 20_000;
+    let deep = format!(
+        "{{\"tenant\":\"deep\",\"grid\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    std::fs::write(root.join("queue/pending/abyss.json"), deep).unwrap();
+    let good = queue.submit(None, &JobSpec::example("fine")).unwrap();
+    Daemon::new(&root).unwrap().run_until_idle().unwrap();
+    assert_eq!(queue.state("abyss"), Some(JobState::Failed));
+    let diag = queue.read_error("abyss").unwrap();
+    assert!(diag.contains("nesting deeper than"), "diagnostic: {diag}");
+    assert_eq!(
+        queue.state(&good),
+        Some(JobState::Done),
+        "the next job drained"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn racing_workers_over_malformed_specs_never_kill_the_pool() {
     // Regression (REVIEW PR8): several workers scan the same pending
     // snapshot; whoever loses the race to claim — or to fail a broken

@@ -115,8 +115,9 @@ fn main() {
         .policy_impl(custom.clone())
         .detection(DetectionModel::uniform(1.0))
         .seed(7);
-    let cfg = sim.config().clone();
-    let (free, trace) = execute_traced_with(&inst, &sched, &FaultScenario::none(), &cfg, &*custom);
+    let mut tracer = TraceObserver::new();
+    let free = sim.run_observed(&FaultScenario::none(), &mut tracer);
+    let trace = tracer.into_trace();
     let insured = trace.ops.iter().filter(|o| o.ck_pad > 0.0).count();
     let uninsured = trace
         .ops

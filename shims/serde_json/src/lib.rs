@@ -4,6 +4,10 @@
 //!
 //! Non-finite floats (which JSON cannot express) are written as `null`
 //! (NaN) or `±1e999` (infinities, which parse back as `±inf`).
+//!
+//! The parser recurses once per nesting level, so [`from_str`] rejects
+//! input nested deeper than 128 levels with an error instead of
+//! overflowing the stack (the limit upstream `serde_json` uses).
 
 pub use serde::{Error, Value};
 
@@ -21,11 +25,15 @@ pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<Strin
     Ok(out)
 }
 
+/// The deepest array/object nesting [`from_str`] accepts.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a value from JSON text.
 pub fn from_str<T: serde::Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.parse_value()?;
@@ -146,6 +154,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -191,57 +201,73 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_keyword("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_keyword("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
-                    self.pos += 1;
-                    return Ok(Value::Seq(items));
-                }
-                loop {
-                    self.skip_ws();
-                    items.push(self.parse_value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Seq(items));
-                        }
-                        _ => return Err(self.err("expected ',' or ']'")),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut pairs = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Map(pairs));
-                }
-                loop {
-                    self.skip_ws();
-                    let key = self.parse_string()?;
-                    self.skip_ws();
-                    self.eat(b':')?;
-                    self.skip_ws();
-                    let val = self.parse_value()?;
-                    pairs.push((key, val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Map(pairs));
-                        }
-                        _ => return Err(self.err("expected ',' or '}'")),
-                    }
-                }
+                let v = if open == b'[' {
+                    self.parse_seq()
+                } else {
+                    self.parse_map()
+                };
+                self.depth -= 1;
+                v
             }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
+        }
+    }
+
+    /// The items of an array whose `[` was just consumed.
+    fn parse_seq(&mut self) -> Result<Value, Error> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Value::Seq(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.parse_value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Value::Seq(items));
+                }
+                _ => return Err(self.err("expected ',' or ']'")),
+            }
+        }
+    }
+
+    /// The pairs of an object whose `{` was just consumed.
+    fn parse_map(&mut self) -> Result<Value, Error> {
+        let mut pairs = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Value::Map(pairs));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.parse_string()?;
+            self.skip_ws();
+            self.eat(b':')?;
+            self.skip_ws();
+            let val = self.parse_value()?;
+            pairs.push((key, val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Value::Map(pairs));
+                }
+                _ => return Err(self.err("expected ',' or '}'")),
+            }
         }
     }
 
@@ -412,5 +438,33 @@ mod tests {
         assert!(from_str::<f64>("1.5trailing").is_err());
         assert!(from_str::<Vec<u32>>("[1,]").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth: usize| {
+            let outer = depth - 1;
+            format!("{}{{}}{}", "{\"k\":".repeat(outer), "}".repeat(outer))
+        };
+        // At the limit: arrays, objects and a mix all parse.
+        assert!(from_str::<Value>(&arrays(MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&objects(MAX_DEPTH)).is_ok());
+        let half = MAX_DEPTH / 2;
+        let mixed = format!("{}{}", "[{\"k\":".repeat(half), "}]".repeat(half));
+        assert!(from_str::<Value>(&mixed.replacen(":}", ":0}", 1)).is_ok());
+        // One level past it: a parse error, not a stack overflow.
+        let err = from_str::<Value>(&arrays(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        assert!(from_str::<Value>(&objects(MAX_DEPTH + 1)).is_err());
+        // Far past it, on a thread with a small stack.
+        let deep = "[".repeat(100_000);
+        let res = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || from_str::<Value>(&deep).is_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(res);
     }
 }

@@ -75,17 +75,7 @@ pub mod prelude {
         random_instance, random_platform, ExecMatrix, Instance, Platform, PlatformParams, ProcId,
         Topology,
     };
-    pub use ft_runtime::{
-        draw_scenario, draw_scenario_with, execute, execute_observed, execute_observed_with,
-        execute_profiled, execute_profiled_with, execute_traced, execute_traced_with, execute_with,
-        simulate_many, simulate_many_with, simulate_many_with_progress, BatchAccumulator,
-        BatchSummary, CheckpointPlan, ChunkedBatch, Contention, DetectionModel, EngineConfig,
-        EngineTrace, Executor, FailureKind, Histogram, LifetimeDist, MetricSet, MonteCarloConfig,
-        NetworkModel, NetworkState, NoopObserver, ObservedSimulation, Observer, Phase,
-        PhaseProfile, PhaseStat, Policy, PolicyEvent, PolicyView, Progress, RecoveryAction,
-        RecoveryPolicy, RepairModel, RunOutcome, Simulation, TaskInfo, TraceEvent, TraceEventKind,
-        TraceObserver,
-    };
+    pub use ft_runtime::prelude::*;
     pub use ft_serve::{ArtifactCache, Daemon, JobQueue, JobSpec};
     pub use ft_sim::{replay, FaultScenario, ReplayOutcome, ReplayPolicy};
 }

@@ -1,9 +1,13 @@
 //! Engine-invariant property suite: random DAGs × scenarios × policies ×
-//! detection models, pinning the *whole* event loop rather than endpoint
-//! identities (those live in `tests/timed_model.rs`).
+//! detection models × link-contention models, pinning the *whole* event
+//! loop rather than endpoint identities (those live in
+//! `tests/timed_model.rs`).
 //!
-//! Nine invariants, each over the [`execute_traced`] observability
-//! record or the streaming batch aggregation:
+//! Nine invariants, each over the `EngineTrace` a `TraceObserver`
+//! buffers through `Simulation::run_observed`, or over the streaming
+//! batch aggregation. Every case draws its contention model (Ideal,
+//! Exclusive or FairShare), so the invariants hold on contended engines
+//! too:
 //!
 //! 1. **No operation ever executes on a Down processor** — a completed
 //!    op's `[start, finish]` window never overlaps a down window
@@ -60,10 +64,10 @@
 //!    reads completion rates through.
 
 use ftsched::prelude::*;
-use ftsched::runtime::TraceEventKind;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 fn arb_workload() -> impl Strategy<Value = (u64, usize, usize, usize, f64)> {
     // (seed, tasks, procs, eps, granularity)
@@ -77,10 +81,11 @@ fn arb_workload() -> impl Strategy<Value = (u64, usize, usize, usize, f64)> {
 }
 
 /// The scenario axis: permanent, constant-repair and exponential-repair
-/// transient failures (selector drawn by the strategy).
-fn arb_mix() -> impl Strategy<Value = (usize, usize, usize)> {
-    // (failure kind, policy, detection model)
-    (0usize..3, 0usize..6, 0usize..3)
+/// transient failures, crossed with the policy, detection and contention
+/// models (selectors drawn by the strategy).
+fn arb_mix() -> impl Strategy<Value = (usize, usize, usize, usize)> {
+    // (failure kind, policy, detection model, contention model)
+    (0usize..3, 0usize..6, 0usize..3, 0usize..3)
 }
 
 fn make_instance(seed: u64, tasks: usize, procs: usize, gran: f64) -> Instance {
@@ -135,11 +140,35 @@ fn detection(ix: usize, m: usize, seed: u64) -> DetectionModel {
     }
 }
 
-/// One traced run over the drawn (workload, scenario, policy, detection)
-/// cell, returned with the scenario for window checks.
+fn contention(ix: usize) -> Contention {
+    match ix {
+        0 => Contention::Ideal,
+        1 => Contention::Exclusive,
+        _ => Contention::FairShare,
+    }
+}
+
+/// The builder form of a positional engine configuration.
+fn sim<'a>(inst: &'a Instance, sched: &'a FtSchedule, cfg: &EngineConfig) -> Simulation<'a> {
+    Simulation::of(inst, sched)
+        .policy(cfg.policy)
+        .detection(cfg.detection.clone())
+        .seed(cfg.seed)
+        .contention(cfg.contention)
+}
+
+/// `sim.run` with the run buffered into an [`EngineTrace`].
+fn traced(sim: &Simulation<'_>, scenario: &FaultScenario) -> (RunOutcome, EngineTrace) {
+    let mut tracer = TraceObserver::new();
+    let out = sim.run_observed(scenario, &mut tracer);
+    (out, tracer.into_trace())
+}
+
+/// One traced run over the drawn (workload, scenario, policy, detection,
+/// contention) cell, returned with the scenario for window checks.
 type Cell = (
     Instance,
-    ftsched::model::FtSchedule,
+    FtSchedule,
     FaultScenario,
     RunOutcome,
     EngineTrace,
@@ -148,7 +177,7 @@ type Cell = (
 
 fn traced_cell(
     (seed, tasks, procs, eps, gran): (u64, usize, usize, usize, f64),
-    (kind_ix, policy_ix, det_ix): (usize, usize, usize),
+    (kind_ix, policy_ix, det_ix, net_ix): (usize, usize, usize, usize),
 ) -> Cell {
     let eps = eps.min(procs - 1);
     let inst = make_instance(seed, tasks, procs, gran);
@@ -166,9 +195,9 @@ fn traced_cell(
         policy: pol,
         detection: detection(det_ix, procs, seed),
         seed: seed ^ 0xE21,
-        ..EngineConfig::default()
+        contention: contention(net_ix),
     };
-    let (out, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+    let (out, trace) = traced(&sim(&inst, &sched, &cfg), &scenario);
     (inst, sched, scenario, out, trace, pol)
 }
 
@@ -308,7 +337,7 @@ proptest! {
         runs in 12usize..40,
     ) {
         let (seed, tasks, procs, eps, gran) = w;
-        let (kind_ix, policy_ix, det_ix) = mix;
+        let (kind_ix, policy_ix, det_ix, net_ix) = mix;
         let eps = eps.min(procs - 1);
         let inst = make_instance(seed, tasks, procs, gran);
         let sched = caft(&inst, eps, CommModel::OnePort, seed);
@@ -321,15 +350,16 @@ proptest! {
                 policy: policy(policy_ix, inst.mean_task_cost()),
                 detection: detection(det_ix, procs, seed),
                 seed: seed ^ 0xE21,
-                ..EngineConfig::default()
+                contention: contention(net_ix),
             },
             seed: seed ^ 0xBA7C4,
         };
         let streamed = simulate_many(&inst, &sched, &cfg);
+        let one_shot = sim(&inst, &sched, &cfg.engine);
         let mut acc = BatchAccumulator::new(nominal);
         for i in 0..runs {
             let scenario = cfg.scenario_of_run(procs, i);
-            let out = execute(&inst, &sched, &scenario, &cfg.engine);
+            let out = one_shot.run(&scenario);
             acc.record(scenario.earliest_crash(), &out);
         }
         let sequential = acc.finish(cfg.engine.policy);
@@ -353,7 +383,7 @@ proptest! {
         impl Policy for Inert {}
 
         let (seed, tasks, procs, eps, gran) = w;
-        let (kind_ix, _, det_ix) = mix;
+        let (kind_ix, _, det_ix, net_ix) = mix;
         let eps = eps.min(procs - 1);
         let inst = make_instance(seed, tasks, procs, gran);
         let sched = caft(&inst, eps, CommModel::OnePort, seed);
@@ -368,10 +398,11 @@ proptest! {
             policy: RecoveryPolicy::Absorb,
             detection: detection(det_ix, procs, seed),
             seed: seed ^ 0xE21,
-            ..EngineConfig::default()
+            contention: contention(net_ix),
         };
-        let (absorb, absorb_trace) = execute_traced(&inst, &sched, &scenario, &cfg);
-        let (noop, noop_trace) = execute_traced_with(&inst, &sched, &scenario, &cfg, &Inert);
+        let absorb_sim = sim(&inst, &sched, &cfg);
+        let (absorb, absorb_trace) = traced(&absorb_sim, &scenario);
+        let (noop, noop_trace) = traced(&absorb_sim.clone().policy_impl(Arc::new(Inert)), &scenario);
         prop_assert_eq!(
             serde_json::to_string(&absorb).unwrap(),
             serde_json::to_string(&noop).unwrap(),
@@ -432,7 +463,7 @@ proptest! {
         }
 
         let (seed, tasks, procs, eps, gran) = w;
-        let (kind_ix, _, det_ix) = mix;
+        let (kind_ix, _, det_ix, net_ix) = mix;
         let eps = eps.min(procs - 1);
         let inst = make_instance(seed, tasks, procs, gran);
         let sched = caft(&inst, eps, CommModel::OnePort, seed);
@@ -447,9 +478,10 @@ proptest! {
             policy: RecoveryPolicy::Absorb,
             detection: detection(det_ix, procs, seed),
             seed: seed ^ 0xE21,
-            ..EngineConfig::default()
+            contention: contention(net_ix),
         };
-        let (out, trace) = execute_traced_with(&inst, &sched, &scenario, &cfg, &Mischief);
+        let mischief = sim(&inst, &sched, &cfg).policy_impl(Arc::new(Mischief));
+        let (out, trace) = traced(&mischief, &scenario);
         // Every crash-knowledge event proposed pre-stages onto the
         // believed-dead processor itself: with any detection at all,
         // some proposal must have been rejected.
@@ -471,7 +503,7 @@ proptest! {
             }
         }
         // Determinism survives hostile action streams.
-        let again = execute_with(&inst, &sched, &scenario, &cfg, &Mischief);
+        let again = mischief.run(&scenario);
         prop_assert_eq!(
             serde_json::to_string(&out).unwrap(),
             serde_json::to_string(&again).unwrap()
@@ -491,7 +523,7 @@ proptest! {
         chunk in 1usize..7,
     ) {
         let (seed, tasks, procs, eps, gran) = w;
-        let (kind_ix, policy_ix, det_ix) = mix;
+        let (kind_ix, policy_ix, det_ix, net_ix) = mix;
         let eps = eps.min(procs - 1);
         let inst = make_instance(seed, tasks, procs, gran);
         let sched = caft(&inst, eps, CommModel::OnePort, seed);
@@ -504,14 +536,15 @@ proptest! {
                 policy: policy(policy_ix, inst.mean_task_cost()),
                 detection: detection(det_ix, procs, seed),
                 seed: seed ^ 0xE21,
-                ..EngineConfig::default()
+                contention: contention(net_ix),
             },
             seed: seed ^ 0xBA7C4,
         };
+        let one_shot = sim(&inst, &sched, &cfg.engine);
         let outcomes: Vec<(Option<f64>, RunOutcome)> = (0..runs)
             .map(|i| {
                 let scenario = cfg.scenario_of_run(procs, i);
-                let out = execute(&inst, &sched, &scenario, &cfg.engine);
+                let out = one_shot.run(&scenario);
                 (scenario.earliest_crash(), out)
             })
             .collect();
@@ -579,7 +612,7 @@ proptest! {
         runs in 12usize..40,
     ) {
         let (seed, tasks, procs, eps, gran) = w;
-        let (kind_ix, policy_ix, det_ix) = mix;
+        let (kind_ix, policy_ix, det_ix, net_ix) = mix;
         let eps = eps.min(procs - 1);
         let inst = make_instance(seed, tasks, procs, gran);
         let sched = caft(&inst, eps, CommModel::OnePort, seed);
@@ -592,7 +625,7 @@ proptest! {
                 policy: policy(policy_ix, inst.mean_task_cost()),
                 detection: detection(det_ix, procs, seed),
                 seed: seed ^ 0xE21,
-                ..EngineConfig::default()
+                contention: contention(net_ix),
             },
             seed: seed ^ 0xBA7C4,
         };

@@ -30,10 +30,7 @@
 //!   the recovery redesign replaced the engine's enum match with the
 //!   open action path without changing any built-in's behavior;
 //! * **observers listen but never steer**: a run with a `NoopObserver`
-//!   attached is plain `execute` byte-for-byte, and a `TraceObserver`
-//!   pushed through `execute_observed_with` reproduces `execute_traced`
-//!   exactly (same outcome bytes, same ops, same event log) — tracing
-//!   is now just a buffered observer;
+//!   or a `TraceObserver` attached is the plain run byte-for-byte;
 //! * **network**: `Contention::Ideal` is the historical contention-free
 //!   engine byte-for-byte under every policy and detection model (and
 //!   charges nothing against the link model), while the contended
@@ -120,8 +117,7 @@ proptest! {
             let scenario = FaultScenario::timed(&crashes);
             let rep = replay(&inst, &sched, &FaultScenario::none());
             for policy in RecoveryPolicy::ALL {
-                let out = execute(&inst, &sched, &scenario,
-                                  &EngineConfig::with_policy(policy));
+                let out = Simulation::of(&inst, &sched).policy(policy).run(&scenario);
                 if let Err(e) = same_results(&out, &rep) {
                     prop_assert!(false, "{policy}: {e}");
                 }
@@ -147,8 +143,9 @@ proptest! {
             caft(&inst, eps, CommModel::OnePort, seed),
             ftsa(&inst, eps, CommModel::OnePort, seed),
         ] {
-            let out = execute(&inst, &sched, &scenario,
-                              &EngineConfig::with_policy(RecoveryPolicy::Absorb));
+            let out = Simulation::of(&inst, &sched)
+                .policy(RecoveryPolicy::Absorb)
+                .run(&scenario);
             let rep = replay(&inst, &sched, &scenario);
             if let Err(e) = same_results(&out, &rep) {
                 prop_assert!(false, "{e}");
@@ -170,8 +167,9 @@ proptest! {
             &LifetimeDist::Weibull { shape: 1.5, scale: sched.latency() * 3.0 },
             &mut rng,
         );
-        let out = execute(&inst, &sched, &scenario,
-                          &EngineConfig::with_policy(RecoveryPolicy::Absorb));
+        let out = Simulation::of(&inst, &sched)
+            .policy(RecoveryPolicy::Absorb)
+            .run(&scenario);
         let undisturbed = scenario
             .earliest_crash()
             .is_none_or(|t| t >= sched.full_makespan());
@@ -235,8 +233,9 @@ proptest! {
         let after = sched.full_makespan();
         let crashes: Vec<_> = inst.platform.procs().map(|p| (p, after)).collect();
         let scenario = FaultScenario::timed(&crashes);
-        let out = execute(&inst, &sched, &scenario,
-                          &EngineConfig::with_policy(RecoveryPolicy::checkpoint(interval, 0.0)));
+        let out = Simulation::of(&inst, &sched)
+            .policy(RecoveryPolicy::checkpoint(interval, 0.0))
+            .run(&scenario);
         let rep = replay(&inst, &sched, &FaultScenario::none());
         if let Err(e) = same_results(&out, &rep) {
             prop_assert!(false, "{e}");
@@ -326,9 +325,8 @@ proptest! {
     }
 
     /// The eighth pinned identity (observability): observers listen but
-    /// never steer. A `NoopObserver` reproduces plain `execute`
-    /// byte-for-byte; a `TraceObserver` through `execute_observed_with`
-    /// IS `execute_traced` — same outcome, same ops, same event log.
+    /// never steer. A `NoopObserver` or a `TraceObserver` attached with
+    /// `run_observed` reproduces the plain run byte-for-byte.
     #[test]
     fn observers_listen_but_never_steer(
         (seed, tasks, procs, eps, gran) in arb_workload(),
@@ -348,34 +346,20 @@ proptest! {
                 .policy(policy)
                 .detection(DetectionModel::uniform(delay))
                 .seed(1);
-            let cfg = base.config().clone();
 
-            // No-op observer ≡ execute.
-            let plain = execute(&inst, &sched, &scenario, &cfg);
+            // No-op observer ≡ the plain run.
+            let plain = base.run(&scenario);
             let mut noop = NoopObserver;
-            let observed = base.observe(&mut noop).run(&scenario);
+            let observed = base.run_observed(&scenario, &mut noop);
             prop_assert_eq!(
                 serde_json::to_string(&plain).unwrap(),
                 serde_json::to_string(&observed).unwrap(),
                 "{}: a no-op observer changed the run", policy
             );
 
-            // TraceObserver through the observer path ≡ execute_traced.
-            let (traced_out, trace) = execute_traced(&inst, &sched, &scenario, &cfg);
+            // A buffering observer ≡ the plain run too.
             let mut tracer = TraceObserver::new();
-            let via_observer =
-                execute_observed(&inst, &sched, &scenario, &cfg, &mut tracer);
-            prop_assert_eq!(
-                serde_json::to_string(&traced_out).unwrap(),
-                serde_json::to_string(&via_observer).unwrap(),
-                "{}: the observer path drifted from execute_traced", policy
-            );
-            prop_assert_eq!(
-                serde_json::to_string(&trace).unwrap(),
-                serde_json::to_string(&tracer.into_trace()).unwrap(),
-                "{}: the streamed trace drifted from the buffered one", policy
-            );
-            // And both equal the unobserved run.
+            let traced_out = base.run_observed(&scenario, &mut tracer);
             prop_assert_eq!(
                 serde_json::to_string(&plain).unwrap(),
                 serde_json::to_string(&traced_out).unwrap(),
@@ -550,7 +534,7 @@ proptest! {
         }
     }
 
-    /// Satellite pin for the warm one-shot path: `execute` borrows its
+    /// Pin for the pooled one-shot path: `Simulation::run` borrows its
     /// scratch arena from a process-wide pool, and pooling must be
     /// invisible — repeated calls (first cold, then warm reuse of a
     /// dirty arena) stay byte-identical, and both match a dedicated warm
@@ -570,28 +554,27 @@ proptest! {
             &mut rng,
         );
         for contention in [Contention::Ideal, Contention::FairShare] {
-            let cfg = EngineConfig {
-                contention,
-                ..EngineConfig::with_policy(RecoveryPolicy::ReReplicate)
-            };
-            let first = execute(&inst, &sched, &scenario, &cfg);
+            let sim = Simulation::of(&inst, &sched)
+                .policy(RecoveryPolicy::ReReplicate)
+                .contention(contention);
+            let first = sim.run(&scenario);
             let first_bytes = serde_json::to_string(&first).unwrap();
             for round in 0..2 {
-                let again = execute(&inst, &sched, &scenario, &cfg);
+                let again = sim.run(&scenario);
                 prop_assert_eq!(
                     &first_bytes,
                     &serde_json::to_string(&again).unwrap(),
-                    "{}: pooled execute round {} drifted",
+                    "{}: pooled one-shot round {} drifted",
                     contention.name(), round
                 );
             }
-            let mut exec = Executor::new(&inst, &sched, &cfg);
+            let mut exec = Executor::new(&inst, &sched, sim.config());
             exec.run(&scenario);
             let warm = exec.run(&scenario);
             prop_assert_eq!(
                 &first_bytes,
                 &serde_json::to_string(warm).unwrap(),
-                "{}: pooled execute drifted from a warm Executor",
+                "{}: pooled one-shot run drifted from a warm Executor",
                 contention.name()
             );
         }

@@ -1,5 +1,7 @@
 //! The validation gate: every committed `validation/VALIDATION_*.json`
-//! record re-evaluates to PASSED at the quick dimensions.
+//! record re-evaluates to PASSED at the quick dimensions, and every
+//! family also has a committed full-resolution record under
+//! `validation/full/`.
 //!
 //! This is the CI face of the harness (`paper-figures validate --quick`
 //! is the CLI face): byte-for-byte golden files guard the engine, these
@@ -10,26 +12,33 @@
 
 use ft_experiments::validate::{committed_dir, load_family, render, validate_family, FAMILIES};
 
-/// Every family has a committed record, the committed record itself is
-/// all-PASSED (nobody committed a failing target), and it was evaluated
-/// at the quick dimensions this suite re-runs.
+/// Every family has a committed record in both lanes — quick
+/// (`validation/`) and full resolution (`validation/full/`) — each record
+/// is all-PASSED (nobody committed a failing target), and each holds the
+/// dimensions its lane re-runs.
 #[test]
 fn committed_records_exist_and_are_passed() {
-    let dir = committed_dir();
-    for fam in FAMILIES {
-        let rec = load_family(&dir, fam)
-            .unwrap_or_else(|| panic!("validation/VALIDATION_{fam}.json is not committed"));
-        assert_eq!(rec.family, fam);
-        assert!(
-            rec.quick,
-            "committed '{fam}' record must hold quick-dimension targets (CI re-checks them)"
-        );
-        assert!(
-            rec.passed(),
-            "committed '{fam}' record contains FAILED claims:\n{}",
-            render(&rec)
-        );
-        assert!(!rec.claims.is_empty());
+    let quick_dir = committed_dir();
+    for (dir, quick) in [(quick_dir.join("full"), false), (quick_dir, true)] {
+        for fam in FAMILIES {
+            let rec = load_family(&dir, fam).unwrap_or_else(|| {
+                panic!("{}/VALIDATION_{fam}.json is not committed", dir.display())
+            });
+            assert_eq!(rec.family, fam);
+            assert_eq!(
+                rec.quick,
+                quick,
+                "committed '{fam}' record under {} holds the wrong dimensions",
+                dir.display()
+            );
+            assert!(
+                rec.passed(),
+                "committed '{fam}' record under {} contains FAILED claims:\n{}",
+                dir.display(),
+                render(&rec)
+            );
+            assert!(!rec.claims.is_empty());
+        }
     }
 }
 
