@@ -1,7 +1,8 @@
 //! Benchmarks of the online failure-injection engine (`ft-runtime`):
 //!
-//! * `runtime/execute` — one online run per policy on a paper-scale
-//!   instance with two mid-execution crashes;
+//! * `runtime/execute` — one online run per policy of the
+//!   `RecoveryPolicy::ALL` registry on a paper-scale instance with two
+//!   mid-execution crashes;
 //! * `runtime/no-failure` — the engine on a failure-free scenario vs. the
 //!   static replay it must reproduce. The `online engine` cell drives a
 //!   warm [`Executor`] — the zero-alloc arena path every batch entry
@@ -38,8 +39,8 @@
 //!   practical: the pre-redesign collect-then-summarize path materialized
 //!   one `RunOutcome` per run (two 60-entry vectors ≈ 1.6 KB each ⇒
 //!   ≈ 160 MB peak for 1e5 runs, gigabytes at 1e6), while the streaming
-//!   `BatchAccumulator` fold keeps one ≈ 2.3 KB accumulator per rayon
-//!   chunk (a few KB total, O(threads), independent of the run count).
+//!   `BatchAccumulator` fold keeps one ≈ 4.4 KB accumulator per rayon
+//!   chunk (O(threads), independent of the run count).
 //!
 //! Each group also re-asserts the headline semantic property (recovery
 //! completes at least as much as absorb; failure-free engine == replay) so
@@ -49,18 +50,9 @@
 //! runtime` — the path must be absolute: cargo runs the bench binary
 //! with the package directory, not the workspace root, as its cwd).
 //!
-//! Scale note (open-policy PR): the recovery redesign routed every event
-//! through the `Policy` trait *and* replaced the engine's per-completion
-//! `Vec<Act>` allocation (one per completion event, ~V+E per run — the
-//! allocation-heaviest per-op path in a profile of a one-shot run) with a
-//! reusable scratch buffer, alongside a second reusable buffer for the
-//! per-event policy actions (two buffers — the element types differ).
-//! Net effect on `runtime/execute` at the 100-task paper scale:
-//! absorb ≈ −17%, re-replicate ≈ −39%, reschedule ≈ −16% vs. the PR 4
-//! baseline (same machine; the untouched `static replay` case moved
-//! ±11% between runs, so treat ~±10% as the noise floor). The
-//! `runtime/execute` group now also covers `warm-spare` automatically
-//! via the `RecoveryPolicy::ALL` registry.
+//! Treat ~±10% as the noise floor of these timings: the `static replay`
+//! case, which no engine change touches, has moved ±11% between runs on
+//! one machine, so a regression gate on them must sit above that band.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ft_algos::{caft, CommModel};
@@ -297,7 +289,7 @@ fn bench_simulate_many(c: &mut Criterion) {
     }
     // The streaming-aggregator showcase: 1e5 runs under the cheapest
     // recovery policy. Peak allocation stays at O(threads) accumulators
-    // (≈ 2.3 KB each) instead of 1e5 collected outcomes (≈ 160 MB); see
+    // (≈ 4.4 KB each) instead of 1e5 collected outcomes (≈ 160 MB); see
     // the module docs for the arithmetic.
     group.sample_size(2);
     let sim = Simulation::of(&inst, &sched)

@@ -10,26 +10,24 @@
 //! degradation over a Monte-Carlo batch — the online analogue of the
 //! figure panels (b)/(c).
 //!
-//! Since the checkpoint/restart PR the sweep is **four-way**: next to
-//! `Absorb` / `ReReplicate` / `Reschedule` it runs one `Checkpoint`
-//! policy per configured interval (intervals and the per-checkpoint
-//! overhead are expressed as multiples of the instance's mean task cost,
-//! so they track the workload's scale). `only_policy` restricts the
-//! sweep to a single policy name — the `paper-figures degradation
-//! --policy checkpoint` path.
+//! The sweep is **four-way**: next to `Absorb` / `ReReplicate` /
+//! `Reschedule` it runs one `Checkpoint` policy per configured interval
+//! (intervals and the per-checkpoint overhead are expressed as multiples
+//! of the instance's mean task cost, so they track the workload's
+//! scale). `only_policy` restricts the sweep to a single policy name —
+//! the `paper-figures degradation --policy checkpoint` path.
 //!
-//! Since the runtime-front-door PR the sweep also has a **detection
-//! axis** ([`DetectionKind`], the `paper-figures degradation --detection
-//! uniform|per-proc|gossip` path): the same policies and fault draws can
-//! be re-run under uniform detection, per-processor heartbeat spreads, or
-//! gossip propagation, isolating how much of a policy's payout survives
-//! imperfect failure detectors (repair is only placed on survivors that
-//! already know about the crash — see DESIGN.md §7).
+//! The sweep also has a **detection axis** ([`DetectionKind`], the
+//! `paper-figures degradation --detection uniform|per-proc|gossip`
+//! path): the same policies and fault draws can be re-run under uniform
+//! detection, per-processor heartbeat spreads, or gossip propagation,
+//! isolating how much of a policy's payout survives imperfect failure
+//! detectors (repair is only placed on survivors that already know about
+//! the crash — see DESIGN.md §7).
 //!
-//! Since the open-policy PR the roster is drawn from the
-//! [`RecoveryPolicy::ALL`] registry (new parameterless built-ins —
-//! `WarmSpare` today — join the sweep automatically) and every rate row
-//! additionally runs one
+//! The roster is drawn from the [`RecoveryPolicy::ALL`] registry (new
+//! parameterless built-ins — `WarmSpare` today — join the sweep
+//! automatically) and every rate row additionally runs one
 //! [`AdaptiveCheckpoint`](RecoveryPolicy::AdaptiveCheckpoint) policy
 //! tuned to that row's MTTF: the Young/Daly interval
 //! `τ* = √(2 · overhead · MTTF)` tracks the failure pressure, so one
@@ -37,9 +35,9 @@
 //! recorded in EXPERIMENTS.md).
 
 use crate::sweep::{SweepGrid, WorkloadSpec};
-use ft_runtime::{
-    BatchSummary, Contention, DetectionModel, FailureKind, RecoveryPolicy, RepairModel,
-};
+#[cfg(doc)]
+use ft_runtime::RecoveryPolicy;
+use ft_runtime::{BatchSummary, Contention, DetectionModel};
 use serde::{Deserialize, Serialize};
 
 /// Configuration of the degradation sweep.
@@ -158,16 +156,6 @@ impl Default for DegradationConfig {
 }
 
 impl DegradationConfig {
-    /// The policy roster of one sweep cell at the given failure rate, in
-    /// presentation order: the [`RecoveryPolicy::ALL`] registry of
-    /// parameterless built-ins, one `Checkpoint` per configured
-    /// interval, then one `AdaptiveCheckpoint` whose Young/Daly interval
-    /// is tuned to the cell's `mttf` — filtered down when `only_policy`
-    /// is set.
-    pub fn policies(&self, mean_task_cost: f64, mttf: f64) -> Vec<RecoveryPolicy> {
-        self.grid().roster(mean_task_cost, mttf)
-    }
-
     /// The workload recipe of the sweep, as a serializable
     /// [`WorkloadSpec`]: [`build`](WorkloadSpec::build) reproduces the
     /// sweep's graph → instance → schedule pipeline byte-for-byte.
@@ -199,27 +187,6 @@ impl DegradationConfig {
         }
     }
 
-    /// The failure kind of the sweep's Monte-Carlo draws for a schedule
-    /// of the given nominal latency: permanent fail-stop, or — when
-    /// `mttr_factor` is set — transient failures with exponential repairs
-    /// of mean `mttr_factor × nominal` and new epochs drawn up to a
-    /// `4 × nominal` horizon. The horizon keeps the draw finite; it also
-    /// means a run still going past `4 × nominal` faces no *further*
-    /// attrition, while the permanent column draws unbounded crash
-    /// times — so permanent-vs-transient completion is an aggregate
-    /// comparison with a known tail bias toward transient (second-order
-    /// here: completed transient runs finish near `1 × nominal`, far
-    /// inside the horizon; the caveat is spelled out in EXPERIMENTS.md).
-    pub fn failure_kind(&self, nominal: f64) -> FailureKind {
-        match self.mttr_factor {
-            None => FailureKind::Permanent,
-            Some(f) => FailureKind::transient(
-                RepairModel::Exponential { mean: f * nominal },
-                4.0 * nominal,
-            ),
-        }
-    }
-
     /// The concrete [`DetectionModel`] of the sweep on an `m`-processor
     /// platform (see [`DetectionKind`] for the scaling conventions).
     pub fn detection_model(&self, m: usize) -> DetectionModel {
@@ -242,9 +209,8 @@ pub struct DegradationRow {
 /// depends only on the rate), so cells in one rate group are run-for-run
 /// comparable.
 ///
-/// Since the sweep-service PR this is a thin composition of the
-/// job-facing [`sweep`](crate::sweep) types — [`WorkloadSpec::build`],
-/// then the whole grid through
+/// A thin composition of the job-facing [`sweep`](crate::sweep) types —
+/// [`WorkloadSpec::build`], then the whole grid through
 /// [`simulate_grid`](ft_runtime::simulate_grid), which shares one warm
 /// scratch-arena pool and one static plan per policy across all cells —
 /// byte-identical to the historical fused per-cell loop (pinned by the
@@ -310,6 +276,7 @@ pub fn render_degradation(cfg: &DegradationConfig, rows: &[DegradationRow]) -> S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_runtime::RecoveryPolicy;
 
     const QUICK_FACTORS: [f64; 3] = [8.0, 2.0, 1.0];
 
@@ -401,7 +368,7 @@ mod tests {
         let cfg = quick();
         let mttfs: Vec<f64> = [8.0, 2.0]
             .iter()
-            .flat_map(|&f| cfg.policies(1.0, 10.0 * f))
+            .flat_map(|&f| cfg.grid().roster(1.0, 10.0 * f))
             .filter_map(|p| match p {
                 RecoveryPolicy::AdaptiveCheckpoint { mttf, .. } => Some(mttf),
                 _ => None,

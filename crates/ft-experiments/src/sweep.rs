@@ -223,9 +223,16 @@ pub struct CellSpec {
 
 impl CellSpec {
     /// The cell's failure kind for a schedule of the given nominal
-    /// latency (see
-    /// [`DegradationConfig::failure_kind`](crate::DegradationConfig::failure_kind)
-    /// for the transient-horizon convention this mirrors).
+    /// latency: permanent fail-stop, or — when `mttr_factor` is set —
+    /// transient failures with exponential repairs of mean
+    /// `mttr_factor × nominal` and new epochs drawn up to a
+    /// `4 × nominal` horizon. The horizon keeps the draw finite; it also
+    /// means a run still going past `4 × nominal` faces no *further*
+    /// attrition, while the permanent column draws unbounded crash
+    /// times — so permanent-vs-transient completion is an aggregate
+    /// comparison with a known tail bias toward transient (second-order
+    /// here: completed transient runs finish near `1 × nominal`, far
+    /// inside the horizon; the caveat is spelled out in EXPERIMENTS.md).
     pub fn failure_kind(&self, nominal: f64) -> FailureKind {
         match self.mttr_factor {
             None => FailureKind::Permanent,

@@ -7,7 +7,7 @@
 //! [`BatchAccumulator`] via `fold` + `reduce`: each worker folds its runs
 //! into one constant-size accumulator, and the per-chunk accumulators are
 //! merged in a deterministic order. Memory is O(threads), not O(runs) —
-//! a 10⁶-run batch holds a handful of ~1 KB accumulators instead of 10⁶
+//! a 10⁶-run batch holds a handful of ~4 KB accumulators instead of 10⁶
 //! [`RunOutcome`]s (hundreds of MB at paper scale).
 //!
 //! Two properties are pinned by `tests/timed_model.rs`:
@@ -498,23 +498,17 @@ impl std::fmt::Debug for ChunkedBatch<'_> {
 /// held as [`ExactSum`]s, so the final [`BatchSummary`] does not depend
 /// on how the runs were partitioned — the property that lets
 /// [`simulate_many`] parallelize without giving up byte-identical output.
+/// The summary's run counts, latency and slowdown figures and recovery
+/// totals are read off the accumulator's [`MetricSet`]; the accumulator
+/// itself keeps only what the set does not record.
 #[derive(Clone, Debug)]
 pub struct BatchAccumulator {
     /// The schedule's nominal latency (slowdown denominator).
     nominal: f64,
-    runs: usize,
-    completed: usize,
     disturbed: usize,
-    rejoins: usize,
-    lat_sum: ExactSum,
-    lat_max: f64,
-    slow_sum: ExactSum,
     failures: usize,
     tasks_recovered: usize,
-    recovery_replicas: usize,
-    recovery_messages: usize,
     checkpoint_overhead: ExactSum,
-    work_saved: ExactSum,
     metrics: MetricSet,
 }
 
@@ -524,19 +518,10 @@ impl BatchAccumulator {
     pub fn new(nominal: f64) -> Self {
         BatchAccumulator {
             nominal,
-            runs: 0,
-            completed: 0,
             disturbed: 0,
-            rejoins: 0,
-            lat_sum: ExactSum::new(),
-            lat_max: 0.0,
-            slow_sum: ExactSum::new(),
             failures: 0,
             tasks_recovered: 0,
-            recovery_replicas: 0,
-            recovery_messages: 0,
             checkpoint_overhead: ExactSum::new(),
-            work_saved: ExactSum::new(),
             metrics: MetricSet::for_nominal(nominal),
         }
     }
@@ -545,25 +530,11 @@ impl BatchAccumulator {
     /// earliest scenario crash time (`None` = failure-free), used for the
     /// `disturbed` count.
     pub fn record(&mut self, earliest_crash: Option<f64>, out: &RunOutcome) {
-        self.runs += 1;
-        self.rejoins += out.rejoins;
         self.failures += out.num_failures;
         self.tasks_recovered += out.tasks_recovered();
-        self.recovery_replicas += out.recovery_replicas;
-        self.recovery_messages += out.recovery_messages;
         self.checkpoint_overhead.add(out.checkpoint_overhead);
-        self.work_saved.add(out.work_saved);
         if earliest_crash.is_some_and(|t| t < self.nominal) {
             self.disturbed += 1;
-        }
-        if let Some(lat) = out.latency() {
-            self.completed += 1;
-            self.lat_sum.add(lat);
-            self.lat_max = self.lat_max.max(lat);
-            // The one slowdown definition (RunOutcome::slowdown) — kept in
-            // lock-step with RunReport.
-            self.slow_sum
-                .add(out.slowdown(self.nominal).unwrap_or(f64::NAN));
         }
         self.metrics.record(self.nominal, out);
     }
@@ -572,32 +543,24 @@ impl BatchAccumulator {
     /// the bit (integer counters, max, and exact sums), so any merge tree
     /// over the same runs produces the same final summary.
     pub fn merge(mut self, other: Self) -> Self {
+        let (runs, other_runs) = (self.metrics.runs(), other.metrics.runs());
         debug_assert!(
-            other.runs == 0 || self.runs == 0 || self.nominal == other.nominal,
+            other_runs == 0 || runs == 0 || self.nominal == other.nominal,
             "merging accumulators of different schedules"
         );
-        if self.runs == 0 {
+        if runs == 0 {
             // Adopt the non-empty side's shape (the reduce identity is
             // built with the same nominal in simulate_many, but a generic
             // caller may merge into a default-shaped empty accumulator).
             self.nominal = other.nominal;
-            self.metrics = other.metrics.clone(); // adopt the bucket shape
-        } else if other.runs > 0 {
+            self.metrics = other.metrics;
+        } else if other_runs > 0 {
             self.metrics.merge(&other.metrics);
         }
-        self.runs += other.runs;
-        self.completed += other.completed;
         self.disturbed += other.disturbed;
-        self.rejoins += other.rejoins;
-        self.lat_sum.merge(&other.lat_sum);
-        self.lat_max = self.lat_max.max(other.lat_max);
-        self.slow_sum.merge(&other.slow_sum);
         self.failures += other.failures;
         self.tasks_recovered += other.tasks_recovered;
-        self.recovery_replicas += other.recovery_replicas;
-        self.recovery_messages += other.recovery_messages;
         self.checkpoint_overhead.merge(&other.checkpoint_overhead);
-        self.work_saved.merge(&other.work_saved);
         self
     }
 
@@ -613,23 +576,29 @@ impl BatchAccumulator {
     /// where `policy` is only the serializable placeholder from the
     /// engine config.
     pub fn finish_labeled(self, policy: RecoveryPolicy, policy_label: String) -> BatchSummary {
-        let denom = self.completed.max(1) as f64;
+        let m = &self.metrics;
+        let runs = m.runs() as usize;
+        let completed = m.latency.count as usize;
+        // Latency figures are over completed runs and read 0 when none
+        // completed, where the histograms' min/max are still NaN.
+        let denom = completed.max(1) as f64;
+        let max_latency = if completed == 0 { 0.0 } else { m.latency.max };
         BatchSummary {
             policy,
             policy_label,
-            runs: self.runs,
-            completed: self.completed,
+            runs,
+            completed,
             disturbed: self.disturbed,
-            rejoins: self.rejoins,
-            mean_latency: self.lat_sum.value() / denom,
-            max_latency: self.lat_max,
-            mean_slowdown: self.slow_sum.value() / denom,
-            mean_failures: self.failures as f64 / (self.runs.max(1)) as f64,
+            rejoins: m.rejoins as usize,
+            mean_latency: m.latency.sum.value() / denom,
+            max_latency,
+            mean_slowdown: m.slowdown.sum.value() / denom,
+            mean_failures: self.failures as f64 / runs.max(1) as f64,
             tasks_recovered: self.tasks_recovered,
-            recovery_replicas: self.recovery_replicas,
-            recovery_messages: self.recovery_messages,
+            recovery_replicas: m.spawned_replicas as usize,
+            recovery_messages: m.recovery_messages as usize,
             checkpoint_overhead: self.checkpoint_overhead.value(),
-            work_saved: self.work_saved.value(),
+            work_saved: m.work_saved.sum.value(),
             metrics: self.metrics,
         }
     }
@@ -1053,6 +1022,44 @@ mod tests {
             assert_eq!(m.latency.max, s.max_latency);
         }
         assert!(m.detections > 0, "the batch should see some crashes");
+    }
+
+    /// The one batch where the summary's latency figures (0.0) and the
+    /// empty latency histogram's NaN max part ways: every processor dies
+    /// at t = 0, so no run completes.
+    #[test]
+    fn zero_completion_batch_reads_zero_latency() {
+        let (inst, sched) = setup();
+        let m = inst.num_procs();
+        let cfg = MonteCarloConfig {
+            runs: 10,
+            lifetime: LifetimeDist::Trace(vec![0.0; m]),
+            failure: FailureKind::Permanent,
+            engine: EngineConfig::with_policy(RecoveryPolicy::ReReplicate),
+            seed: 3,
+        };
+        let direct = simulate_many(&inst, &sched, &cfg);
+        assert_eq!(direct.runs, 10);
+        assert_eq!(direct.completed, 0);
+        assert_eq!(direct.mean_latency, 0.0);
+        assert_eq!(direct.max_latency, 0.0);
+        assert_eq!(direct.mean_slowdown, 0.0);
+        assert!(direct.metrics.latency.max.is_nan());
+        let json = serde_json::to_string(&direct).unwrap();
+
+        let mut chunked = ChunkedBatch::new(&inst, &sched, &cfg, &cfg.engine.policy);
+        while chunked.run_chunk(3) > 0 {}
+        assert_eq!(serde_json::to_string(&chunked.finish()).unwrap(), json);
+
+        let mut acc = BatchAccumulator::new(sched.latency());
+        for i in 0..cfg.runs {
+            let scenario = cfg.scenario_of_run(m, i);
+            let policy = &cfg.engine.policy;
+            let out = run_once(&inst, &sched, &scenario, &cfg.engine, policy, None, None);
+            acc.record(scenario.earliest_crash(), &out);
+        }
+        let sequential = acc.finish(cfg.engine.policy);
+        assert_eq!(serde_json::to_string(&sequential).unwrap(), json);
     }
 
     #[test]

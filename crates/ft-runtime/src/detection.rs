@@ -22,12 +22,12 @@
 //!   survivor-knowledge rule: a processor cannot volunteer for a repair
 //!   it does not know is needed).
 //!
-//! Since the transient-failure PR the same models also answer the dual
-//! question — "when does survivor `q` learn that `p` is *back*?": a
-//! reboot propagates exactly like a crash
-//! ([`instants_at`](DetectionModel::instants_at) salts gossip streams per
-//! availability event), and a rejoined processor only hosts repair work
-//! once its rejoin has entered the coordinator view (DESIGN.md §6).
+//! The same models also answer the dual question — "when does survivor
+//! `q` learn that `p` is *back*?": a reboot propagates exactly like a
+//! crash ([`instants_at`](DetectionModel::instants_at) salts gossip
+//! streams per availability event), and a rejoined processor only hosts
+//! repair work once its rejoin has entered the coordinator view
+//! (DESIGN.md §6).
 //!
 //! [`DetectionModel::Uniform`] reproduces the historical scalar knob
 //! exactly: every survivor detects `delay` after the crash, so there is a

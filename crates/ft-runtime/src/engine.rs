@@ -107,11 +107,12 @@ use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{EngineScratch, EventQueue, OpTemplate, StaticPlan};
+use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::TaskId;
 use ft_model::{FtSchedule, Replica, ReplicaRef};
-use ft_net::{NetworkModel, NetworkState};
+#[cfg(doc)]
+use ft_net::NetworkState;
 use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
 
@@ -169,19 +170,10 @@ pub(crate) fn run_into<'a>(
     observer: Option<&mut dyn Observer>,
     profile: Option<&'a mut PhaseProfile>,
 ) {
-    let mut engine = Engine::from_parts(
-        inst,
-        sched,
-        scenario,
-        cfg,
-        policy,
-        &plan.plans,
-        &plan.topo_position,
-        &plan.network,
-        scratch,
-    );
+    let arena = std::mem::take(scratch);
+    let mut engine = Engine::from_parts(inst, sched, scenario, cfg, policy, plan, arena);
     engine.profile = profile;
-    engine.build_ops(plan);
+    engine.build_ops();
     engine.seed_events();
     match observer {
         Some(obs) => {
@@ -209,22 +201,12 @@ pub(crate) fn build_template(
 ) -> OpTemplate {
     let none = FaultScenario::none();
     let cfg = EngineConfig::default();
-    let mut scratch = EngineScratch::default();
-    let mut engine = Engine::from_parts(
-        inst,
-        sched,
-        &none,
-        &cfg,
-        policy,
-        &plan.plans,
-        &plan.topo_position,
-        &plan.network,
-        &mut scratch,
-    );
+    let arena = EngineScratch::default();
+    let mut engine = Engine::from_parts(inst, sched, &none, &cfg, policy, plan, arena);
     engine.build_static_ops();
     OpTemplate {
-        ops: std::mem::take(&mut engine.ops),
-        static_exec: std::mem::take(&mut engine.static_exec),
+        ops: engine.arena.ops,
+        static_exec: engine.arena.static_exec,
     }
 }
 
@@ -291,7 +273,7 @@ impl<'a> PolicyView<'a> {
     /// True if the coordinator currently believes `p` is dead (its
     /// latest known availability event is a crash).
     pub fn is_believed_dead(&self, p: ProcId) -> bool {
-        self.engine.known_dead[p.index()]
+        self.engine.arena.known_dead[p.index()]
     }
 
     /// The survivor-knowledge rule: true iff `p` is believed up **and**
@@ -310,14 +292,14 @@ impl<'a> PolicyView<'a> {
 
     /// True if some replica of `t` has completed.
     pub fn task_completed(&self, t: TaskId) -> bool {
-        self.engine.first_finish[t.index()].is_some()
+        self.engine.arena.outcome.first_finish[t.index()].is_some()
     }
 
     /// True if an earlier repair attempt of `t` was deferred for lack of
     /// repair-eligible survivors (the engine rescans deferred tasks at
     /// every knowledge event).
     pub fn is_deferred(&self, t: TaskId) -> bool {
-        self.engine.deferred[t.index()]
+        self.engine.arena.deferred[t.index()]
     }
 
     /// The best checkpointed fraction of `t` on stable storage (0 when
@@ -325,7 +307,7 @@ impl<'a> PolicyView<'a> {
     /// [`RecoveryAction::ResumeFromCheckpoint`] then falls back to the
     /// from-scratch spawn).
     pub fn checkpoint_credit(&self, t: TaskId) -> f64 {
-        self.engine.task_ck_frac[t.index()]
+        self.engine.arena.task_ck_frac[t.index()]
     }
 
     /// The tasks a crash-knowledge event about `p` puts at risk: every
@@ -633,6 +615,8 @@ pub(crate) enum Act {
     GhostDone(u32),
 }
 
+/// One run in flight: its borrowed inputs and plan, and the arena it owns
+/// until [`Engine::finish_into`] moves it back (DESIGN.md §15).
 struct Engine<'a> {
     inst: &'a Instance,
     sched: &'a FtSchedule,
@@ -641,123 +625,15 @@ struct Engine<'a> {
     /// The recovery policy, behind the open trait (built-ins and custom
     /// implementations share this one dispatch path).
     policy: &'a dyn Policy,
-
-    ops: Vec<Op>,
-    /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
-    /// crash detection, 2 = rejoin knowledge (`id` = `epoch · m + proc`).
-    /// Completions at a given instant precede detections, which precede
-    /// rejoins. Backed by the scratch arena's reusable [`EventQueue`].
-    heap: EventQueue,
-
-    /// Static exec op per (task, copy); `None` when pruned at build time.
-    static_exec: Vec<Vec<Option<u32>>>,
-    /// Recovery exec ops per task.
-    recovery_exec: Vec<Vec<u32>>,
-    topo_position: &'a [usize],
-    /// The coordinator's current belief: `p` is dead (its latest known
-    /// availability event is a crash). Flips back to `false` when a
-    /// rejoin enters the coordinator view.
-    known_dead: Vec<bool>,
-    /// Physical instant of the latest availability event (crash or
-    /// reboot) brought into the coordinator view per processor; the
-    /// belief follows the event with the latest *physical* time, so
-    /// out-of-order knowledge (a slow crash detection arriving after the
-    /// fast rejoin news) cannot roll the state backwards.
-    believed_instant: Vec<f64>,
-    /// The failure epoch behind the current belief of `p` (meaningful
-    /// while `known_dead[p]`; indexes `crash_detect[p]`).
-    believed_epoch: Vec<usize>,
-    /// Failure epochs `(crash, reboot)` per processor, from the scenario.
-    epochs: Vec<Vec<(f64, f64)>>,
-    /// `crash_detect[p][k][q]`: the instant at which processor `q` learns
-    /// of the epoch-`k` crash of processor `p` (`INFINITY` = never);
-    /// precomputed from the [`DetectionModel`] at construction.
-    crash_detect: Vec<Vec<Vec<f64>>>,
-    /// `rejoin_detect[p][k][q]`: when `q` learns that `p` rebooted from
-    /// its epoch-`k` crash (empty for permanent epochs). Rejoin knowledge
-    /// propagates through the same [`DetectionModel`] as crash knowledge.
-    rejoin_detect: Vec<Vec<Vec<f64>>>,
-    /// First-event-processed flags per `(proc, epoch)` crash / rejoin.
-    crash_seen: Vec<Vec<bool>>,
-    rejoin_seen: Vec<Vec<bool>>,
-
-    first_finish: Vec<Option<f64>>,
-    recovered: Vec<bool>,
-    detections: usize,
-    rejoins: usize,
-    reschedules: usize,
-    recovery_replicas: usize,
-    recovery_messages: usize,
-    /// Per-task flag: a recovery pass found the task's data gone on
-    /// every survivor (deduplicated across detections).
-    unrecoverable: Vec<bool>,
-    /// Per-task flag: a `ReReplicate`/`Checkpoint` spawn was skipped
-    /// because survivors existed but none was repair-eligible yet
-    /// (survivor-knowledge rule); retried at every later detection
-    /// event. Never set under [`DetectionModel::Uniform`], where
-    /// eligibility and survival coincide.
-    deferred: Vec<bool>,
-
-    /// Per-task `(interval, overhead)` checkpoint plans, from
-    /// [`Policy::checkpoint_plan`] (validated once per [`StaticPlan`]);
-    /// `None` disables checkpointing for the task.
-    plans: &'a [Option<(f64, f64)>],
-    /// Link/route tables of the platform's network (pre-resolved once per
-    /// [`StaticPlan`]); only consulted when `contended`.
-    net_model: &'a NetworkModel,
-    /// Live link/port occupancy, charged by [`Engine::try_schedule`] under
-    /// a contended [`Contention`] mode. Backed by the scratch arena.
-    net: NetworkState,
+    /// Checkpoint plans, topological positions and the network of the
+    /// run's `(instance, schedule, policy)`, resolved once per plan.
+    plan: &'a StaticPlan,
+    /// Every per-run buffer and the [`RunOutcome`] the run counts into.
+    /// Held by value, not borrowed, so each buffer sits at a fixed offset
+    /// from `self` in the hot loop.
+    arena: EngineScratch,
     /// `cfg.contention.is_contended()`, hoisted out of the hot loop.
     contended: bool,
-    /// Operations that charged the network (transfers and checkpoint I/O).
-    net_transfers: usize,
-    /// Charged operations that finished later than their contention-free
-    /// nominal time.
-    net_contended: usize,
-    /// Summed finish delay of contended operations over their nominal
-    /// contention-free finish times.
-    net_delay: f64,
-    /// Pre-staged data copies per task: `(destination proc, transfer
-    /// op)` pairs created by applied [`RecoveryAction::PreStage`]s. A
-    /// staged copy feeds later repairs exactly like a surviving replica
-    /// output (see [`Engine::surviving_copies`]).
-    staged: Vec<Vec<(u32, u32)>>,
-    /// Policy actions the engine's validation refused (always 0 for the
-    /// built-in policies).
-    rejected_actions: usize,
-    /// Distinct `PreStage` applications that scheduled at least one
-    /// transfer.
-    prestaged: usize,
-    /// Reusable dependency-propagation buffer (the event loop's hottest
-    /// allocation before the scratch: one `Vec<Act>` per completion).
-    act_scratch: Vec<Act>,
-    /// Second-level propagation buffer for the immediate drains inside
-    /// [`Engine::add_hard_dep`] / [`Engine::add_group`], which can run
-    /// while `act_scratch` is checked out by a repair/replan path. One
-    /// level of nesting is the maximum: the drained actions
-    /// (`Fail`/`GhostDone`/`TrySchedule`) never wire new dependencies.
-    fail_scratch: Vec<Act>,
-    /// Reusable policy-action buffer, cleared before each hook call.
-    action_scratch: Vec<RecoveryAction>,
-    /// Best checkpointed fraction of each task (stable storage: survives
-    /// any crash; monotone under the max over crashed replicas).
-    task_ck_frac: Vec<f64>,
-    /// Per-processor first crash deadline after `t = 0`, used by the
-    /// template fast path to overwrite op deadlines in one pass.
-    proc_deadline: Vec<f64>,
-    /// Total time spent writing and reading checkpoints in *completed*
-    /// computations.
-    checkpoint_overhead: f64,
-    /// Total recomputation avoided by resuming (work units on the
-    /// resuming host), over completed resumed replicas.
-    work_saved: f64,
-    /// Total wall-clock execution time destroyed by crashes: progress of
-    /// computations that were running when their host died.
-    work_lost: f64,
-    /// Summed first-knowledge detection lag over all crash epochs
-    /// (detection instant − crash instant).
-    detection_lag: f64,
     /// Event-loop frontier: the maximum event time popped so far; the
     /// completion-discovery instant of ops resolved behind later events
     /// (ghost pass-through, DESIGN.md §4).
@@ -784,69 +660,56 @@ fn checkpoints_for(work: f64, interval: f64) -> u32 {
 }
 
 impl<'a> Engine<'a> {
-    /// Assembles an engine over the scratch arena's buffers, resetting
-    /// each in place (capacities survive — the zero-allocation core).
+    /// Assembles an engine over `arena`, moved in whole, resetting each
+    /// buffer in place (capacities survive — the zero-allocation core).
     /// The op arena and `static_exec` are deliberately *not* reset here:
     /// the template fast path reuses their element buffers via
     /// `clone_from`, and the full builder resets them itself.
     ///
-    /// The arena's buffers are moved out of `scratch` for the run;
-    /// [`Engine::finish_into`] moves them back. A panicking run leaves
-    /// `scratch` holding taken-empty buffers, which the next
-    /// `from_parts` simply re-grows — no unsafety, no stale state.
-    #[allow(clippy::too_many_arguments)]
+    /// [`Engine::finish_into`] moves the arena back. A panicking run
+    /// leaves the caller's slot holding the empty arena `run_into` put
+    /// there, which the next run simply re-grows — no unsafety, no stale
+    /// state.
     fn from_parts(
         inst: &'a Instance,
         sched: &'a FtSchedule,
         scenario: &'a FaultScenario,
         cfg: &'a EngineConfig,
         policy: &'a dyn Policy,
-        plans: &'a [Option<(f64, f64)>],
-        topo_position: &'a [usize],
-        net_model: &'a NetworkModel,
-        scratch: &mut EngineScratch,
+        plan: &'a StaticPlan,
+        mut arena: EngineScratch,
     ) -> Self {
         cfg.detection.validate(inst.num_procs());
         let v = inst.num_tasks();
         let m = inst.num_procs();
-        debug_assert_eq!(plans.len(), v, "plan built for a different instance");
-        debug_assert_eq!(topo_position.len(), v);
+        debug_assert_eq!(plan.plans.len(), v, "plan built for a different instance");
+        debug_assert_eq!(plan.topo_position.len(), v);
 
-        let ops = std::mem::take(&mut scratch.ops);
-        let static_exec = std::mem::take(&mut scratch.static_exec);
-        let mut queue = std::mem::take(&mut scratch.queue);
-        queue.clear();
-        let mut recovery_exec = std::mem::take(&mut scratch.recovery_exec);
-        reset_nested(&mut recovery_exec, v);
-        let mut known_dead = std::mem::take(&mut scratch.known_dead);
-        reset_flat(&mut known_dead, m, false);
-        let mut believed_instant = std::mem::take(&mut scratch.believed_instant);
-        reset_flat(&mut believed_instant, m, f64::NEG_INFINITY);
-        let mut believed_epoch = std::mem::take(&mut scratch.believed_epoch);
-        reset_flat(&mut believed_epoch, m, 0);
-        let mut epochs = std::mem::take(&mut scratch.epochs);
-        reset_nested(&mut epochs, m);
-        for (p, e) in epochs.iter_mut().enumerate() {
+        arena.queue.clear();
+        reset_nested(&mut arena.recovery_exec, v);
+        reset_flat(&mut arena.known_dead, m, false);
+        reset_flat(&mut arena.believed_instant, m, f64::NEG_INFINITY);
+        reset_flat(&mut arena.believed_epoch, m, 0);
+        reset_nested(&mut arena.epochs, m);
+        for (p, e) in arena.epochs.iter_mut().enumerate() {
             e.extend(scenario.epochs_of(ProcId::from_index(p)));
         }
-        let mut crash_detect = std::mem::take(&mut scratch.crash_detect);
-        reset_nested(&mut crash_detect, m);
-        let mut rejoin_detect = std::mem::take(&mut scratch.rejoin_detect);
-        reset_nested(&mut rejoin_detect, m);
-        for (p, eps) in epochs.iter().enumerate() {
+        reset_nested(&mut arena.crash_detect, m);
+        reset_nested(&mut arena.rejoin_detect, m);
+        for (p, eps) in arena.epochs.iter().enumerate() {
             let pid = ProcId::from_index(p);
             for (k, &(crash, up)) in eps.iter().enumerate() {
                 // Salts in temporal order: 2k for the epoch-k crash (0 for
                 // the first crash — the historical gossip stream), 2k + 1
                 // for its rejoin.
-                crash_detect[p].push(cfg.detection.instants_at(
+                arena.crash_detect[p].push(cfg.detection.instants_at(
                     m,
                     pid,
                     crash,
                     scenario,
                     2 * k as u64,
                 ));
-                rejoin_detect[p].push(if up.is_finite() {
+                arena.rejoin_detect[p].push(if up.is_finite() {
                     cfg.detection
                         .instants_at(m, pid, up, scenario, 2 * k as u64 + 1)
                 } else {
@@ -854,41 +717,41 @@ impl<'a> Engine<'a> {
                 });
             }
         }
-        let mut crash_seen = std::mem::take(&mut scratch.crash_seen);
-        reset_nested(&mut crash_seen, m);
-        let mut rejoin_seen = std::mem::take(&mut scratch.rejoin_seen);
-        reset_nested(&mut rejoin_seen, m);
-        for (p, e) in epochs.iter().enumerate() {
-            crash_seen[p].resize(e.len(), false);
-            rejoin_seen[p].resize(e.len(), false);
+        reset_nested(&mut arena.crash_seen, m);
+        reset_nested(&mut arena.rejoin_seen, m);
+        for (p, e) in arena.epochs.iter().enumerate() {
+            arena.crash_seen[p].resize(e.len(), false);
+            arena.rejoin_seen[p].resize(e.len(), false);
         }
-        let mut first_finish = std::mem::take(&mut scratch.first_finish);
-        reset_flat(&mut first_finish, v, None);
-        let mut recovered = std::mem::take(&mut scratch.recovered);
-        reset_flat(&mut recovered, v, false);
-        let mut unrecoverable = std::mem::take(&mut scratch.unrecoverable);
-        reset_flat(&mut unrecoverable, v, false);
-        let mut deferred = std::mem::take(&mut scratch.deferred);
-        reset_flat(&mut deferred, v, false);
-        let mut staged = std::mem::take(&mut scratch.staged);
-        reset_nested(&mut staged, v);
-        let mut act_scratch = std::mem::take(&mut scratch.act_scratch);
-        act_scratch.clear();
-        let mut fail_scratch = std::mem::take(&mut scratch.fail_scratch);
-        fail_scratch.clear();
-        let mut action_scratch = std::mem::take(&mut scratch.action_scratch);
-        action_scratch.clear();
-        let mut task_ck_frac = std::mem::take(&mut scratch.task_ck_frac);
-        reset_flat(&mut task_ck_frac, v, 0.0);
-        let mut proc_deadline = std::mem::take(&mut scratch.proc_deadline);
-        proc_deadline.clear();
+        reset_flat(&mut arena.unrecoverable, v, false);
+        reset_flat(&mut arena.deferred, v, false);
+        reset_nested(&mut arena.staged, v);
+        arena.act_scratch.clear();
+        arena.fail_scratch.clear();
+        arena.action_scratch.clear();
+        reset_flat(&mut arena.task_ck_frac, v, 0.0);
+        arena.proc_deadline.clear();
         let contended = cfg.contention.is_contended();
-        let mut net = std::mem::take(&mut scratch.net);
         if contended {
             // Ideal runs never read the occupancy tables, so the reset
             // (and its per-link clears) stays off the contention-free path.
-            net.reset(net_model);
+            arena.net.reset(&plan.network);
         }
+        // The outcome's vectors are this run's first-finish/recovered
+        // buffers; every counter restarts from zero.
+        let RunOutcome {
+            mut first_finish,
+            mut recovered,
+            ..
+        } = std::mem::take(&mut arena.outcome);
+        reset_flat(&mut first_finish, v, None);
+        reset_flat(&mut recovered, v, false);
+        arena.outcome = RunOutcome {
+            first_finish,
+            recovered,
+            num_failures: scenario.num_failures(),
+            ..RunOutcome::default()
+        };
 
         Engine {
             inst,
@@ -896,47 +759,9 @@ impl<'a> Engine<'a> {
             scenario,
             cfg,
             policy,
-            ops,
-            heap: queue,
-            static_exec,
-            recovery_exec,
-            topo_position,
-            known_dead,
-            believed_instant,
-            believed_epoch,
-            epochs,
-            crash_detect,
-            rejoin_detect,
-            crash_seen,
-            rejoin_seen,
-            first_finish,
-            recovered,
-            detections: 0,
-            rejoins: 0,
-            reschedules: 0,
-            recovery_replicas: 0,
-            recovery_messages: 0,
-            unrecoverable,
-            deferred,
-            plans,
-            net_model,
-            net,
+            plan,
+            arena,
             contended,
-            net_transfers: 0,
-            net_contended: 0,
-            net_delay: 0.0,
-            staged,
-            rejected_actions: 0,
-            prestaged: 0,
-            act_scratch,
-            fail_scratch,
-            action_scratch,
-            task_ck_frac,
-            proc_deadline,
-            checkpoint_overhead: 0.0,
-            work_saved: 0.0,
-            work_lost: 0.0,
-            detection_lag: 0.0,
             frontier: 0.0,
             profile: None,
         }
@@ -946,7 +771,7 @@ impl<'a> Engine<'a> {
     /// checkpoint writes (and one read when resuming); no-op for tasks
     /// without a checkpoint plan.
     fn apply_checkpointing(&self, op: &mut Op) {
-        let Some((interval, overhead)) = op.task.and_then(|t| self.plans[t.index()]) else {
+        let Some((interval, overhead)) = op.task.and_then(|t| self.plan.plans[t.index()]) else {
             return;
         };
         let writes = checkpoints_for(op.work, interval) as f64 * overhead;
@@ -958,7 +783,7 @@ impl<'a> Engine<'a> {
     /// Wall-clock duration of a fresh computation of `w` work units of
     /// task `t` (checkpoint writes of `t`'s plan included).
     fn comp_wall(&self, t: TaskId, w: f64) -> f64 {
-        match self.plans[t.index()] {
+        match self.plan.plans[t.index()] {
             Some((interval, overhead)) => w + checkpoints_for(w, interval) as f64 * overhead,
             None => w,
         }
@@ -988,10 +813,10 @@ impl<'a> Engine<'a> {
     /// therefore byte-identical to the full build; one-shot plans (no
     /// template) and scenarios with a crash at `t ≤ 0` (the adversarial
     /// replay identities) take the full builder.
-    fn build_ops(&mut self, plan: &StaticPlan) {
+    fn build_ops(&mut self) {
         let m = self.inst.num_procs();
         let any_dead0 = (0..m).any(|p| self.deadline_after(ProcId::from_index(p), 0.0) <= 0.0);
-        match &plan.template {
+        match &self.plan.template {
             Some(template) if !any_dead0 => self.build_from_template(template),
             _ => self.build_static_ops(),
         }
@@ -1001,17 +826,17 @@ impl<'a> Engine<'a> {
     /// arena's per-op buffers, then overwrite the crash deadlines.
     fn build_from_template(&mut self, template: &OpTemplate) {
         let m = self.inst.num_procs();
-        let mut pd = std::mem::take(&mut self.proc_deadline);
-        pd.clear();
-        for p in 0..m {
-            pd.push(self.deadline_after(ProcId::from_index(p), 0.0));
+        let scenario = self.scenario;
+        let arena = &mut self.arena;
+        arena.proc_deadline.clear();
+        arena
+            .proc_deadline
+            .extend((0..m).map(|p| scenario.deadline_after(ProcId::from_index(p), 0.0)));
+        clone_vec_reusing(&mut arena.ops, &template.ops);
+        for op in &mut arena.ops {
+            op.deadline = arena.proc_deadline[op.proc as usize];
         }
-        clone_vec_reusing(&mut self.ops, &template.ops);
-        for op in &mut self.ops {
-            op.deadline = pd[op.proc as usize];
-        }
-        self.proc_deadline = pd;
-        clone_vec_reusing(&mut self.static_exec, &template.static_exec);
+        clone_vec_reusing(&mut arena.static_exec, &template.static_exec);
     }
 
     /// Mirrors `ft_sim::replay` passes 1–2: prunes replicas dead or
@@ -1024,14 +849,15 @@ impl<'a> Engine<'a> {
         let m = self.inst.num_procs();
         // Arena reset (no-op on a fresh engine): the op arena and the
         // per-(task, copy) exec table are rebuilt from nothing here.
-        self.ops.clear();
-        self.static_exec.truncate(v);
-        for (t, se) in self.static_exec.iter_mut().enumerate() {
+        self.arena.ops.clear();
+        self.arena.static_exec.truncate(v);
+        for (t, se) in self.arena.static_exec.iter_mut().enumerate() {
             se.clear();
             se.resize(self.sched.replicas[t].len(), None);
         }
-        for t in self.static_exec.len()..v {
-            self.static_exec
+        for t in self.arena.static_exec.len()..v {
+            self.arena
+                .static_exec
                 .push(vec![None; self.sched.replicas[t].len()]);
         }
         let dead0: Vec<bool> = (0..m)
@@ -1080,7 +906,7 @@ impl<'a> Engine<'a> {
                 if !alive_t[c] {
                     continue;
                 }
-                let id = self.ops.len() as u32;
+                let id = self.arena.ops.len() as u32;
                 let mut op = Op::new(
                     self.inst.exec_time(r.of.task, r.proc),
                     0.0,
@@ -1089,8 +915,8 @@ impl<'a> Engine<'a> {
                 );
                 op.task = Some(r.of.task);
                 self.apply_checkpointing(&mut op);
-                self.ops.push(op);
-                self.static_exec[t][c] = Some(id);
+                self.arena.ops.push(op);
+                self.arena.static_exec[t][c] = Some(id);
             }
         }
 
@@ -1100,7 +926,7 @@ impl<'a> Engine<'a> {
             if !alive[msg.src.task.index()][msg.src.copy as usize] {
                 continue;
             }
-            let id = self.ops.len() as u32;
+            let id = self.arena.ops.len() as u32;
             let mut mop = Op::new(
                 msg.finish - msg.start,
                 0.0,
@@ -1108,9 +934,9 @@ impl<'a> Engine<'a> {
                 msg.from,
             );
             mop.dst = msg.to.index() as u32;
-            self.ops.push(mop);
+            self.arena.ops.push(mop);
             msg_op[mi] = Some(id);
-            let src = self.static_exec[msg.src.task.index()][msg.src.copy as usize]
+            let src = self.arena.static_exec[msg.src.task.index()][msg.src.copy as usize]
                 .expect("surviving source replica has an exec op");
             self.add_hard_dep(src, id);
         }
@@ -1119,7 +945,7 @@ impl<'a> Engine<'a> {
         let mut per_proc: Vec<Vec<(f64, u32)>> = vec![Vec::new(); m];
         for (t, rs) in self.sched.replicas.iter().enumerate() {
             for (c, r) in rs.iter().enumerate() {
-                if let Some(op) = self.static_exec[t][c] {
+                if let Some(op) = self.arena.static_exec[t][c] {
                     per_proc[r.proc.index()].push((r.start, op));
                 }
             }
@@ -1147,15 +973,15 @@ impl<'a> Engine<'a> {
             q.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
             for w in q.windows(2) {
                 let (prev, next) = (w[0].1, w[1].1);
-                self.ops[prev as usize].fifo_deps.push(next);
-                self.ops[next as usize].fifo_remaining += 1;
+                self.arena.ops[prev as usize].fifo_deps.push(next);
+                self.arena.ops[next as usize].fifo_remaining += 1;
             }
         }
 
         // Pass 2d: first-copy input groups.
         for (t, incoming_t) in incoming.iter().enumerate() {
             for (c, incoming_tc) in incoming_t.iter().enumerate() {
-                let Some(ex) = self.static_exec[t][c] else {
+                let Some(ex) = self.arena.static_exec[t][c] else {
                     continue;
                 };
                 for &e in g.in_edges(TaskId::from_index(t)) {
@@ -1185,20 +1011,20 @@ impl<'a> Engine<'a> {
     fn seed_events(&mut self) {
         let m = self.inst.num_procs();
         for p in 0..m {
-            for k in 0..self.epochs[p].len() {
+            for k in 0..self.arena.epochs[p].len() {
                 let id = (k * m + p) as u32;
-                for w in Self::event_instants(&self.crash_detect[p][k], p) {
-                    self.heap.push((w, 1, id));
+                for w in Self::event_instants(&self.arena.crash_detect[p][k], p) {
+                    self.arena.queue.push((w, 1, id));
                 }
-                for w in Self::event_instants(&self.rejoin_detect[p][k], p) {
-                    self.heap.push((w, 2, id));
+                for w in Self::event_instants(&self.arena.rejoin_detect[p][k], p) {
+                    self.arena.queue.push((w, 2, id));
                 }
             }
         }
-        let mut acts = std::mem::take(&mut self.act_scratch);
-        acts.extend((0..self.ops.len() as u32).map(Act::TrySchedule));
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
+        acts.extend((0..self.arena.ops.len() as u32).map(Act::TrySchedule));
         self.drain(&mut acts);
-        self.act_scratch = acts;
+        self.arena.act_scratch = acts;
     }
 
     /// The distinct finite knowledge instants of one availability event
@@ -1231,7 +1057,7 @@ impl<'a> Engine<'a> {
     fn run(&mut self, mut observer: Option<&mut dyn Observer>) {
         let m = self.inst.num_procs();
         loop {
-            let popped = phase!(self, QueuePop, self.heap.pop());
+            let popped = phase!(self, QueuePop, self.arena.queue.pop());
             let Some((time, kind, id)) = popped else {
                 break;
             };
@@ -1240,7 +1066,7 @@ impl<'a> Engine<'a> {
                 let kind = match kind {
                     // A popped entry of a cancelled op is a stale heap
                     // slot, not an event: nothing completes.
-                    0 if self.ops[id as usize].state == OpState::Cancelled => None,
+                    0 if self.arena.ops[id as usize].state == OpState::Cancelled => None,
                     0 => Some(TraceEventKind::Completion),
                     1 => Some(TraceEventKind::Detection),
                     _ => Some(TraceEventKind::Rejoin),
@@ -1259,7 +1085,7 @@ impl<'a> Engine<'a> {
 
     fn on_completion(&mut self, id: u32, time: f64) {
         let frontier = self.frontier;
-        let op = &mut self.ops[id as usize];
+        let op = &mut self.arena.ops[id as usize];
         if op.state == OpState::Cancelled {
             return;
         }
@@ -1273,21 +1099,21 @@ impl<'a> Engine<'a> {
         let mut first_done = None;
         if let Some(t) = op.task {
             let ti = t.index();
-            if self.first_finish[ti].is_none() {
-                self.first_finish[ti] = Some(time);
-                self.recovered[ti] = op.recovery;
+            if self.arena.outcome.first_finish[ti].is_none() {
+                self.arena.outcome.first_finish[ti] = Some(time);
+                self.arena.outcome.recovered[ti] = op.recovery;
                 first_done = Some(t);
             }
         }
-        self.checkpoint_overhead += ck_pad;
-        self.work_saved += saved;
+        self.arena.outcome.checkpoint_overhead += ck_pad;
+        self.arena.outcome.work_saved += saved;
         // Scratch reuse: this is the per-event allocation the profile
         // flagged — one Vec per completion, ~V+E times per run.
         phase!(self, Completion, {
-            let mut acts = std::mem::take(&mut self.act_scratch);
+            let mut acts = std::mem::take(&mut self.arena.act_scratch);
             acts.push(Act::RealDone(id, time));
             self.drain(&mut acts);
-            self.act_scratch = acts;
+            self.arena.act_scratch = acts;
         });
         if let Some(t) = first_done {
             self.policy_hook(time, |policy, view, actions| {
@@ -1303,17 +1129,17 @@ impl<'a> Engine<'a> {
                 Act::TrySchedule(i) => self.try_schedule(i, acts),
                 Act::Fail(i) => self.fail(i, acts),
                 Act::RealDone(i, t) => {
-                    let hard = std::mem::take(&mut self.ops[i as usize].hard_deps);
+                    let hard = std::mem::take(&mut self.arena.ops[i as usize].hard_deps);
                     for &d in &hard {
-                        let dep = &mut self.ops[d as usize];
+                        let dep = &mut self.arena.ops[d as usize];
                         dep.hard_remaining -= 1;
                         dep.data_ready = dep.data_ready.max(t);
                         acts.push(Act::TrySchedule(d));
                     }
-                    self.ops[i as usize].hard_deps = hard;
-                    let groups = std::mem::take(&mut self.ops[i as usize].group_deps);
+                    self.arena.ops[i as usize].hard_deps = hard;
+                    let groups = std::mem::take(&mut self.arena.ops[i as usize].group_deps);
                     for &(d, gi) in &groups {
-                        let dep = &mut self.ops[d as usize];
+                        let dep = &mut self.arena.ops[d as usize];
                         if dep.state == OpState::Pending && !dep.group_done[gi as usize] {
                             dep.group_done[gi as usize] = true;
                             dep.groups_remaining -= 1;
@@ -1321,13 +1147,13 @@ impl<'a> Engine<'a> {
                             acts.push(Act::TrySchedule(d));
                         }
                     }
-                    self.ops[i as usize].group_deps = groups;
+                    self.arena.ops[i as usize].group_deps = groups;
                     self.fifo_out(i, t, acts);
                 }
                 Act::GhostDone(i) => {
-                    debug_assert_eq!(self.ops[i as usize].state, OpState::Failed);
-                    self.ops[i as usize].state = OpState::GhostDone;
-                    let t = self.ops[i as usize].fifo_ready;
+                    debug_assert_eq!(self.arena.ops[i as usize].state, OpState::Failed);
+                    self.arena.ops[i as usize].state = OpState::GhostDone;
+                    let t = self.arena.ops[i as usize].fifo_ready;
                     self.fifo_out(i, t, acts);
                 }
             }
@@ -1336,9 +1162,9 @@ impl<'a> Engine<'a> {
 
     /// Delivers `i`'s queue slot to its FIFO successors at time `t`.
     fn fifo_out(&mut self, i: u32, t: f64, acts: &mut Vec<Act>) {
-        let fifo = std::mem::take(&mut self.ops[i as usize].fifo_deps);
+        let fifo = std::mem::take(&mut self.arena.ops[i as usize].fifo_deps);
         for &d in &fifo {
-            let dep = &mut self.ops[d as usize];
+            let dep = &mut self.arena.ops[d as usize];
             dep.fifo_remaining -= 1;
             dep.fifo_ready = dep.fifo_ready.max(t);
             if dep.state == OpState::Failed && dep.fifo_remaining == 0 {
@@ -1347,11 +1173,11 @@ impl<'a> Engine<'a> {
                 acts.push(Act::TrySchedule(d));
             }
         }
-        self.ops[i as usize].fifo_deps = fifo;
+        self.arena.ops[i as usize].fifo_deps = fifo;
     }
 
     fn try_schedule(&mut self, i: u32, acts: &mut Vec<Act>) {
-        let op = &mut self.ops[i as usize];
+        let op = &mut self.arena.ops[i as usize];
         if op.state != OpState::Pending
             || op.hard_remaining != 0
             || op.fifo_remaining != 0
@@ -1369,20 +1195,20 @@ impl<'a> Engine<'a> {
         } else {
             nominal
         };
-        let op = &mut self.ops[i as usize];
+        let op = &mut self.arena.ops[i as usize];
         if finish <= op.deadline {
             op.state = OpState::Scheduled;
             op.start = start;
             op.finish = finish;
             op.est_finish = finish;
-            self.heap.push((finish, 0, i));
+            self.arena.queue.push((finish, 0, i));
             if self.contended {
                 self.commit_network(nominal, finish);
             }
         } else {
             if self.contended {
                 // The op never transmits: drop its staged reservations.
-                self.net.discard();
+                self.arena.net.discard();
             }
             // The computation still ran from `start` until the crash;
             // that progress is destroyed (checkpointed fractions are
@@ -1393,7 +1219,7 @@ impl<'a> Engine<'a> {
             } else {
                 0.0
             };
-            self.work_lost += lost;
+            self.arena.outcome.work_lost += lost;
             self.record_crash_progress(i, start);
             acts.push(Act::Fail(i));
         }
@@ -1407,11 +1233,11 @@ impl<'a> Engine<'a> {
     /// Returns the charged finish time — with an idle network this is
     /// exactly `nominal`, bit for bit.
     fn charge_network(&mut self, i: u32, start: f64, nominal: f64) -> f64 {
-        let op = &self.ops[i as usize];
+        let op = &self.arena.ops[i as usize];
         if op.task.is_none() {
             if op.proc != op.dst && op.duration > 0.0 {
-                let charged = self.net.plan_transfer(
-                    self.net_model,
+                let charged = self.arena.net.plan_transfer(
+                    &self.plan.network,
                     self.cfg.contention,
                     op.proc as usize,
                     op.dst as usize,
@@ -1423,7 +1249,7 @@ impl<'a> Engine<'a> {
                 return charged.max(nominal);
             }
         } else if op.ck_pad > 0.0 {
-            let wait = self.net.plan_port(op.proc as usize, start, op.ck_pad);
+            let wait = self.arena.net.plan_port(op.proc as usize, start, op.ck_pad);
             return nominal + wait;
         }
         nominal
@@ -1432,13 +1258,13 @@ impl<'a> Engine<'a> {
     /// Commits the staged charges of a just-scheduled op into the live
     /// occupancy tables and folds the contention accounting.
     fn commit_network(&mut self, nominal: f64, finish: f64) {
-        if self.net.has_pending() {
-            self.net_transfers += 1;
+        if self.arena.net.has_pending() {
+            self.arena.outcome.net_transfers += 1;
             if finish > nominal {
-                self.net_contended += 1;
-                self.net_delay += finish - nominal;
+                self.arena.outcome.net_contended += 1;
+                self.arena.outcome.net_delay += finish - nominal;
             }
-            self.net.commit();
+            self.arena.net.commit();
         }
     }
 
@@ -1447,11 +1273,11 @@ impl<'a> Engine<'a> {
     /// completed by that instant are credited to the task's resumable
     /// fraction (stable storage — they survive the host).
     fn record_crash_progress(&mut self, i: u32, start: f64) {
-        let op = &self.ops[i as usize];
+        let op = &self.arena.ops[i as usize];
         let Some(t) = op.task else {
             return; // transfers don't checkpoint
         };
-        let Some((interval, overhead)) = self.plans[t.index()] else {
+        let Some((interval, overhead)) = self.plan.plans[t.index()] else {
             return;
         };
         if op.fixed_finish.is_some() {
@@ -1472,23 +1298,23 @@ impl<'a> Engine<'a> {
             return;
         }
         let frac = op.done_frac + k_done as f64 * interval / op.full;
-        let slot = &mut self.task_ck_frac[t.index()];
+        let slot = &mut self.arena.task_ck_frac[t.index()];
         *slot = slot.max(frac);
     }
 
     fn fail(&mut self, i: u32, acts: &mut Vec<Act>) {
-        if self.ops[i as usize].state != OpState::Pending {
+        if self.arena.ops[i as usize].state != OpState::Pending {
             return;
         }
-        self.ops[i as usize].state = OpState::Failed;
-        let hard = std::mem::take(&mut self.ops[i as usize].hard_deps);
+        self.arena.ops[i as usize].state = OpState::Failed;
+        let hard = std::mem::take(&mut self.arena.ops[i as usize].hard_deps);
         for &d in &hard {
             acts.push(Act::Fail(d));
         }
-        self.ops[i as usize].hard_deps = hard;
-        let groups = std::mem::take(&mut self.ops[i as usize].group_deps);
+        self.arena.ops[i as usize].hard_deps = hard;
+        let groups = std::mem::take(&mut self.arena.ops[i as usize].group_deps);
         for &(d, gi) in &groups {
-            let dep = &mut self.ops[d as usize];
+            let dep = &mut self.arena.ops[d as usize];
             if dep.state == OpState::Pending && !dep.group_done[gi as usize] {
                 dep.group_live[gi as usize] -= 1;
                 if dep.group_live[gi as usize] == 0 {
@@ -1496,8 +1322,8 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        self.ops[i as usize].group_deps = groups;
-        if self.ops[i as usize].fifo_remaining == 0 {
+        self.arena.ops[i as usize].group_deps = groups;
+        if self.arena.ops[i as usize].fifo_remaining == 0 {
             acts.push(Act::GhostDone(i));
         }
     }
@@ -1505,45 +1331,45 @@ impl<'a> Engine<'a> {
     // --- dependency wiring helpers --------------------------------------
 
     fn add_hard_dep(&mut self, from: u32, to: u32) {
-        match self.ops[from as usize].state {
+        match self.arena.ops[from as usize].state {
             OpState::Done => {
-                let t = self.ops[from as usize].finish;
-                let dep = &mut self.ops[to as usize];
+                let t = self.arena.ops[from as usize].finish;
+                let dep = &mut self.arena.ops[to as usize];
                 dep.data_ready = dep.data_ready.max(t);
             }
             OpState::Failed | OpState::GhostDone | OpState::Cancelled => {
                 // The producer can never deliver: the dependent fails too.
-                let mut acts = std::mem::take(&mut self.fail_scratch);
+                let mut acts = std::mem::take(&mut self.arena.fail_scratch);
                 acts.push(Act::Fail(to));
                 self.drain(&mut acts);
-                self.fail_scratch = acts;
+                self.arena.fail_scratch = acts;
             }
             _ => {
-                self.ops[from as usize].hard_deps.push(to);
-                self.ops[to as usize].hard_remaining += 1;
+                self.arena.ops[from as usize].hard_deps.push(to);
+                self.arena.ops[to as usize].hard_remaining += 1;
             }
         }
     }
 
     /// Adds one first-copy group on `ex` over live `members`.
     fn add_group(&mut self, ex: u32, members: &[u32]) {
-        let gi = self.ops[ex as usize].group_live.len() as u32;
+        let gi = self.arena.ops[ex as usize].group_live.len() as u32;
         let mut live = 0u32;
         let mut done_time: Option<f64> = None;
         for &mo in members {
-            match self.ops[mo as usize].state {
+            match self.arena.ops[mo as usize].state {
                 OpState::Done => {
-                    let t = self.ops[mo as usize].finish;
+                    let t = self.arena.ops[mo as usize].finish;
                     done_time = Some(done_time.map_or(t, |d: f64| d.min(t)));
                 }
                 OpState::Failed | OpState::GhostDone | OpState::Cancelled => {}
                 _ => {
-                    self.ops[mo as usize].group_deps.push((ex, gi));
+                    self.arena.ops[mo as usize].group_deps.push((ex, gi));
                     live += 1;
                 }
             }
         }
-        let op = &mut self.ops[ex as usize];
+        let op = &mut self.arena.ops[ex as usize];
         if let Some(t) = done_time {
             // A member already delivered: group satisfied at its time.
             op.group_live.push(live);
@@ -1553,10 +1379,10 @@ impl<'a> Engine<'a> {
             // No member can ever deliver.
             op.group_live.push(0);
             op.group_done.push(false);
-            let mut acts = std::mem::take(&mut self.fail_scratch);
+            let mut acts = std::mem::take(&mut self.arena.fail_scratch);
             acts.push(Act::Fail(ex));
             self.drain(&mut acts);
-            self.fail_scratch = acts;
+            self.arena.fail_scratch = acts;
         } else {
             op.group_live.push(live);
             op.group_done.push(false);
@@ -1575,19 +1401,19 @@ impl<'a> Engine<'a> {
     fn on_detection(&mut self, p: ProcId, k: usize, time: f64) {
         let first = phase!(self, DetectionFanout, {
             let pi = p.index();
-            let first = !self.crash_seen[pi][k];
+            let first = !self.arena.crash_seen[pi][k];
             if first {
-                self.crash_seen[pi][k] = true;
-                self.detections += 1;
+                self.arena.crash_seen[pi][k] = true;
+                self.arena.outcome.detections += 1;
                 // The belief follows the latest *physical* event: a crash
                 // detected only after its own repair was already reported
                 // (slow detector, fast reboot) must not re-kill the view.
-                let crash = self.epochs[pi][k].0;
-                self.detection_lag += time - crash;
-                if crash >= self.believed_instant[pi] {
-                    self.believed_instant[pi] = crash;
-                    self.believed_epoch[pi] = k;
-                    self.known_dead[pi] = true;
+                let crash = self.arena.epochs[pi][k].0;
+                self.arena.outcome.detection_lag += time - crash;
+                if crash >= self.arena.believed_instant[pi] {
+                    self.arena.believed_instant[pi] = crash;
+                    self.arena.believed_epoch[pi] = k;
+                    self.arena.known_dead[pi] = true;
                 }
             }
             first
@@ -1613,19 +1439,19 @@ impl<'a> Engine<'a> {
     fn on_rejoin(&mut self, p: ProcId, k: usize, time: f64) {
         let (first, all_safe) = phase!(self, DetectionFanout, {
             let pi = p.index();
-            let first = !self.rejoin_seen[pi][k];
+            let first = !self.arena.rejoin_seen[pi][k];
             if first {
-                self.rejoin_seen[pi][k] = true;
-                self.rejoins += 1;
-                let up = self.epochs[pi][k].1;
+                self.arena.rejoin_seen[pi][k] = true;
+                self.arena.outcome.rejoins += 1;
+                let up = self.arena.epochs[pi][k].1;
                 // Strictly-later only: a crash at the exact reboot instant
                 // (`crash_{k+1} = up_k`, allowed by the scenario) supersedes
                 // the rejoin whichever knowledge event is processed first —
                 // crashes win physical-time ties (compare the `>=` in
                 // `on_detection`).
-                if up > self.believed_instant[pi] {
-                    self.believed_instant[pi] = up;
-                    self.known_dead[pi] = false;
+                if up > self.arena.believed_instant[pi] {
+                    self.arena.believed_instant[pi] = up;
+                    self.arena.known_dead[pi] = false;
                 }
             }
             let all_safe = (0..self.inst.num_tasks()).all(|t| self.task_believed_safe(t));
@@ -1653,14 +1479,14 @@ impl<'a> Engine<'a> {
         now: f64,
         call: impl FnOnce(&dyn Policy, &PolicyView<'_>, &mut Vec<RecoveryAction>),
     ) {
-        let mut actions = std::mem::take(&mut self.action_scratch);
+        let mut actions = std::mem::take(&mut self.arena.action_scratch);
         actions.clear();
         let policy = self.policy;
         phase!(self, PolicyDispatch, {
             call(policy, &PolicyView { engine: self, now }, &mut actions);
         });
         self.apply_actions(&actions, now);
-        self.action_scratch = actions;
+        self.arena.action_scratch = actions;
     }
 
     /// Validates and applies one batch of policy actions at `now`, in
@@ -1685,7 +1511,7 @@ impl<'a> Engine<'a> {
                 match action {
                     RecoveryAction::Defer(t) if t.index() < v => {
                         if !self.task_believed_safe(t.index()) {
-                            self.deferred[t.index()] = true;
+                            self.arena.deferred[t.index()] = true;
                         }
                     }
                     RecoveryAction::SpawnReplica(t) if t.index() < v => {
@@ -1704,30 +1530,30 @@ impl<'a> Engine<'a> {
                     }
                     // Out-of-range ids, and pre-stage targets that violate
                     // the survivor-knowledge rule.
-                    _ => self.rejected_actions += 1,
+                    _ => self.arena.outcome.rejected_actions += 1,
                 }
             }
         });
         phase!(self, SpawnReplan, {
             // Topological order, first proposal per task winning (the stable
             // sort keeps push order within a task's duplicates).
-            spawns.sort_by_key(|&(t, _)| self.topo_position[t]);
+            spawns.sort_by_key(|&(t, _)| self.plan.topo_position[t]);
             spawns.dedup_by_key(|&mut (t, _)| t);
             for (t, allow_resume) in spawns {
                 if self.task_believed_safe(t) {
-                    self.deferred[t] = false;
+                    self.arena.deferred[t] = false;
                     continue; // an earlier replacement this round covered it
                 }
                 // A still-live pending replacement from an earlier detection?
-                let pending_recovery = self.recovery_exec[t].iter().any(|&id| {
-                    let op = &self.ops[id as usize];
-                    op.state == OpState::Pending && !self.known_dead[op.proc as usize]
+                let pending_recovery = self.arena.recovery_exec[t].iter().any(|&id| {
+                    let op = &self.arena.ops[id as usize];
+                    op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
                 });
                 if pending_recovery {
-                    self.deferred[t] = false;
+                    self.arena.deferred[t] = false;
                     continue;
                 }
-                self.deferred[t] = false;
+                self.arena.deferred[t] = false;
                 // …and may re-mark the task deferred if no survivor is
                 // repair-eligible yet.
                 self.spawn_replacement(TaskId::from_index(t), now, allow_resume);
@@ -1750,27 +1576,29 @@ impl<'a> Engine<'a> {
     /// rejoined processor re-enters this set as soon as its rejoin is in
     /// the coordinator view (`known_dead` false again).
     fn repair_eligible(&self, q: usize, now: f64) -> bool {
-        !self.known_dead[q]
-            && self
+        let arena = &self.arena;
+        !arena.known_dead[q]
+            && arena
                 .known_dead
                 .iter()
                 .enumerate()
                 .filter(|&(_, &dead)| dead)
-                .all(|(p, _)| self.crash_detect[p][self.believed_epoch[p]][q] <= now)
+                .all(|(p, _)| arena.crash_detect[p][arena.believed_epoch[p]][q] <= now)
     }
 
     /// True if some replica of `t` is completed, or is scheduled on a
     /// processor not known to be dead (i.e. the runtime believes the task
     /// is safe without intervention).
     fn task_believed_safe(&self, t: usize) -> bool {
-        if self.first_finish[t].is_some() {
+        if self.arena.outcome.first_finish[t].is_some() {
             return true;
         }
         let safe = |&id: &u32| {
-            let op = &self.ops[id as usize];
-            op.state == OpState::Scheduled && !self.known_dead[op.proc as usize]
+            let op = &self.arena.ops[id as usize];
+            op.state == OpState::Scheduled && !self.arena.known_dead[op.proc as usize]
         };
-        self.static_exec[t].iter().flatten().any(&safe) || self.recovery_exec[t].iter().any(safe)
+        self.arena.static_exec[t].iter().flatten().any(&safe)
+            || self.arena.recovery_exec[t].iter().any(safe)
     }
 
     /// Surviving data copies of task `t` as `(op, proc, est_finish)`;
@@ -1795,22 +1623,22 @@ impl<'a> Engine<'a> {
                 _ => {}
             }
         };
-        for id in self.static_exec[t].iter().flatten() {
-            push(*id, &self.ops, &self.known_dead, &mut out);
+        for id in self.arena.static_exec[t].iter().flatten() {
+            push(*id, &self.arena.ops, &self.arena.known_dead, &mut out);
         }
-        for id in &self.recovery_exec[t] {
-            push(*id, &self.ops, &self.known_dead, &mut out);
+        for id in &self.arena.recovery_exec[t] {
+            push(*id, &self.arena.ops, &self.arena.known_dead, &mut out);
         }
         // Pre-staged copies (warm-spare `PreStage`): data transferred to
         // another processor counts exactly like a replica output there —
         // local data persists across reboots, so only the belief filter
         // applies.
-        for &(proc, id) in &self.staged[t] {
-            if self.known_dead[proc as usize] {
+        for &(proc, id) in &self.arena.staged[t] {
+            if self.arena.known_dead[proc as usize] {
                 continue;
             }
             let pid = ProcId::from_index(proc as usize);
-            let op = &self.ops[id as usize];
+            let op = &self.arena.ops[id as usize];
             match op.state {
                 OpState::Done => out.push((None, pid, op.finish)),
                 OpState::Scheduled => out.push((Some(id), pid, op.finish)),
@@ -1834,15 +1662,15 @@ impl<'a> Engine<'a> {
         let mut lost: Vec<usize> = Vec::new();
         for t in 0..g.num_tasks() {
             let on_p_not_done = |&id: &u32| {
-                let op = &self.ops[id as usize];
+                let op = &self.arena.ops[id as usize];
                 op.proc as usize == p.index() && op.state != OpState::Done
             };
-            if (self.deferred[t]
-                || self.static_exec[t].iter().flatten().any(on_p_not_done)
-                || self.recovery_exec[t].iter().any(on_p_not_done)
+            if (self.arena.deferred[t]
+                || self.arena.static_exec[t].iter().flatten().any(on_p_not_done)
+                || self.arena.recovery_exec[t].iter().any(on_p_not_done)
                 // A replica pruned at build time (its static host crashed
                 // pre-start, or statically starved) also counts as lost.
-                || self.static_exec[t].iter().any(|o| o.is_none()))
+                || self.arena.static_exec[t].iter().any(|o| o.is_none()))
                 && !self.task_believed_safe(t)
             {
                 lost.push(t);
@@ -1863,17 +1691,17 @@ impl<'a> Engine<'a> {
         let mut lost: Vec<usize> = Vec::new();
         for t in 0..self.inst.num_tasks() {
             let lost_replica = |&id: &u32| {
-                let op = &self.ops[id as usize];
+                let op = &self.arena.ops[id as usize];
                 op.state != OpState::Done
                     && (matches!(
                         op.state,
                         OpState::Failed | OpState::GhostDone | OpState::Cancelled
-                    ) || self.known_dead[op.proc as usize])
+                    ) || self.arena.known_dead[op.proc as usize])
             };
-            if (self.deferred[t]
-                || self.static_exec[t].iter().any(|o| o.is_none())
-                || self.static_exec[t].iter().flatten().any(lost_replica)
-                || self.recovery_exec[t].iter().any(lost_replica))
+            if (self.arena.deferred[t]
+                || self.arena.static_exec[t].iter().any(|o| o.is_none())
+                || self.arena.static_exec[t].iter().flatten().any(lost_replica)
+                || self.arena.recovery_exec[t].iter().any(lost_replica))
                 && !self.task_believed_safe(t)
             {
                 lost.push(t);
@@ -1903,7 +1731,7 @@ impl<'a> Engine<'a> {
         let inst = self.inst;
         let in_edges = inst.graph.in_edges(TaskId::from_index(t));
         let mut staged_any = false;
-        let mut acts = std::mem::take(&mut self.act_scratch);
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
         for &e in in_edges {
             let pred = inst.graph.edge(e).src;
             let copies = self.surviving_copies(pred.index());
@@ -1919,7 +1747,7 @@ impl<'a> Engine<'a> {
                 })
                 .expect("non-empty copy list");
             let w = self.inst.comm_time(e, src_proc, on_pid);
-            let mid = self.ops.len() as u32;
+            let mid = self.arena.ops.len() as u32;
             let deadline = self
                 .deadline_after(src_proc, now)
                 .min(self.deadline_after(on_pid, now));
@@ -1927,24 +1755,24 @@ impl<'a> Engine<'a> {
             mop.dst = on as u32;
             mop.recovery = true;
             mop.est_finish = src_est.max(now) + w;
-            self.ops.push(mop);
-            self.recovery_messages += 1;
+            self.arena.ops.push(mop);
+            self.arena.outcome.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
                 None => {
-                    let dep = &mut self.ops[mid as usize];
+                    let dep = &mut self.arena.ops[mid as usize];
                     dep.data_ready = dep.data_ready.max(src_est);
                 }
             }
-            self.staged[pred.index()].push((on as u32, mid));
+            self.arena.staged[pred.index()].push((on as u32, mid));
             staged_any = true;
             acts.push(Act::TrySchedule(mid));
         }
         if staged_any {
-            self.prestaged += 1;
+            self.arena.outcome.prestaged += 1;
         }
         self.drain(&mut acts);
-        self.act_scratch = acts;
+        self.arena.act_scratch = acts;
     }
 
     /// Greedy single replacement replica for `t` at detection time `T`.
@@ -1952,7 +1780,10 @@ impl<'a> Engine<'a> {
     /// a task with a checkpoint plan and a completed checkpoint is
     /// resumed from it instead of replaced from scratch.
     fn spawn_replacement(&mut self, t: TaskId, now: f64, allow_resume: bool) {
-        if allow_resume && self.plans[t.index()].is_some() && self.task_ck_frac[t.index()] > 0.0 {
+        if allow_resume
+            && self.plan.plans[t.index()].is_some()
+            && self.arena.task_ck_frac[t.index()] > 0.0
+        {
             self.spawn_resume(t, now);
             return;
         }
@@ -1973,14 +1804,14 @@ impl<'a> Engine<'a> {
                 // this far behind the frontier and leaves the task to its
                 // static replicas (`Reschedule` handles this case). Only
                 // count the task unrecoverable when the data is truly gone.
-                let pred_may_run = self.static_exec[pred.index()].iter().any(|&id| {
+                let pred_may_run = self.arena.static_exec[pred.index()].iter().any(|&id| {
                     id.is_some_and(|id| {
-                        let op = &self.ops[id as usize];
-                        op.state == OpState::Pending && !self.known_dead[op.proc as usize]
+                        let op = &self.arena.ops[id as usize];
+                        op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
                     })
                 });
                 if !pred_may_run {
-                    self.unrecoverable[t.index()] = true;
+                    self.arena.unrecoverable[t.index()] = true;
                 }
                 return;
             }
@@ -2019,7 +1850,7 @@ impl<'a> Engine<'a> {
 
         // Materialize: one contention-free transfer per remote input, then
         // the replacement computation.
-        let ex = self.ops.len() as u32;
+        let ex = self.arena.ops.len() as u32;
         let mut exec_op = Op::new(
             self.inst.exec_time(t, q),
             now,
@@ -2030,33 +1861,33 @@ impl<'a> Engine<'a> {
         exec_op.recovery = true;
         exec_op.est_finish = est;
         self.apply_checkpointing(&mut exec_op);
-        self.ops.push(exec_op);
-        self.recovery_exec[t.index()].push(ex);
-        self.recovery_replicas += 1;
+        self.arena.ops.push(exec_op);
+        self.arena.recovery_exec[t.index()].push(ex);
+        self.arena.outcome.recovery_replicas += 1;
 
-        let mut acts = std::mem::take(&mut self.act_scratch);
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
         for (ei, &e) in in_edges.iter().enumerate() {
             let (src_op, src_proc, src_est) = picks[ei];
             if src_proc == q {
                 match src_op {
                     Some(s) => self.add_hard_dep(s, ex),
                     None => {
-                        let dep = &mut self.ops[ex as usize];
+                        let dep = &mut self.arena.ops[ex as usize];
                         dep.data_ready = dep.data_ready.max(src_est);
                     }
                 }
                 continue;
             }
             let w = self.inst.comm_time(e, src_proc, q);
-            let mid = self.ops.len() as u32;
+            let mid = self.arena.ops.len() as u32;
             let mut mop = Op::new(w, now, self.deadline_after(src_proc, now), src_proc);
             mop.dst = q.index() as u32;
-            self.ops.push(mop);
-            self.recovery_messages += 1;
+            self.arena.ops.push(mop);
+            self.arena.outcome.recovery_messages += 1;
             match src_op {
                 Some(s) => self.add_hard_dep(s, mid),
                 None => {
-                    let dep = &mut self.ops[mid as usize];
+                    let dep = &mut self.arena.ops[mid as usize];
                     dep.data_ready = dep.data_ready.max(src_est);
                 }
             }
@@ -2065,7 +1896,7 @@ impl<'a> Engine<'a> {
         }
         acts.push(Act::TrySchedule(ex));
         self.drain(&mut acts);
-        self.act_scratch = acts;
+        self.arena.act_scratch = acts;
     }
 
     /// Candidate hosts for a replacement or resumed replica of `t`:
@@ -2094,10 +1925,10 @@ impl<'a> Engine<'a> {
                 .collect();
         }
         if candidates.is_empty() {
-            if (0..self.inst.num_procs()).all(|p| self.known_dead[p]) {
-                self.unrecoverable[t.index()] = true;
+            if (0..self.inst.num_procs()).all(|p| self.arena.known_dead[p]) {
+                self.arena.unrecoverable[t.index()] = true;
             } else {
-                self.deferred[t.index()] = true;
+                self.arena.deferred[t.index()] = true;
             }
             return None;
         }
@@ -2111,9 +1942,9 @@ impl<'a> Engine<'a> {
     /// remaining `1 − frac` of the task. Host choice minimizes the
     /// estimated finish (ties to the smallest processor id).
     fn spawn_resume(&mut self, t: TaskId, now: f64) {
-        let frac = self.task_ck_frac[t.index()];
+        let frac = self.arena.task_ck_frac[t.index()];
         debug_assert!(frac > 0.0, "resume without a checkpoint");
-        let (interval, overhead) = self.plans[t.index()].expect("resume without a plan");
+        let (interval, overhead) = self.plan.plans[t.index()].expect("resume without a plan");
         let Some(candidates) = self.replacement_candidates(t, now) else {
             return;
         };
@@ -2129,7 +1960,7 @@ impl<'a> Engine<'a> {
         }
         let (est, q) = best.expect("candidate list non-empty");
         let full = self.inst.exec_time(t, q);
-        let ex = self.ops.len() as u32;
+        let ex = self.arena.ops.len() as u32;
         let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
         op.task = Some(t);
         op.recovery = true;
@@ -2137,13 +1968,13 @@ impl<'a> Engine<'a> {
         op.done_frac = frac;
         op.est_finish = est;
         self.apply_checkpointing(&mut op);
-        self.ops.push(op);
-        self.recovery_exec[t.index()].push(ex);
-        self.recovery_replicas += 1;
-        let mut acts = std::mem::take(&mut self.act_scratch);
+        self.arena.ops.push(op);
+        self.arena.recovery_exec[t.index()].push(ex);
+        self.arena.outcome.recovery_replicas += 1;
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
         acts.push(Act::TrySchedule(ex));
         self.drain(&mut acts);
-        self.act_scratch = acts;
+        self.arena.act_scratch = acts;
     }
 
     /// `Reschedule`: cancel any previous repair plan and re-run CAFT on
@@ -2161,23 +1992,23 @@ impl<'a> Engine<'a> {
             // replan — a later event will produce one; a platform with no
             // survivors at all still counts the vacuous attempt, matching
             // the historical accounting.
-            if (0..self.inst.num_procs()).all(|p| self.known_dead[p]) {
-                self.reschedules += 1;
+            if (0..self.inst.num_procs()).all(|p| self.arena.known_dead[p]) {
+                self.arena.outcome.reschedules += 1;
             }
             return;
         }
-        self.reschedules += 1;
+        self.arena.outcome.reschedules += 1;
         // Cancel superseded repair work.
-        for op in &mut self.ops {
+        for op in &mut self.arena.ops {
             if op.recovery && matches!(op.state, OpState::Pending | OpState::Scheduled) {
                 op.state = OpState::Cancelled;
             }
         }
-        let mut recovery_exec = std::mem::take(&mut self.recovery_exec);
+        let mut recovery_exec = std::mem::take(&mut self.arena.recovery_exec);
         for lists in &mut recovery_exec {
-            lists.retain(|&id| self.ops[id as usize].state == OpState::Done);
+            lists.retain(|&id| self.arena.ops[id as usize].state == OpState::Done);
         }
-        self.recovery_exec = recovery_exec;
+        self.arena.recovery_exec = recovery_exec;
 
         let v = self.inst.num_tasks();
         let eps = self.sched.epsilon().min(alive.len() - 1);
@@ -2214,24 +2045,27 @@ impl<'a> Engine<'a> {
         let opts = CaftOptions {
             eps,
             model: self.sched.model,
-            seed: self.cfg.seed.wrapping_add(self.reschedules as u64),
+            seed: self
+                .cfg
+                .seed
+                .wrapping_add(self.arena.outcome.reschedules as u64),
             ..CaftOptions::default()
         };
         let out = caft_on_subdag(self.inst, &spec, &opts);
         for t in &out.unscheduled {
-            self.unrecoverable[t.index()] = true;
+            self.arena.unrecoverable[t.index()] = true;
         }
 
         // Materialize the plan as fixed-time ops.
         let plan = &out.schedule;
         let mut new_exec: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
-        let mut acts = std::mem::take(&mut self.act_scratch);
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
         for t in 0..v {
             if !remnant[t] {
                 continue;
             }
             for r in plan.replicas_of(TaskId::from_index(t)) {
-                let id = self.ops.len() as u32;
+                let id = self.arena.ops.len() as u32;
                 let mut op = Op::new(
                     r.finish - r.start,
                     now,
@@ -2242,10 +2076,10 @@ impl<'a> Engine<'a> {
                 op.recovery = true;
                 op.fixed_finish = Some(r.finish);
                 op.est_finish = r.finish;
-                self.ops.push(op);
+                self.arena.ops.push(op);
                 new_exec[t].push(Some(id));
-                self.recovery_exec[t].push(id);
-                self.recovery_replicas += 1;
+                self.arena.recovery_exec[t].push(id);
+                self.arena.outcome.recovery_replicas += 1;
             }
         }
         // Wire the plan's messages: first-copy groups per (replica, edge).
@@ -2277,7 +2111,7 @@ impl<'a> Engine<'a> {
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
-                        let mid = self.ops.len() as u32;
+                        let mid = self.arena.ops.len() as u32;
                         let mut mop = Op::new(
                             msg.finish - msg.start,
                             now,
@@ -2287,9 +2121,9 @@ impl<'a> Engine<'a> {
                         mop.dst = msg.to.index() as u32;
                         mop.fixed_finish = Some(msg.finish);
                         mop.recovery = true;
-                        self.ops.push(mop);
+                        self.arena.ops.push(mop);
                         if !msg.is_local() {
-                            self.recovery_messages += 1;
+                            self.arena.outcome.recovery_messages += 1;
                         }
                         match src_op {
                             Some(s) => self.add_hard_dep(s, mid),
@@ -2309,70 +2143,28 @@ impl<'a> Engine<'a> {
             }
         }
         self.drain(&mut acts);
-        self.act_scratch = acts;
+        self.arena.act_scratch = acts;
     }
 
-    /// Finalizes the run into `scratch.outcome` and returns every buffer
-    /// to the arena. The outcome's two vectors are *swapped* with the
-    /// engine's, so the previous run's outcome storage becomes the next
-    /// run's `first_finish`/`recovered` buffers — the last allocation the
-    /// steady-state loop would otherwise make.
+    /// Counts the run's unrecoverable tasks into its outcome and moves the
+    /// arena back into the caller's slot whole: every buffer with its
+    /// capacity, and the outcome whose vectors were this run's
+    /// first-finish/recovered buffers and become the next run's.
     fn finish_into(mut self, scratch: &mut EngineScratch) {
-        let unrecoverable = self
+        let arena = &mut self.arena;
+        arena.outcome.unrecoverable = arena
             .unrecoverable
             .iter()
-            .zip(&self.first_finish)
+            .zip(&arena.outcome.first_finish)
             .filter(|&(&flagged, finish)| flagged && finish.is_none())
             .count();
-        let out = &mut scratch.outcome;
-        std::mem::swap(&mut out.first_finish, &mut self.first_finish);
-        std::mem::swap(&mut out.recovered, &mut self.recovered);
-        out.num_failures = self.scenario.num_failures();
-        out.detections = self.detections;
-        out.rejoins = self.rejoins;
-        out.reschedules = self.reschedules;
-        out.recovery_replicas = self.recovery_replicas;
-        out.recovery_messages = self.recovery_messages;
-        out.unrecoverable = unrecoverable;
-        out.prestaged = self.prestaged;
-        out.rejected_actions = self.rejected_actions;
-        out.checkpoint_overhead = self.checkpoint_overhead;
-        out.work_saved = self.work_saved;
-        out.work_lost = self.work_lost;
-        out.detection_lag = self.detection_lag;
-        out.net_transfers = self.net_transfers;
-        out.net_contended = self.net_contended;
-        out.net_delay = self.net_delay;
-
-        scratch.ops = self.ops;
-        scratch.queue = self.heap;
-        scratch.static_exec = self.static_exec;
-        scratch.recovery_exec = self.recovery_exec;
-        scratch.known_dead = self.known_dead;
-        scratch.believed_instant = self.believed_instant;
-        scratch.believed_epoch = self.believed_epoch;
-        scratch.epochs = self.epochs;
-        scratch.crash_detect = self.crash_detect;
-        scratch.rejoin_detect = self.rejoin_detect;
-        scratch.crash_seen = self.crash_seen;
-        scratch.rejoin_seen = self.rejoin_seen;
-        scratch.first_finish = self.first_finish;
-        scratch.recovered = self.recovered;
-        scratch.unrecoverable = self.unrecoverable;
-        scratch.deferred = self.deferred;
-        scratch.staged = self.staged;
-        scratch.act_scratch = self.act_scratch;
-        scratch.fail_scratch = self.fail_scratch;
-        scratch.action_scratch = self.action_scratch;
-        scratch.task_ck_frac = self.task_ck_frac;
-        scratch.proc_deadline = self.proc_deadline;
-        scratch.net = self.net;
+        *scratch = self.arena;
     }
 
     /// Streams every materialized operation to `obs` in creation order —
     /// the [`Observer::on_op`] pass after the event loop drains.
     fn emit_ops(&self, obs: &mut dyn Observer) {
-        for op in &self.ops {
+        for op in &self.arena.ops {
             obs.on_op(&OpTrace {
                 proc: ProcId::from_index(op.proc as usize),
                 task: op.task,

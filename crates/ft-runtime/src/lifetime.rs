@@ -8,13 +8,13 @@
 //! [`draw_scenario`] packages a platform-wide draw as a
 //! [`FaultScenario`].
 //!
-//! Since the transient-failure PR, crashes need not be permanent: a
-//! [`FailureKind`] selects between the paper's permanent fail-stop model
-//! and [`FailureKind::Transient`], where each crash is followed by a
-//! repair time drawn from a [`RepairModel`] (constant, exponential, or a
-//! per-processor trace) and the processor reboots — possibly to crash
-//! again: [`draw_scenario_with`] keeps drawing failure epochs from the
-//! **same per-processor stream** until the horizon. A repair of
+//! Crashes need not be permanent: a [`FailureKind`] selects between the
+//! paper's permanent fail-stop model and [`FailureKind::Transient`],
+//! where each crash is followed by a repair time drawn from a
+//! [`RepairModel`] (constant, exponential, or a per-processor trace) and
+//! the processor reboots — possibly to crash again:
+//! [`draw_scenario_with`] keeps drawing failure epochs from the **same
+//! per-processor stream** until the horizon. A repair of
 //! `f64::INFINITY` degenerates to a permanent crash (see the availability
 //! identity in `tests/timed_model.rs` and DESIGN.md §6).
 //!

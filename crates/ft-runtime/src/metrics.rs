@@ -123,8 +123,8 @@ impl RunOutcome {
 
     /// Achieved latency normalized by `nominal` (the schedule's 0-crash
     /// makespan); `None` if some task never completed. The single
-    /// definition of the headline *slowdown* metric — [`report`] and the
-    /// Monte-Carlo accumulator both call this instead of recomputing it.
+    /// definition of the headline *slowdown* metric — [`report`] and
+    /// [`MetricSet::record`] both call this instead of recomputing it.
     pub fn slowdown(&self, nominal: f64) -> Option<f64> {
         self.latency().map(|l| l / nominal)
     }
@@ -344,11 +344,10 @@ impl Histogram {
         self.sum.value() / self.count as f64
     }
 
-    /// Fraction of recorded samples `≤ x`, read off the bucket counts
-    /// (`x` is rounded *up* to the next bucket edge, so the answer is
-    /// exact when `x` is an edge and conservative otherwise; `NaN` while
-    /// empty). This is the cumulative-distribution accessor the
-    /// validation harness uses to turn a histogram into a claim value.
+    /// Fraction of recorded samples `≤ x`, read off the bucket counts: it
+    /// sums the finite buckets whose edge is `≤ x`, so `x` is rounded
+    /// *down* to the nearest edge at or below it. The answer is exact when
+    /// `x` is an edge and a lower bound otherwise (`NaN` while empty).
     pub fn fraction_le(&self, x: f64) -> f64 {
         if self.count == 0 {
             return f64::NAN;
@@ -370,9 +369,10 @@ impl Histogram {
 /// run feeds the histograms and counters below, partial sets merge
 /// exactly ([`MetricSet::merge`]), and the batch's final set is exposed on
 /// [`BatchSummary::metrics`] (and as `--metrics-json` in the experiment
-/// binaries). All aggregates are integer counts, exact sums or min/max,
-/// so the merged result is byte-identical across thread counts and merge
-/// orders.
+/// binaries); the summary's run counts, latency and slowdown figures and
+/// recovery totals are read off it. All aggregates are integer counts,
+/// exact sums or min/max, so the merged result is byte-identical across
+/// thread counts and merge orders.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct MetricSet {
     /// Achieved latency over completed runs; edges at `nominal ×
@@ -457,7 +457,7 @@ impl MetricSet {
         match out.latency() {
             Some(lat) => {
                 self.latency.record(lat);
-                // Same definition the accumulator and reports use.
+                // The one slowdown definition, shared with reports.
                 self.slowdown
                     .record(out.slowdown(nominal).unwrap_or(f64::NAN));
             }

@@ -1,9 +1,8 @@
 //! Recovery policies: the serializable built-ins, the open [`Policy`]
 //! trait, and the typed [`RecoveryAction`]s the engine applies.
 //!
-//! Since the recovery-layer redesign the engine no longer hard-matches a
-//! closed enum: every policy — built-in or user-defined — implements the
-//! object-safe [`Policy`] trait. At each availability event (a crash or
+//! The engine does not hard-match a closed enum: every policy — built-in
+//! or user-defined — implements the object-safe [`Policy`] trait. At each availability event (a crash or
 //! rejoin entering or spreading through the coordinator view) the engine
 //! hands the policy a read-only [`PolicyView`] of its
 //! knowledge state and collects typed [`RecoveryAction`]s, which it

@@ -15,13 +15,14 @@
 //!   kill a processor at `t ≤ 0` — the adversarial replay identities —
 //!   and one-shot plans, which carry no template, take the full build,
 //!   byte-for-byte.
-//! * [`EngineScratch`] — every per-run buffer the engine touches, owned
+//! * [`EngineScratch`] — every per-run buffer the engine touches, kept
 //!   across runs: the op arena, the indexed event queue, belief and
-//!   detection state, propagation scratch, and the previous run's
-//!   [`RunOutcome`] (whose vectors are recycled into the next run). After
-//!   one warm-up run on a failure-free scenario, a run through a warm
-//!   scratch performs **zero** heap allocations (pinned by
-//!   `tests/alloc_discipline.rs`).
+//!   detection state, propagation scratch, and the run's [`RunOutcome`],
+//!   whose per-task vectors are the run's first-finish/recovered
+//!   buffers. A run owns the arena whole — moved in, each buffer reset in
+//!   place, moved back. After one warm-up run on a failure-free
+//!   scenario, a run through a warm scratch performs **zero** heap
+//!   allocations (pinned by `tests/alloc_discipline.rs`).
 //! * [`ScratchPool`] — a mutex-guarded stack of warm arenas, shared by
 //!   the rayon workers of [`simulate_many`](crate::simulate_many) /
 //!   [`ChunkedBatch`](crate::ChunkedBatch) chunks and across the cells
@@ -217,40 +218,94 @@ impl std::fmt::Debug for StaticPlan {
     }
 }
 
-/// The reusable per-run arena: every buffer one engine run touches, plus
-/// the latest [`RunOutcome`]. Buffers keep their capacity across runs —
-/// construct once (or [take](ScratchPool::take) from a pool), hand to
-/// run after run, and the steady-state hot loop stops allocating
-/// entirely (see the [module docs](self)).
+/// The reusable per-run arena: every buffer one engine run touches, and
+/// the run's [`RunOutcome`]. A run owns the arena whole — moved in at its
+/// start, each buffer reset in place, moved back at its end — so buffers
+/// keep their capacity across runs: construct once (or
+/// [take](ScratchPool::take) from a pool), hand to run after run, and the
+/// steady-state hot loop stops allocating entirely (see the [module
+/// docs](self)).
 #[derive(Default)]
 pub struct EngineScratch {
+    /// The op arena, indexed by op id: static ops first, repair work
+    /// appended as it is spawned.
     pub(crate) ops: Vec<Op>,
+    /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
+    /// crash detection, 2 = rejoin knowledge (`id` = `epoch · m + proc`).
+    /// Completions at a given instant precede detections, which precede
+    /// rejoins.
     pub(crate) queue: EventQueue,
+    /// Static exec op per (task, copy); `None` when pruned at build time.
     pub(crate) static_exec: Vec<Vec<Option<u32>>>,
+    /// Recovery exec ops per task.
     pub(crate) recovery_exec: Vec<Vec<u32>>,
+    /// The coordinator's current belief: `p` is dead (its latest known
+    /// availability event is a crash). Flips back to `false` when a
+    /// rejoin enters the coordinator view.
     pub(crate) known_dead: Vec<bool>,
+    /// Physical instant of the latest availability event (crash or
+    /// reboot) brought into the coordinator view per processor; the
+    /// belief follows the event with the latest *physical* time, so
+    /// out-of-order knowledge (a slow crash detection arriving after the
+    /// fast rejoin news) cannot roll the state backwards.
     pub(crate) believed_instant: Vec<f64>,
+    /// The failure epoch behind the current belief of `p` (meaningful
+    /// while `known_dead[p]`; indexes `crash_detect[p]`).
     pub(crate) believed_epoch: Vec<usize>,
+    /// Failure epochs `(crash, reboot)` per processor, from the scenario.
     pub(crate) epochs: Vec<Vec<(f64, f64)>>,
+    /// `crash_detect[p][k][q]`: the instant at which processor `q` learns
+    /// of the epoch-`k` crash of processor `p` (`INFINITY` = never);
+    /// precomputed from the [`DetectionModel`](crate::DetectionModel) at
+    /// the start of the run.
     pub(crate) crash_detect: Vec<Vec<Vec<f64>>>,
+    /// `rejoin_detect[p][k][q]`: when `q` learns that `p` rebooted from
+    /// its epoch-`k` crash (empty for permanent epochs). Rejoin knowledge
+    /// propagates through the same detection model as crash knowledge.
     pub(crate) rejoin_detect: Vec<Vec<Vec<f64>>>,
+    /// First-event-processed flags per `(proc, epoch)` crash.
     pub(crate) crash_seen: Vec<Vec<bool>>,
+    /// First-event-processed flags per `(proc, epoch)` rejoin.
     pub(crate) rejoin_seen: Vec<Vec<bool>>,
-    pub(crate) first_finish: Vec<Option<f64>>,
-    pub(crate) recovered: Vec<bool>,
+    /// Per-task flag: a recovery pass found the task's data gone on
+    /// every survivor (deduplicated across detections).
     pub(crate) unrecoverable: Vec<bool>,
+    /// Per-task flag: a `ReReplicate`/`Checkpoint` spawn was skipped
+    /// because survivors existed but none was repair-eligible yet
+    /// (survivor-knowledge rule); retried at every later detection
+    /// event. Never set under uniform detection, where eligibility and
+    /// survival coincide.
     pub(crate) deferred: Vec<bool>,
+    /// Pre-staged data copies per task: `(destination proc, transfer
+    /// op)` pairs created by applied
+    /// [`PreStage`](RecoveryAction::PreStage) actions. A staged copy
+    /// feeds later repairs exactly like a surviving replica output.
     pub(crate) staged: Vec<Vec<(u32, u32)>>,
+    /// Reusable dependency-propagation buffer (otherwise one `Vec<Act>`
+    /// per completion, the event loop's hottest allocation).
     pub(crate) act_scratch: Vec<Act>,
+    /// Second-level propagation buffer for the immediate drains inside
+    /// `Engine::add_hard_dep` / `Engine::add_group`, which can run while
+    /// `act_scratch` is checked out by a repair/replan path. One level of
+    /// nesting is the maximum: the drained actions
+    /// (`Fail`/`GhostDone`/`TrySchedule`) never wire new dependencies.
     pub(crate) fail_scratch: Vec<Act>,
+    /// Reusable policy-action buffer, cleared before each hook call.
     pub(crate) action_scratch: Vec<RecoveryAction>,
+    /// Best checkpointed fraction of each task (stable storage: survives
+    /// any crash; monotone under the max over crashed replicas).
     pub(crate) task_ck_frac: Vec<f64>,
+    /// Per-processor first crash deadline after `t = 0`, used by the
+    /// template fast path to overwrite op deadlines in one pass.
     pub(crate) proc_deadline: Vec<f64>,
-    /// Link/port occupancy of contended runs; interval lists keep their
+    /// Live link/port occupancy, charged under a contended
+    /// [`Contention`](ft_net::Contention) mode; interval lists keep their
     /// capacity across runs (Ideal runs carry it through untouched).
     pub(crate) net: NetworkState,
-    /// Outcome of the latest run executed through this scratch; its
-    /// vectors are recycled into the next run's buffers.
+    /// The run's outcome: the engine counts into it as the run goes, and
+    /// its `first_finish`/`recovered` vectors are the run's own per-task
+    /// buffers. It holds the latest run's result until the next run
+    /// resets it in place.
     pub(crate) outcome: RunOutcome,
 }
 
