@@ -109,7 +109,7 @@ use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
 use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
-use ft_graph::TaskId;
+use ft_graph::{EdgeId, TaskId};
 use ft_model::{FtSchedule, Replica, ReplicaRef};
 #[cfg(doc)]
 use ft_net::NetworkState;
@@ -237,6 +237,11 @@ fn clone_vec_reusing<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
     dst.extend(src[shared..].iter().cloned());
 }
 
+/// One surviving copy of a task's output data: `(op, proc, ready)` — the
+/// op still producing it (`None` once the data exists), the processor it
+/// lives on, and when it is (estimated to be) available.
+type DataCopy = (Option<u32>, ProcId, f64);
+
 /// Read-only view of the engine's belief and progress state, handed to
 /// the [`Policy`] hooks at each event. The view exposes the engine's own
 /// loss analytics — [`crash_lost_tasks`](PolicyView::crash_lost_tasks)
@@ -317,10 +322,7 @@ impl<'a> PolicyView<'a> {
     /// repairs, in task-index order.
     pub fn crash_lost_tasks(&self, p: ProcId) -> Vec<TaskId> {
         self.engine
-            .crash_lost(p)
-            .into_iter()
-            .map(TaskId::from_index)
-            .collect()
+            .lost_tasks_where(|op| op.proc as usize == p.index() && op.state != OpState::Done)
     }
 
     /// Every task that suffered a loss anywhere — a failed, cancelled or
@@ -329,11 +331,13 @@ impl<'a> PolicyView<'a> {
     /// the built-ins repair at rejoin-knowledge events, in task-index
     /// order.
     pub fn lost_tasks(&self) -> Vec<TaskId> {
-        self.engine
-            .all_lost()
-            .into_iter()
-            .map(TaskId::from_index)
-            .collect()
+        let known_dead = &self.engine.arena.known_dead;
+        self.engine.lost_tasks_where(|op| {
+            matches!(
+                op.state,
+                OpState::Failed | OpState::GhostDone | OpState::Cancelled
+            ) || (op.state != OpState::Done && known_dead[op.proc as usize])
+        })
     }
 }
 
@@ -521,38 +525,13 @@ impl Op {
 /// Hand-written so that `clone_from` reuses the target's buffers: the
 /// derived impl's `clone_from` falls back to `*self = source.clone()`,
 /// which would re-allocate all five dependency lists per op per run and
-/// defeat the template fast path.
+/// defeat the template fast path. `clone` builds through `clone_from`, so
+/// the field list is written once.
 impl Clone for Op {
     fn clone(&self) -> Self {
-        Op {
-            duration: self.duration,
-            work: self.work,
-            full: self.full,
-            done_frac: self.done_frac,
-            ck_pad: self.ck_pad,
-            fixed_finish: self.fixed_finish,
-            release: self.release,
-            deadline: self.deadline,
-            proc: self.proc,
-            dst: self.dst,
-            task: self.task,
-            recovery: self.recovery,
-            est_finish: self.est_finish,
-            hard_remaining: self.hard_remaining,
-            fifo_remaining: self.fifo_remaining,
-            groups_remaining: self.groups_remaining,
-            group_live: self.group_live.clone(),
-            group_done: self.group_done.clone(),
-            data_ready: self.data_ready,
-            fifo_ready: self.fifo_ready,
-            hard_deps: self.hard_deps.clone(),
-            fifo_deps: self.fifo_deps.clone(),
-            group_deps: self.group_deps.clone(),
-            state: self.state,
-            start: self.start,
-            finish: self.finish,
-            discovered: self.discovered,
-        }
+        let mut op = Op::new(0.0, 0.0, 0.0, ProcId(0));
+        op.clone_from(self);
+        op
     }
 
     fn clone_from(&mut self, source: &Self) {
@@ -1021,10 +1000,9 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        let mut acts = std::mem::take(&mut self.arena.act_scratch);
-        acts.extend((0..self.arena.ops.len() as u32).map(Act::TrySchedule));
-        self.drain(&mut acts);
-        self.arena.act_scratch = acts;
+        let n = self.arena.ops.len() as u32;
+        self.arena.act_scratch.extend((0..n).map(Act::TrySchedule));
+        self.settle();
     }
 
     /// The distinct finite knowledge instants of one availability event
@@ -1107,19 +1085,36 @@ impl<'a> Engine<'a> {
         }
         self.arena.outcome.checkpoint_overhead += ck_pad;
         self.arena.outcome.work_saved += saved;
-        // Scratch reuse: this is the per-event allocation the profile
-        // flagged — one Vec per completion, ~V+E times per run.
         phase!(self, Completion, {
-            let mut acts = std::mem::take(&mut self.arena.act_scratch);
-            acts.push(Act::RealDone(id, time));
-            self.drain(&mut acts);
-            self.arena.act_scratch = acts;
+            self.arena.act_scratch.push(Act::RealDone(id, time));
+            self.settle();
         });
         if let Some(t) = first_done {
             self.policy_hook(time, |policy, view, actions| {
                 policy.on_completion(view, t, time, actions)
             });
         }
+    }
+
+    /// Drains the actions queued in `act_scratch` to a fixpoint — the one
+    /// checkout of that buffer. Repair paths queue their new ops there
+    /// while wiring them and settle once at the end; a reused buffer
+    /// spares the event loop one `Vec` per completion.
+    fn settle(&mut self) {
+        let mut acts = std::mem::take(&mut self.arena.act_scratch);
+        self.drain(&mut acts);
+        self.arena.act_scratch = acts;
+    }
+
+    /// Fails op `i` on the spot — wiring found a dependency that can
+    /// never deliver — and drains the consequences through `fail_scratch`
+    /// (the one checkout of it), leaving the actions queued in
+    /// `act_scratch` untouched.
+    fn fail_now(&mut self, i: u32) {
+        let mut acts = std::mem::take(&mut self.arena.fail_scratch);
+        acts.push(Act::Fail(i));
+        self.drain(&mut acts);
+        self.arena.fail_scratch = acts;
     }
 
     /// Drains dependency-propagation actions to a fixpoint.
@@ -1337,13 +1332,8 @@ impl<'a> Engine<'a> {
                 let dep = &mut self.arena.ops[to as usize];
                 dep.data_ready = dep.data_ready.max(t);
             }
-            OpState::Failed | OpState::GhostDone | OpState::Cancelled => {
-                // The producer can never deliver: the dependent fails too.
-                let mut acts = std::mem::take(&mut self.arena.fail_scratch);
-                acts.push(Act::Fail(to));
-                self.drain(&mut acts);
-                self.arena.fail_scratch = acts;
-            }
+            // The producer can never deliver: the dependent fails too.
+            OpState::Failed | OpState::GhostDone | OpState::Cancelled => self.fail_now(to),
             _ => {
                 self.arena.ops[from as usize].hard_deps.push(to);
                 self.arena.ops[to as usize].hard_remaining += 1;
@@ -1379,10 +1369,7 @@ impl<'a> Engine<'a> {
             // No member can ever deliver.
             op.group_live.push(0);
             op.group_done.push(false);
-            let mut acts = std::mem::take(&mut self.arena.fail_scratch);
-            acts.push(Act::Fail(ex));
-            self.drain(&mut acts);
-            self.arena.fail_scratch = acts;
+            self.fail_now(ex);
         } else {
             op.group_live.push(live);
             op.group_done.push(false);
@@ -1601,48 +1588,31 @@ impl<'a> Engine<'a> {
             || self.arena.recovery_exec[t].iter().any(safe)
     }
 
-    /// Surviving data copies of task `t` as `(op, proc, est_finish)`;
-    /// `op = None` when the data already exists (completed op).
-    fn surviving_copies(&self, t: usize) -> Vec<(Option<u32>, ProcId, f64)> {
+    /// Surviving data copies of task `t`, by availability then processor:
+    /// its replica outputs and its pre-staged copies alike (a staged copy
+    /// feeds later repairs exactly like a replica output), each living on
+    /// its op's destination — a replica's host, a staged transfer's
+    /// receiver. Completed data exists (`op = None`); a scheduled op's
+    /// data will exist at its finish, a pending repair op's at its
+    /// estimate. Local data persists across reboots, so only the belief
+    /// filter applies.
+    fn surviving_copies(&self, t: usize) -> Vec<DataCopy> {
+        let arena = &self.arena;
+        let replicas = arena.static_exec[t].iter().flatten();
         let mut out = Vec::new();
-        let push = |id: u32, ops: &Vec<Op>, known_dead: &Vec<bool>, out: &mut Vec<_>| {
-            let op = &ops[id as usize];
-            if known_dead[op.proc as usize] {
-                return;
-            }
-            match op.state {
-                OpState::Done => out.push((None, ProcId::from_index(op.proc as usize), op.finish)),
-                OpState::Scheduled => {
-                    out.push((Some(id), ProcId::from_index(op.proc as usize), op.finish))
-                }
-                OpState::Pending if op.recovery => out.push((
-                    Some(id),
-                    ProcId::from_index(op.proc as usize),
-                    op.est_finish,
-                )),
-                _ => {}
-            }
-        };
-        for id in self.arena.static_exec[t].iter().flatten() {
-            push(*id, &self.arena.ops, &self.arena.known_dead, &mut out);
-        }
-        for id in &self.arena.recovery_exec[t] {
-            push(*id, &self.arena.ops, &self.arena.known_dead, &mut out);
-        }
-        // Pre-staged copies (warm-spare `PreStage`): data transferred to
-        // another processor counts exactly like a replica output there —
-        // local data persists across reboots, so only the belief filter
-        // applies.
-        for &(proc, id) in &self.arena.staged[t] {
-            if self.arena.known_dead[proc as usize] {
+        for &id in replicas
+            .chain(&arena.recovery_exec[t])
+            .chain(&arena.staged[t])
+        {
+            let op = &arena.ops[id as usize];
+            if arena.known_dead[op.dst as usize] {
                 continue;
             }
-            let pid = ProcId::from_index(proc as usize);
-            let op = &self.arena.ops[id as usize];
+            let at = ProcId::from_index(op.dst as usize);
             match op.state {
-                OpState::Done => out.push((None, pid, op.finish)),
-                OpState::Scheduled => out.push((Some(id), pid, op.finish)),
-                OpState::Pending => out.push((Some(id), pid, op.est_finish)),
+                OpState::Done => out.push((None, at, op.finish)),
+                OpState::Scheduled => out.push((Some(id), at, op.finish)),
+                OpState::Pending if op.recovery => out.push((Some(id), at, op.est_finish)),
                 _ => {}
             }
         }
@@ -1650,152 +1620,165 @@ impl<'a> Engine<'a> {
         out
     }
 
-    /// The crash-event loss selection (the built-in `ReReplicate`
-    /// family's repair list, exposed as
-    /// [`PolicyView::crash_lost_tasks`]): every task that lost a
-    /// not-yet-completed copy on `p` and is not believed safe, plus the
-    /// deferred-retry list — tasks whose spawn was skipped at an earlier
-    /// event for lack of repair-eligible survivors; a knowledge-growth
-    /// event may not name them in its own lost set.
-    fn crash_lost(&self, p: ProcId) -> Vec<usize> {
-        let g = &self.inst.graph;
-        let mut lost: Vec<usize> = Vec::new();
-        for t in 0..g.num_tasks() {
-            let on_p_not_done = |&id: &u32| {
-                let op = &self.arena.ops[id as usize];
-                op.proc as usize == p.index() && op.state != OpState::Done
-            };
-            if (self.arena.deferred[t]
-                || self.arena.static_exec[t].iter().flatten().any(on_p_not_done)
-                || self.arena.recovery_exec[t].iter().any(on_p_not_done)
-                // A replica pruned at build time (its static host crashed
-                // pre-start, or statically starved) also counts as lost.
-                || self.arena.static_exec[t].iter().any(|o| o.is_none()))
-                && !self.task_believed_safe(t)
-            {
-                lost.push(t);
-            }
-        }
-        lost
+    /// The loss selection behind both [`PolicyView`] repair lists, in
+    /// task-index order: every task not believed safe that is deferred
+    /// (a spawn skipped at an earlier event for lack of repair-eligible
+    /// survivors — a knowledge-growth event may not name it in its own
+    /// lost set), lost a replica at build time (its static host crashed
+    /// pre-start, or it starved statically), or has a replica matching
+    /// `lost`.
+    fn lost_tasks_where(&self, lost: impl Fn(&Op) -> bool) -> Vec<TaskId> {
+        let arena = &self.arena;
+        let replica_lost = |&id: &u32| lost(&arena.ops[id as usize]);
+        (0..self.inst.num_tasks())
+            .filter(|&t| {
+                (arena.deferred[t]
+                    || arena.static_exec[t].iter().any(|o| o.is_none())
+                    || arena.static_exec[t].iter().flatten().any(replica_lost)
+                    || arena.recovery_exec[t].iter().any(replica_lost))
+                    && !self.task_believed_safe(t)
+            })
+            .map(TaskId::from_index)
+            .collect()
     }
 
-    /// The rejuvenation loss selection fired at rejoin-knowledge events
-    /// (exposed as [`PolicyView::lost_tasks`]): every task that suffered
-    /// a loss anywhere — a failed, cancelled or believed-dead-hosted
-    /// replica, a build-time pruning, or an earlier deferral — and is
-    /// not believed safe. The rejoined processor (and its persisted
-    /// data) widens both the candidate hosts and the surviving input
-    /// copies, so tasks flagged unrecoverable at an earlier detection
-    /// can become repairable here.
-    fn all_lost(&self) -> Vec<usize> {
-        let mut lost: Vec<usize> = Vec::new();
-        for t in 0..self.inst.num_tasks() {
-            let lost_replica = |&id: &u32| {
-                let op = &self.arena.ops[id as usize];
-                op.state != OpState::Done
-                    && (matches!(
-                        op.state,
-                        OpState::Failed | OpState::GhostDone | OpState::Cancelled
-                    ) || self.arena.known_dead[op.proc as usize])
-            };
-            if (self.arena.deferred[t]
-                || self.arena.static_exec[t].iter().any(|o| o.is_none())
-                || self.arena.static_exec[t].iter().flatten().any(lost_replica)
-                || self.arena.recovery_exec[t].iter().any(lost_replica))
-                && !self.task_believed_safe(t)
-            {
-                lost.push(t);
+    /// The copy of edge `e`'s data that reaches `q` first, ties to the
+    /// smaller source processor: the source rule of spawns and pre-stages.
+    fn nearest_copy(&self, copies: &[DataCopy], e: EdgeId, q: ProcId) -> DataCopy {
+        let arrival = |c: &DataCopy| c.2 + self.inst.comm_time(e, c.1, q);
+        *copies
+            .iter()
+            .min_by(|a, b| {
+                arrival(a)
+                    .total_cmp(&arrival(b))
+                    .then_with(|| a.1.cmp(&b.1))
+            })
+            .expect("non-empty copy list")
+    }
+
+    /// Makes op `to` wait for data copy `src`: a hard dependency on the op
+    /// still producing it, or the instant it became available.
+    fn feed(&mut self, src: DataCopy, to: u32) {
+        match src.0 {
+            Some(s) => self.add_hard_dep(s, to),
+            None => {
+                let dep = &mut self.arena.ops[to as usize];
+                dep.data_ready = dep.data_ready.max(src.2);
             }
         }
-        lost
+    }
+
+    /// Appends one repair transfer of `w` units from data copy `src` to
+    /// `to` — the one constructor of repair transfers (spawn inputs,
+    /// pre-stages, replan messages). It is released at `now`, bound to
+    /// `deadline`, completes at `fixed_finish` when a replan planned it,
+    /// waits for its source, counts as a recovery message unless local,
+    /// and is queued for the next [`Engine::settle`].
+    fn push_transfer(
+        &mut self,
+        src: DataCopy,
+        to: ProcId,
+        w: f64,
+        fixed_finish: Option<f64>,
+        deadline: f64,
+        now: f64,
+    ) -> u32 {
+        let mid = self.arena.ops.len() as u32;
+        let mut op = Op::new(w, now, deadline, src.1);
+        op.dst = to.index() as u32;
+        op.fixed_finish = fixed_finish;
+        op.recovery = true;
+        op.est_finish = src.2.max(now) + w;
+        self.arena.ops.push(op);
+        if src.1 != to {
+            self.arena.outcome.recovery_messages += 1;
+        }
+        self.feed(src, mid);
+        self.arena.act_scratch.push(Act::TrySchedule(mid));
+        mid
+    }
+
+    /// Appends `op` as a repair computation of its task — the one way into
+    /// `recovery_exec` — flagged as recovery work and counted as a
+    /// recovery replica; returns its id.
+    fn push_recovery_exec(&mut self, mut op: Op) -> u32 {
+        let t = op.task.expect("a computation").index();
+        let id = self.arena.ops.len() as u32;
+        op.recovery = true;
+        self.arena.ops.push(op);
+        self.arena.recovery_exec[t].push(id);
+        self.arena.outcome.recovery_replicas += 1;
+        id
     }
 
     /// Applies a validated [`RecoveryAction::PreStage`]: one
-    /// contention-free transfer per input edge of `t` from the earliest
+    /// contention-free transfer per input edge of `t` from the nearest
     /// surviving copy of the predecessor's data to `on`, skipping inputs
     /// already present there (a surviving replica output or an earlier
     /// staged copy). Each transfer is bound to **both** endpoints'
     /// current epochs — its deadline is the earlier of the sender's and
     /// the receiver's next crash — so data never counts as staged on a
     /// processor that was down when it arrived. Predecessors with no
-    /// surviving copy are skipped (nothing to stage); the staged copies
-    /// then feed later repairs exactly like replica outputs.
+    /// surviving copy are skipped (nothing to stage).
     fn prestage_inputs(&mut self, t: usize, on: usize, now: f64) {
         if self.task_believed_safe(t) {
             return; // a spawn this round (or earlier) already covered it
         }
-        let on_pid = ProcId::from_index(on);
+        let on = ProcId::from_index(on);
         // Reborrow through the instance's own lifetime: the in-edge slice
         // lives in the graph, not behind `&self`, so no clone is needed to
         // keep `&mut self` callable below.
         let inst = self.inst;
-        let in_edges = inst.graph.in_edges(TaskId::from_index(t));
         let mut staged_any = false;
-        let mut acts = std::mem::take(&mut self.arena.act_scratch);
-        for &e in in_edges {
-            let pred = inst.graph.edge(e).src;
-            let copies = self.surviving_copies(pred.index());
-            if copies.is_empty() || copies.iter().any(|&(_, p, _)| p == on_pid) {
+        for &e in inst.graph.in_edges(TaskId::from_index(t)) {
+            let pred = inst.graph.edge(e).src.index();
+            let copies = self.surviving_copies(pred);
+            if copies.is_empty() || copies.iter().any(|&(_, p, _)| p == on) {
                 continue; // nothing to stage, or already warm on `on`
             }
-            let (src_op, src_proc, src_est) = *copies
-                .iter()
-                .min_by(|a, b| {
-                    let fa = a.2 + self.inst.comm_time(e, a.1, on_pid);
-                    let fb = b.2 + self.inst.comm_time(e, b.1, on_pid);
-                    fa.total_cmp(&fb).then_with(|| a.1.cmp(&b.1))
-                })
-                .expect("non-empty copy list");
-            let w = self.inst.comm_time(e, src_proc, on_pid);
-            let mid = self.arena.ops.len() as u32;
+            let src = self.nearest_copy(&copies, e, on);
             let deadline = self
-                .deadline_after(src_proc, now)
-                .min(self.deadline_after(on_pid, now));
-            let mut mop = Op::new(w, now, deadline, src_proc);
-            mop.dst = on as u32;
-            mop.recovery = true;
-            mop.est_finish = src_est.max(now) + w;
-            self.arena.ops.push(mop);
-            self.arena.outcome.recovery_messages += 1;
-            match src_op {
-                Some(s) => self.add_hard_dep(s, mid),
-                None => {
-                    let dep = &mut self.arena.ops[mid as usize];
-                    dep.data_ready = dep.data_ready.max(src_est);
-                }
-            }
-            self.arena.staged[pred.index()].push((on as u32, mid));
+                .deadline_after(src.1, now)
+                .min(self.deadline_after(on, now));
+            let w = inst.comm_time(e, src.1, on);
+            let mid = self.push_transfer(src, on, w, None, deadline, now);
+            self.arena.staged[pred].push(mid);
             staged_any = true;
-            acts.push(Act::TrySchedule(mid));
         }
         if staged_any {
             self.arena.outcome.prestaged += 1;
         }
-        self.drain(&mut acts);
-        self.arena.act_scratch = acts;
+        self.settle();
     }
 
-    /// Greedy single replacement replica for `t` at detection time `T`.
-    /// With `allow_resume` (a [`RecoveryAction::ResumeFromCheckpoint`]),
-    /// a task with a checkpoint plan and a completed checkpoint is
-    /// resumed from it instead of replaced from scratch.
+    /// Greedy single replacement replica for `t` at detection time `now`:
+    /// on the repair-eligible host with the earliest estimated finish
+    /// (ties to the smallest processor id), fed by the nearest surviving
+    /// copy of each input. With `allow_resume` (a
+    /// [`RecoveryAction::ResumeFromCheckpoint`]) and checkpoint credit
+    /// `frac > 0`, the spawn is a resume: the checkpoint lives on stable
+    /// storage, so the replica takes **no** input edges, pays one
+    /// `overhead` to read the state, and recomputes only the remaining
+    /// `1 − frac` of the task.
     fn spawn_replacement(&mut self, t: TaskId, now: f64, allow_resume: bool) {
-        if allow_resume
-            && self.plan.plans[t.index()].is_some()
-            && self.arena.task_ck_frac[t.index()] > 0.0
-        {
-            self.spawn_resume(t, now);
-            return;
-        }
+        // Credit is only ever recorded for tasks with a checkpoint plan.
+        let frac = if allow_resume {
+            self.arena.task_ck_frac[t.index()]
+        } else {
+            0.0
+        };
         // Reborrow through the instance's own lifetime (see
         // `prestage_inputs`): no per-spawn clone of the in-edge slice.
         let inst = self.inst;
-        let g = &inst.graph;
-        let in_edges = g.in_edges(t);
+        let in_edges: &[EdgeId] = if frac > 0.0 {
+            &[]
+        } else {
+            inst.graph.in_edges(t)
+        };
         // Surviving sources per input edge.
-        let mut edge_sources: Vec<Vec<(Option<u32>, ProcId, f64)>> = Vec::new();
+        let mut edge_sources: Vec<Vec<DataCopy>> = Vec::new();
         for &e in in_edges {
-            let pred = g.edge(e).src;
+            let pred = inst.graph.edge(e).src;
             let copies = self.surviving_copies(pred.index());
             if copies.is_empty() {
                 // No resolvable source now. If the predecessor still has a
@@ -1821,25 +1804,23 @@ impl<'a> Engine<'a> {
             return;
         };
         // Pick the host minimizing the estimated finish.
-        type Best = (f64, ProcId, Vec<(Option<u32>, ProcId, f64)>);
-        let mut best: Option<Best> = None;
+        let mut best: Option<(f64, ProcId, Vec<DataCopy>)> = None;
         for &q in &candidates {
             let mut start = now;
             let mut picks = Vec::with_capacity(in_edges.len());
-            for (ei, &e) in in_edges.iter().enumerate() {
-                let pick = edge_sources[ei]
-                    .iter()
-                    .min_by(|a, b| {
-                        let fa = a.2 + self.inst.comm_time(e, a.1, q);
-                        let fb = b.2 + self.inst.comm_time(e, b.1, q);
-                        fa.total_cmp(&fb).then_with(|| a.1.cmp(&b.1))
-                    })
-                    .copied()
-                    .expect("non-empty source list");
-                start = start.max(pick.2 + self.inst.comm_time(e, pick.1, q));
+            for (&e, copies) in in_edges.iter().zip(&edge_sources) {
+                let pick = self.nearest_copy(copies, e, q);
+                start = start.max(pick.2 + inst.comm_time(e, pick.1, q));
                 picks.push(pick);
             }
-            let est = start + self.comp_wall(t, self.inst.exec_time(t, q));
+            let w = inst.exec_time(t, q) * (1.0 - frac);
+            let est = match self.plan.plans[t.index()] {
+                // A resume reads its checkpoint before recomputing.
+                Some((interval, overhead)) if frac > 0.0 => {
+                    start + overhead + w + checkpoints_for(w, interval) as f64 * overhead
+                }
+                _ => start + self.comp_wall(t, w),
+            };
             if best.as_ref().is_none_or(|(b, bp, _)| {
                 est.total_cmp(b).then_with(|| q.cmp(bp)) == std::cmp::Ordering::Less
             }) {
@@ -1848,55 +1829,29 @@ impl<'a> Engine<'a> {
         }
         let (est, q, picks) = best.expect("candidate list non-empty");
 
-        // Materialize: one contention-free transfer per remote input, then
-        // the replacement computation.
-        let ex = self.arena.ops.len() as u32;
-        let mut exec_op = Op::new(
-            self.inst.exec_time(t, q),
-            now,
-            self.deadline_after(q, now),
-            q,
-        );
-        exec_op.task = Some(t);
-        exec_op.recovery = true;
-        exec_op.est_finish = est;
-        self.apply_checkpointing(&mut exec_op);
-        self.arena.ops.push(exec_op);
-        self.arena.recovery_exec[t.index()].push(ex);
-        self.arena.outcome.recovery_replicas += 1;
-
-        let mut acts = std::mem::take(&mut self.arena.act_scratch);
-        for (ei, &e) in in_edges.iter().enumerate() {
-            let (src_op, src_proc, src_est) = picks[ei];
-            if src_proc == q {
-                match src_op {
-                    Some(s) => self.add_hard_dep(s, ex),
-                    None => {
-                        let dep = &mut self.arena.ops[ex as usize];
-                        dep.data_ready = dep.data_ready.max(src_est);
-                    }
-                }
+        // Materialize: the replacement computation, then one
+        // contention-free transfer per remote input.
+        let full = inst.exec_time(t, q);
+        let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
+        op.task = Some(t);
+        op.full = full;
+        op.done_frac = frac;
+        op.est_finish = est;
+        self.apply_checkpointing(&mut op);
+        let ex = self.push_recovery_exec(op);
+        for (&e, src) in in_edges.iter().zip(picks) {
+            if src.1 == q {
+                self.feed(src, ex);
                 continue;
             }
-            let w = self.inst.comm_time(e, src_proc, q);
-            let mid = self.arena.ops.len() as u32;
-            let mut mop = Op::new(w, now, self.deadline_after(src_proc, now), src_proc);
-            mop.dst = q.index() as u32;
-            self.arena.ops.push(mop);
-            self.arena.outcome.recovery_messages += 1;
-            match src_op {
-                Some(s) => self.add_hard_dep(s, mid),
-                None => {
-                    let dep = &mut self.arena.ops[mid as usize];
-                    dep.data_ready = dep.data_ready.max(src_est);
-                }
-            }
+            let w = inst.comm_time(e, src.1, q);
+            let mid = self.push_transfer(src, q, w, None, self.deadline_after(src.1, now), now);
+            // Spawn inputs are not (yet) flagged as repair work.
+            self.arena.ops[mid as usize].recovery = false;
             self.add_hard_dep(mid, ex);
-            acts.push(Act::TrySchedule(mid));
         }
-        acts.push(Act::TrySchedule(ex));
-        self.drain(&mut acts);
-        self.arena.act_scratch = acts;
+        self.arena.act_scratch.push(Act::TrySchedule(ex));
+        self.settle();
     }
 
     /// Candidate hosts for a replacement or resumed replica of `t`:
@@ -1907,7 +1862,7 @@ impl<'a> Engine<'a> {
     /// task marked *deferred* when survivors exist but none has detected
     /// every known crash yet — the next detection event retries deferred
     /// tasks (the deferred rescan in [`Engine::apply_actions`], fed by
-    /// the `deferred` term of [`Engine::crash_lost`]).
+    /// the `deferred` term of [`Engine::lost_tasks_where`]).
     fn replacement_candidates(&mut self, t: TaskId, now: f64) -> Option<Vec<ProcId>> {
         let hosting: Vec<usize> = self
             .surviving_copies(t.index())
@@ -1933,48 +1888,6 @@ impl<'a> Engine<'a> {
             return None;
         }
         Some(candidates)
-    }
-
-    /// `Checkpoint` resume: one replacement replica of `t` restored from
-    /// the task's best checkpointed fraction. The checkpoint lives on
-    /// stable storage, so the replica needs **no** input transfers: it
-    /// pays one `overhead` to read the state, then recomputes only the
-    /// remaining `1 − frac` of the task. Host choice minimizes the
-    /// estimated finish (ties to the smallest processor id).
-    fn spawn_resume(&mut self, t: TaskId, now: f64) {
-        let frac = self.arena.task_ck_frac[t.index()];
-        debug_assert!(frac > 0.0, "resume without a checkpoint");
-        let (interval, overhead) = self.plan.plans[t.index()].expect("resume without a plan");
-        let Some(candidates) = self.replacement_candidates(t, now) else {
-            return;
-        };
-        let mut best: Option<(f64, ProcId)> = None;
-        for &q in &candidates {
-            let w = self.inst.exec_time(t, q) * (1.0 - frac);
-            let est = now + overhead + w + checkpoints_for(w, interval) as f64 * overhead;
-            if best.as_ref().is_none_or(|&(b, bp)| {
-                est.total_cmp(&b).then_with(|| q.cmp(&bp)) == std::cmp::Ordering::Less
-            }) {
-                best = Some((est, q));
-            }
-        }
-        let (est, q) = best.expect("candidate list non-empty");
-        let full = self.inst.exec_time(t, q);
-        let ex = self.arena.ops.len() as u32;
-        let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
-        op.task = Some(t);
-        op.recovery = true;
-        op.full = full;
-        op.done_frac = frac;
-        op.est_finish = est;
-        self.apply_checkpointing(&mut op);
-        self.arena.ops.push(op);
-        self.arena.recovery_exec[t.index()].push(ex);
-        self.arena.outcome.recovery_replicas += 1;
-        let mut acts = std::mem::take(&mut self.arena.act_scratch);
-        acts.push(Act::TrySchedule(ex));
-        self.drain(&mut acts);
-        self.arena.act_scratch = acts;
     }
 
     /// `Reschedule`: cancel any previous repair plan and re-run CAFT on
@@ -2059,13 +1972,11 @@ impl<'a> Engine<'a> {
         // Materialize the plan as fixed-time ops.
         let plan = &out.schedule;
         let mut new_exec: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
-        let mut acts = std::mem::take(&mut self.arena.act_scratch);
         for t in 0..v {
             if !remnant[t] {
                 continue;
             }
             for r in plan.replicas_of(TaskId::from_index(t)) {
-                let id = self.arena.ops.len() as u32;
                 let mut op = Op::new(
                     r.finish - r.start,
                     now,
@@ -2073,13 +1984,9 @@ impl<'a> Engine<'a> {
                     r.proc,
                 );
                 op.task = Some(r.of.task);
-                op.recovery = true;
                 op.fixed_finish = Some(r.finish);
                 op.est_finish = r.finish;
-                self.arena.ops.push(op);
-                new_exec[t].push(Some(id));
-                self.arena.recovery_exec[t].push(id);
-                self.arena.outcome.recovery_replicas += 1;
+                new_exec[t].push(Some(self.push_recovery_exec(op)));
             }
         }
         // Wire the plan's messages: first-copy groups per (replica, edge).
@@ -2111,39 +2018,28 @@ impl<'a> Engine<'a> {
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
-                        let mid = self.arena.ops.len() as u32;
-                        let mut mop = Op::new(
-                            msg.finish - msg.start,
+                        // Frontier data already produced is ready at the
+                        // replan: the plan time embeds its availability.
+                        let src = (src_op, msg.from, now);
+                        let deadline = self.deadline_after(msg.from, now);
+                        let w = msg.finish - msg.start;
+                        members.push(self.push_transfer(
+                            src,
+                            msg.to,
+                            w,
+                            Some(msg.finish),
+                            deadline,
                             now,
-                            self.deadline_after(msg.from, now),
-                            msg.from,
-                        );
-                        mop.dst = msg.to.index() as u32;
-                        mop.fixed_finish = Some(msg.finish);
-                        mop.recovery = true;
-                        self.arena.ops.push(mop);
-                        if !msg.is_local() {
-                            self.arena.outcome.recovery_messages += 1;
-                        }
-                        match src_op {
-                            Some(s) => self.add_hard_dep(s, mid),
-                            None => {
-                                // Frontier data already produced; the plan
-                                // time embeds its availability.
-                            }
-                        }
-                        members.push(mid);
-                        acts.push(Act::TrySchedule(mid));
+                        ));
                     }
                     if !members.is_empty() {
                         self.add_group(ex, &members);
                     }
                 }
-                acts.push(Act::TrySchedule(ex));
+                self.arena.act_scratch.push(Act::TrySchedule(ex));
             }
         }
-        self.drain(&mut acts);
-        self.arena.act_scratch = acts;
+        self.settle();
     }
 
     /// Counts the run's unrecoverable tasks into its outcome and moves the

@@ -276,19 +276,22 @@ pub struct EngineScratch {
     /// event. Never set under uniform detection, where eligibility and
     /// survival coincide.
     pub(crate) deferred: Vec<bool>,
-    /// Pre-staged data copies per task: `(destination proc, transfer
-    /// op)` pairs created by applied
-    /// [`PreStage`](RecoveryAction::PreStage) actions. A staged copy
-    /// feeds later repairs exactly like a surviving replica output.
-    pub(crate) staged: Vec<Vec<(u32, u32)>>,
+    /// Pre-staged data copies per task: the transfer ops of applied
+    /// [`PreStage`](RecoveryAction::PreStage) actions, each staging the
+    /// data on its receiver. A staged copy feeds later repairs exactly
+    /// like a surviving replica output.
+    pub(crate) staged: Vec<Vec<u32>>,
     /// Reusable dependency-propagation buffer (otherwise one `Vec<Act>`
-    /// per completion, the event loop's hottest allocation).
+    /// per completion, the event loop's hottest allocation). Repair paths
+    /// queue their new ops here while wiring them; `Engine::settle`
+    /// drains it.
     pub(crate) act_scratch: Vec<Act>,
-    /// Second-level propagation buffer for the immediate drains inside
-    /// `Engine::add_hard_dep` / `Engine::add_group`, which can run while
-    /// `act_scratch` is checked out by a repair/replan path. One level of
-    /// nesting is the maximum: the drained actions
-    /// (`Fail`/`GhostDone`/`TrySchedule`) never wire new dependencies.
+    /// Second-level propagation buffer for `Engine::fail_now`, the
+    /// immediate drain when wiring meets a dependency that can never
+    /// deliver — which happens while a repair path's ops wait in
+    /// `act_scratch`. One level of nesting is the maximum: the drained
+    /// actions (`Fail`/`GhostDone`/`TrySchedule`) never wire new
+    /// dependencies.
     pub(crate) fail_scratch: Vec<Act>,
     /// Reusable policy-action buffer, cleared before each hook call.
     pub(crate) action_scratch: Vec<RecoveryAction>,
