@@ -1846,8 +1846,6 @@ impl<'a> Engine<'a> {
             }
             let w = inst.comm_time(e, src.1, q);
             let mid = self.push_transfer(src, q, w, None, self.deadline_after(src.1, now), now);
-            // Spawn inputs are not (yet) flagged as repair work.
-            self.arena.ops[mid as usize].recovery = false;
             self.add_hard_dep(mid, ex);
         }
         self.arena.act_scratch.push(Act::TrySchedule(ex));

@@ -24,7 +24,9 @@
 //!    pinned here are the invariants that actually hold — and the reason
 //!    the lag is benign. The lag itself is now observable: every
 //!    completed op's `discovered` instant is at or after its physical
-//!    `finish` (discovery can only be late, never early).
+//!    `finish` (discovery can only be late, never early). Every op
+//!    released after `t = 0` is repair work and carries
+//!    `OpTrace::recovery`.
 //! 3. **Useful work is conserved** — every completed computation did
 //!    exactly its task's work minus what a checkpoint restored; the
 //!    run-level `work_saved` / `checkpoint_overhead` totals account for
@@ -248,6 +250,14 @@ proptest! {
                 op.discovered.is_finite() && op.discovered >= op.finish,
                 "op {i} discovered at {} before its physical finish {}",
                 op.discovered, op.finish
+            );
+        }
+        // Only repairs inject ops after t = 0, and every one of them —
+        // spawn input transfers included — is flagged as repair work.
+        for (i, op) in trace.ops.iter().enumerate() {
+            prop_assert!(
+                op.release <= 0.0 || op.recovery,
+                "op {i} released at {} is not flagged as repair work", op.release
             );
         }
     }
