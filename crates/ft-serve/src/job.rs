@@ -80,12 +80,17 @@ impl JobSpec {
             .collect()
     }
 
-    /// Validates the spec's cheap invariants (non-empty tenant and axes,
-    /// positive run count) so misconfigured jobs fail at submit/claim
-    /// time with a message instead of producing an empty sweep.
+    /// Validates the spec's cheap invariants (a tenant that follows the
+    /// job-id character rule, non-empty axes, positive run count) so
+    /// misconfigured jobs fail at submit/claim time with a message
+    /// instead of producing an empty sweep — or, for a tenant such as
+    /// `../x`, auto ids that escape the queue tree.
     pub fn validate(&self) -> Result<(), String> {
-        if self.tenant.is_empty() {
-            return Err("tenant must be non-empty".into());
+        if !is_safe_name(&self.tenant) {
+            return Err(format!(
+                "invalid tenant {:?}: use 1-128 ASCII letters, digits, '-', '_', '.'",
+                self.tenant
+            ));
         }
         if self.grid.runs == 0 {
             return Err("grid.runs must be positive".into());
@@ -101,6 +106,17 @@ impl JobSpec {
         }
         Ok(())
     }
+}
+
+/// The job-id character rule: 1–128 ASCII letters, digits, `-`, `_` or
+/// `.`. Job ids name files under the queue root and auto ids are built
+/// from the tenant, so both are held to it: no path separator reaches a
+/// file name.
+pub(crate) fn is_safe_name(s: &str) -> bool {
+    !s.is_empty()
+        && s.len() <= 128
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
 /// One finished cell of a job: the cell's key and its Monte-Carlo

@@ -32,7 +32,7 @@
 //! `ft-serve run` on the same root refuses to start instead of
 //! double-executing in-flight jobs.
 
-use crate::job::JobSpec;
+use crate::job::{is_safe_name, JobSpec};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
@@ -456,12 +456,7 @@ impl JobQueue {
 }
 
 fn validate_id(id: &str) -> Result<(), ServeError> {
-    let ok = !id.is_empty()
-        && id.len() <= 128
-        && id
-            .chars()
-            .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'));
-    if ok {
+    if is_safe_name(id) {
         Ok(())
     } else {
         Err(err(format!(
@@ -595,6 +590,49 @@ mod tests {
             "diagnostic names the file: {diag}"
         );
         fs::remove_dir_all(&root).ok();
+    }
+
+    /// Every path under `dir`, sorted.
+    fn tree(dir: &Path) -> Vec<PathBuf> {
+        let mut out = Vec::new();
+        for entry in fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                out.extend(tree(&path));
+            }
+            out.push(path);
+        }
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn tenants_that_escape_the_queue_tree_are_rejected() {
+        let outer = temp_root();
+        let root = outer.join("svc");
+        let q = JobQueue::open(&root).unwrap();
+        let before = tree(&outer);
+        for tenant in [
+            "../../results/evil",
+            "../escape",
+            "../../../outside",
+            "a/b",
+            "",
+        ] {
+            let submitted = q.submit(None, &JobSpec::example(tenant));
+            assert!(
+                submitted.is_err(),
+                "tenant {tenant:?} accepted as {submitted:?}"
+            );
+        }
+        assert_eq!(tree(&outer), before, "a rejected submit wrote files");
+        // A spec that bypasses submit fails out at claim instead.
+        let json = serde_json::to_string(&JobSpec::example("../escape")).unwrap();
+        fs::write(root.join("queue/pending/sneaky.json"), json).unwrap();
+        assert!(q.claim().unwrap().is_none(), "nothing claimable");
+        assert_eq!(q.state("sneaky"), Some(JobState::Failed));
+        assert!(q.read_error("sneaky").unwrap().contains("invalid tenant"));
+        fs::remove_dir_all(&outer).ok();
     }
 
     #[test]
