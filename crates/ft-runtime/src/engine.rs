@@ -1527,23 +1527,19 @@ impl<'a> Engine<'a> {
             spawns.sort_by_key(|&(t, _)| self.plan.topo_position[t]);
             spawns.dedup_by_key(|&mut (t, _)| t);
             for (t, allow_resume) in spawns {
-                if self.task_believed_safe(t) {
-                    self.arena.deferred[t] = false;
-                    continue; // an earlier replacement this round covered it
-                }
-                // A still-live pending replacement from an earlier detection?
-                let pending_recovery = self.arena.recovery_exec[t].iter().any(|&id| {
-                    let op = &self.arena.ops[id as usize];
-                    op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
-                });
-                if pending_recovery {
-                    self.arena.deferred[t] = false;
-                    continue;
-                }
-                self.arena.deferred[t] = false;
-                // …and may re-mark the task deferred if no survivor is
+                // A spawn re-marks the task deferred if no survivor is
                 // repair-eligible yet.
-                self.spawn_replacement(TaskId::from_index(t), now, allow_resume);
+                self.arena.deferred[t] = false;
+                // Covered by an earlier replacement this round, or by a
+                // still-live pending replacement from an earlier event?
+                let covered = self.task_believed_safe(t)
+                    || self.arena.recovery_exec[t].iter().any(|&id| {
+                        let op = &self.arena.ops[id as usize];
+                        op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
+                    });
+                if !covered {
+                    self.spawn_replacement(TaskId::from_index(t), now, allow_resume);
+                }
             }
             for _ in 0..replans {
                 self.reschedule(now);
@@ -1571,6 +1567,15 @@ impl<'a> Engine<'a> {
                 .enumerate()
                 .filter(|&(_, &dead)| dead)
                 .all(|(p, _)| arena.crash_detect[p][arena.believed_epoch[p]][q] <= now)
+    }
+
+    /// The repair-eligible processors at `now`, in index order: the only
+    /// hosts repair work may land on.
+    fn eligible_hosts(&self, now: f64) -> Vec<ProcId> {
+        (0..self.inst.num_procs())
+            .filter(|&p| self.repair_eligible(p, now))
+            .map(ProcId::from_index)
+            .collect()
     }
 
     /// True if some replica of `t` is completed, or is scheduled on a
@@ -1862,30 +1867,22 @@ impl<'a> Engine<'a> {
     /// tasks (the deferred rescan in [`Engine::apply_actions`], fed by
     /// the `deferred` term of [`Engine::lost_tasks_where`]).
     fn replacement_candidates(&mut self, t: TaskId, now: f64) -> Option<Vec<ProcId>> {
-        let hosting: Vec<usize> = self
-            .surviving_copies(t.index())
-            .iter()
-            .map(|&(_, p, _)| p.index())
-            .collect();
-        let mut candidates: Vec<ProcId> = (0..self.inst.num_procs())
-            .filter(|&p| self.repair_eligible(p, now) && !hosting.contains(&p))
-            .map(ProcId::from_index)
-            .collect();
-        if candidates.is_empty() {
-            candidates = (0..self.inst.num_procs())
-                .filter(|&p| self.repair_eligible(p, now))
-                .map(ProcId::from_index)
-                .collect();
-        }
-        if candidates.is_empty() {
-            if (0..self.inst.num_procs()).all(|p| self.arena.known_dead[p]) {
+        let eligible = self.eligible_hosts(now);
+        if eligible.is_empty() {
+            if self.arena.known_dead.iter().all(|&dead| dead) {
                 self.arena.unrecoverable[t.index()] = true;
             } else {
                 self.arena.deferred[t.index()] = true;
             }
             return None;
         }
-        Some(candidates)
+        let hosting = self.surviving_copies(t.index());
+        let spread: Vec<ProcId> = eligible
+            .iter()
+            .copied()
+            .filter(|&p| hosting.iter().all(|c| c.1 != p))
+            .collect();
+        Some(if spread.is_empty() { eligible } else { spread })
     }
 
     /// `Reschedule`: cancel any previous repair plan and re-run CAFT on
@@ -1894,16 +1891,13 @@ impl<'a> Engine<'a> {
     /// that know the platform shrank — under non-uniform detection the
     /// plan improves as knowledge spreads, one event at a time).
     fn reschedule(&mut self, now: f64) {
-        let alive: Vec<ProcId> = (0..self.inst.num_procs())
-            .filter(|&p| self.repair_eligible(p, now))
-            .map(ProcId::from_index)
-            .collect();
+        let alive = self.eligible_hosts(now);
         if alive.is_empty() {
             // Knowledge lag (live survivors, none informed yet) is not a
             // replan — a later event will produce one; a platform with no
             // survivors at all still counts the vacuous attempt, matching
             // the historical accounting.
-            if (0..self.inst.num_procs()).all(|p| self.arena.known_dead[p]) {
+            if self.arena.known_dead.iter().all(|&dead| dead) {
                 self.arena.outcome.reschedules += 1;
             }
             return;
