@@ -1647,18 +1647,20 @@ impl<'a> Engine<'a> {
             .collect()
     }
 
-    /// The copy of edge `e`'s data that reaches `q` first, ties to the
-    /// smaller source processor: the source rule of spawns and pre-stages.
-    fn nearest_copy(&self, copies: &[DataCopy], e: EdgeId, q: ProcId) -> DataCopy {
+    /// The copy of edge `e`'s data that reaches `q` first (ties to the
+    /// smaller source processor), with its arrival instant there: the
+    /// source rule of spawns and pre-stages.
+    fn nearest_copy(&self, copies: &[DataCopy], e: EdgeId, q: ProcId) -> (DataCopy, f64) {
         let arrival = |c: &DataCopy| c.2 + self.inst.comm_time(e, c.1, q);
-        *copies
+        let pick = *copies
             .iter()
             .min_by(|a, b| {
                 arrival(a)
                     .total_cmp(&arrival(b))
                     .then_with(|| a.1.cmp(&b.1))
             })
-            .expect("non-empty copy list")
+            .expect("non-empty copy list");
+        (pick, arrival(&pick))
     }
 
     /// Makes op `to` wait for data copy `src`: a hard dependency on the op
@@ -1741,7 +1743,7 @@ impl<'a> Engine<'a> {
             if copies.is_empty() || copies.iter().any(|&(_, p, _)| p == on) {
                 continue; // nothing to stage, or already warm on `on`
             }
-            let src = self.nearest_copy(&copies, e, on);
+            let (src, _) = self.nearest_copy(&copies, e, on);
             let deadline = self
                 .deadline_after(src.1, now)
                 .min(self.deadline_after(on, now));
@@ -1814,8 +1816,8 @@ impl<'a> Engine<'a> {
             let mut start = now;
             let mut picks = Vec::with_capacity(in_edges.len());
             for (&e, copies) in in_edges.iter().zip(&edge_sources) {
-                let pick = self.nearest_copy(copies, e, q);
-                start = start.max(pick.2 + inst.comm_time(e, pick.1, q));
+                let (pick, arrival) = self.nearest_copy(copies, e, q);
+                start = start.max(arrival);
                 picks.push(pick);
             }
             let w = inst.exec_time(t, q) * (1.0 - frac);
