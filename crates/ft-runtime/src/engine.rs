@@ -384,7 +384,8 @@ pub struct OpTrace {
     pub discovered: f64,
     /// True if the operation actually happened (reached `Done`).
     pub completed: bool,
-    /// True for repair work injected at a detection or rejoin.
+    /// True for repair work injected by a recovery action (replicas and
+    /// their input transfers alike).
     pub recovery: bool,
     /// Nominal work units (re)computed / transferred by this op.
     pub work: f64,
@@ -459,7 +460,7 @@ pub(crate) struct Op {
     dst: u32,
     /// `Some(task)` for computations, `None` for transfers.
     task: Option<TaskId>,
-    /// True for repair work injected at a detection.
+    /// True for repair work: every op a recovery action injected.
     recovery: bool,
     /// Estimated finish (repair planning estimate; exact once scheduled).
     est_finish: f64,
