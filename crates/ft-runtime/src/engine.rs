@@ -1636,16 +1636,18 @@ impl<'a> Engine<'a> {
     fn lost_tasks_where(&self, lost: impl Fn(&Op) -> bool) -> Vec<TaskId> {
         let arena = &self.arena;
         let replica_lost = |&id: &u32| lost(&arena.ops[id as usize]);
-        (0..self.inst.num_tasks())
-            .filter(|&t| {
-                (arena.deferred[t]
-                    || arena.static_exec[t].iter().any(|o| o.is_none())
-                    || arena.static_exec[t].iter().flatten().any(replica_lost)
-                    || arena.recovery_exec[t].iter().any(replica_lost))
-                    && !self.task_believed_safe(t)
-            })
-            .map(TaskId::from_index)
-            .collect()
+        let mut tasks = Vec::new();
+        for t in 0..self.inst.num_tasks() {
+            if (arena.deferred[t]
+                || arena.static_exec[t].iter().any(|o| o.is_none())
+                || arena.static_exec[t].iter().flatten().any(replica_lost)
+                || arena.recovery_exec[t].iter().any(replica_lost))
+                && !self.task_believed_safe(t)
+            {
+                tasks.push(TaskId::from_index(t));
+            }
+        }
+        tasks
     }
 
     /// The copy of edge `e`'s data that reaches `q` first (ties to the
