@@ -1636,6 +1636,9 @@ impl<'a> Engine<'a> {
     fn lost_tasks_where(&self, lost: impl Fn(&Op) -> bool) -> Vec<TaskId> {
         let arena = &self.arena;
         let replica_lost = |&id: &u32| lost(&arena.ops[id as usize]);
+        // A plain loop on purpose: this scan runs at every knowledge event,
+        // and as a filter/map/collect chain it made warm repair-heavy runs
+        // measurably slower.
         let mut tasks = Vec::new();
         for t in 0..self.inst.num_tasks() {
             if (arena.deferred[t]
