@@ -110,7 +110,7 @@ use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
 use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
-use ft_model::{FtSchedule, Replica, ReplicaRef};
+use ft_model::{FtSchedule, MessageRecord, Replica, ReplicaRef};
 #[cfg(doc)]
 use ft_net::NetworkState;
 use ft_platform::{Instance, ProcId};
@@ -1999,6 +1999,18 @@ impl<'a> Engine<'a> {
                 src_ops[t].get(c).copied()
             }
         };
+        // The plan's messages per destination replica, in plan order, so the
+        // wiring below reads each replica's own inbox instead of rescanning
+        // every message per replica and in-edge.
+        let mut inbox: Vec<Vec<Vec<&MessageRecord>>> = vec![Vec::new(); v];
+        for msg in &plan.messages {
+            let slots = &mut inbox[msg.dst.task.index()];
+            let c = msg.dst.copy as usize;
+            if slots.len() <= c {
+                slots.resize_with(c + 1, Vec::new);
+            }
+            slots[c].push(msg);
+        }
         for t in 0..v {
             if !remnant[t] {
                 continue;
@@ -2007,14 +2019,10 @@ impl<'a> Engine<'a> {
                 let Some(Some(ex)) = new_exec[t].get(c).copied() else {
                     continue;
                 };
-                let dst_ref = ReplicaRef::new(TaskId::from_index(t), c);
+                let into_c = inbox[t].get(c).map_or(&[][..], Vec::as_slice);
                 for &e in self.inst.graph.in_edges(TaskId::from_index(t)) {
                     let mut members: Vec<u32> = Vec::new();
-                    for msg in plan
-                        .messages
-                        .iter()
-                        .filter(|m| m.dst == dst_ref && m.edge == e)
-                    {
+                    for msg in into_c.iter().filter(|m| m.edge == e) {
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
