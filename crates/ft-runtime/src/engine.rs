@@ -760,15 +760,6 @@ impl<'a> Engine<'a> {
         op.duration = op.work + op.ck_pad;
     }
 
-    /// Wall-clock duration of a fresh computation of `w` work units of
-    /// task `t` (checkpoint writes of `t`'s plan included).
-    fn comp_wall(&self, t: TaskId, w: f64) -> f64 {
-        match self.plan.plans[t.index()] {
-            Some((interval, overhead)) => w + checkpoints_for(w, interval) as f64 * overhead,
-            None => w,
-        }
-    }
-
     /// Crash deadline of work placed on `p` at time `t`: the crash
     /// instant of `p`'s first failure epoch not already over by `t` (see
     /// [`FaultScenario::deadline_after`]). Static work uses `t = 0` (the
@@ -1827,12 +1818,16 @@ impl<'a> Engine<'a> {
                 picks.push(pick);
             }
             let w = inst.exec_time(t, q) * (1.0 - frac);
+            // The wall clock adds the task's checkpoint writes, and for a
+            // resume one checkpoint read before recomputing.
             let est = match self.plan.plans[t.index()] {
-                // A resume reads its checkpoint before recomputing.
                 Some((interval, overhead)) if frac > 0.0 => {
                     start + overhead + w + checkpoints_for(w, interval) as f64 * overhead
                 }
-                _ => start + self.comp_wall(t, w),
+                Some((interval, overhead)) => {
+                    start + (w + checkpoints_for(w, interval) as f64 * overhead)
+                }
+                None => start + w,
             };
             if best.as_ref().is_none_or(|(b, bp, _)| {
                 est.total_cmp(b).then_with(|| q.cmp(bp)) == std::cmp::Ordering::Less
@@ -2002,24 +1997,22 @@ impl<'a> Engine<'a> {
         // The plan's messages per destination replica, in plan order, so the
         // wiring below reads each replica's own inbox instead of rescanning
         // every message per replica and in-edge.
-        let mut inbox: Vec<Vec<Vec<&MessageRecord>>> = vec![Vec::new(); v];
+        let mut inbox: Vec<Vec<Vec<&MessageRecord>>> = (0..v)
+            .map(|t| vec![Vec::new(); plan.replicas_of(TaskId::from_index(t)).len()])
+            .collect();
         for msg in &plan.messages {
-            let slots = &mut inbox[msg.dst.task.index()];
-            let c = msg.dst.copy as usize;
-            if slots.len() <= c {
-                slots.resize_with(c + 1, Vec::new);
+            if let Some(slot) = inbox[msg.dst.task.index()].get_mut(msg.dst.copy as usize) {
+                slot.push(msg);
             }
-            slots[c].push(msg);
         }
         for t in 0..v {
             if !remnant[t] {
                 continue;
             }
-            for c in 0..plan.replicas_of(TaskId::from_index(t)).len() {
+            for (c, into_c) in inbox[t].iter().enumerate() {
                 let Some(Some(ex)) = new_exec[t].get(c).copied() else {
                     continue;
                 };
-                let into_c = inbox[t].get(c).map_or(&[][..], Vec::as_slice);
                 for &e in self.inst.graph.in_edges(TaskId::from_index(t)) {
                     let mut members: Vec<u32> = Vec::new();
                     for msg in into_c.iter().filter(|m| m.edge == e) {
