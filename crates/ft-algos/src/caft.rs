@@ -30,6 +30,7 @@
 //! (Proposition 5.1 — verified by tests and the `messages` experiment).
 
 use crate::common::Ctx;
+use crate::windowed::{caft_windowed_with, pop_window, WindowedOptions};
 use ft_graph::TaskId;
 use ft_model::{CommModel, FtSchedule, MsgSpec, Replica, ReplicaRef};
 use ft_platform::{Instance, ProcId};
@@ -106,27 +107,15 @@ pub fn caft_hardened(inst: &Instance, eps: usize, model: CommModel, seed: u64) -
     )
 }
 
-/// Runs CAFT with explicit options.
+/// Runs CAFT with explicit options (windowed CAFT with a window of one).
 pub fn caft_with(inst: &Instance, opts: CaftOptions) -> FtSchedule {
-    if opts.disjoint_lineages {
-        assert!(
-            inst.num_procs() <= 64,
-            "hardened CAFT tracks supports as 64-bit masks (m ≤ 64)"
-        );
-    }
-    let mut ctx = Ctx::new(inst, opts.eps, opts.model, opts.seed);
-    if opts.insertion {
-        ctx = ctx.with_insertion();
-    }
-    // supports[t][k]: bitmask over processors the completion of replica
-    // t^(k+1) transitively depends on. Maintained in both modes (cheap),
-    // enforced only under `disjoint_lineages`.
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
-    while let Some(t) = ctx.pop_task() {
-        schedule_task(&mut ctx, t, &opts, &mut supports);
-        ctx.finish_task(t);
-    }
-    ctx.sched
+    caft_windowed_with(
+        inst,
+        WindowedOptions {
+            caft: opts,
+            window: 1,
+        },
+    )
 }
 
 #[inline]
@@ -134,15 +123,48 @@ fn proc_bit(p: ProcId) -> u64 {
     1u64 << (p.index() & 63)
 }
 
-/// Places the `ε + 1` replicas of one task for the windowed variant
-/// (crate-internal handle over [`schedule_task`]).
-pub(crate) fn schedule_task_for(
+/// The one CAFT driver (Algorithm 5.1's outer loop) behind every entry
+/// point — whole-DAG, windowed and sub-DAG: places the free task
+/// [`pop_window`] picks until none is left. Returns the tasks it skipped
+/// because a predecessor has no replica (the sub-DAG's lost-data rule,
+/// which never fires on the whole DAG); a skipped task never completes,
+/// so its descendants stay blocked.
+pub(crate) fn place_free_tasks(
     ctx: &mut Ctx<'_>,
-    t: TaskId,
     opts: &CaftOptions,
-    supports: &mut Vec<Vec<u64>>,
-) {
-    schedule_task(ctx, t, opts, supports);
+    window: usize,
+) -> Vec<TaskId> {
+    let inst = ctx.inst;
+    if opts.disjoint_lineages {
+        assert!(
+            inst.num_procs() <= 64,
+            "hardened CAFT tracks supports as 64-bit masks (m ≤ 64)"
+        );
+    }
+    // supports[t][k]: bitmask over processors the completion of replica
+    // t^(k+1) transitively depends on. Maintained in both modes (cheap),
+    // enforced only under `disjoint_lineages`. A frontier pseudo-replica
+    // supports itself.
+    let mut supports: Vec<Vec<u64>> = ctx
+        .sched
+        .replicas
+        .iter()
+        .map(|reps| reps.iter().map(|r| proc_bit(r.proc)).collect())
+        .collect();
+    let mut skipped = Vec::new();
+    while let Some(t) = pop_window(ctx, window) {
+        if inst
+            .graph
+            .predecessors(t)
+            .any(|p| ctx.sched.replicas_of(p).is_empty())
+        {
+            skipped.push(t);
+            continue;
+        }
+        schedule_task(ctx, t, opts, &mut supports);
+        ctx.finish_task(t);
+    }
+    skipped
 }
 
 /// Places the `ε + 1` replicas of one task (Algorithm 5.1, lines 10–20).
@@ -217,42 +239,35 @@ fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mu
                 }
             }
         }
-        let best = if opts.disjoint_lineages {
-            // Rank with hardened specs so the EFT estimate matches what is
-            // committed.
-            let mut best: Option<(f64, ProcId)> = None;
-            for p in ctx.candidate_procs() {
-                if excluded.contains(&p) {
-                    continue;
-                }
-                let specs = hardened_fanin_specs(ctx, t, copy, p, supports);
-                let cand = ctx.eval(t, p, &specs);
-                if best.is_none_or(|(eft, bp)| {
-                    cand.eft.total_cmp(&eft).then_with(|| p.cmp(&bp)) == std::cmp::Ordering::Less
-                }) {
-                    best = Some((cand.eft, p));
-                }
-            }
-            best.expect("hardened one-to-one rounds reserve clean processors for fill-ins")
-                .1
-        } else {
-            let mut ranked = ctx.rank_candidates_full_fanin(t, copy, &excluded);
-            if ranked.is_empty() {
-                // Every processor is locked: relax the sender locks (keep
-                // only the hard space-exclusion constraint).
-                let hosting = ctx.procs_hosting(t);
-                ranked = ctx.rank_candidates_full_fanin(t, copy, &hosting);
-            }
-            ranked
-                .first()
-                .expect("platform has more processors than replicas")
-                .proc
+        // Under hardening a co-located predecessor copy is the sole sender
+        // only when it is self-supported (its support is exactly its own
+        // processor): a co-located chain replica can starve even while its
+        // processor lives, so relying on it alone would break the fill-in
+        // invariant "survives iff own processor survives"; the remote
+        // copies stay as backups.
+        let specs_on = |p: ProcId| {
+            ctx.fanin_specs(t, copy, p, |r| {
+                !opts.disjoint_lineages
+                    || supports[r.of.task.index()][r.of.copy as usize] == proc_bit(r.proc)
+            })
         };
-        let specs = if opts.disjoint_lineages {
-            hardened_fanin_specs(ctx, t, copy, best, supports)
-        } else {
-            ctx.full_fanin_specs(t, copy, best)
+        // The earliest-finishing allowed host, ties to the smaller id.
+        let best_outside = |excluded: &[ProcId]| {
+            ctx.candidate_procs()
+                .filter(|p| !excluded.contains(p))
+                .map(|p| (ctx.eval(t, p, &specs_on(p)).eft, p))
+                .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
+                .map(|(_, p)| p)
         };
+        let mut best = best_outside(&excluded);
+        if best.is_none() && !opts.disjoint_lineages {
+            // Every processor is locked: relax the sender locks (keep only
+            // the hard space-exclusion constraint). Hardened one-to-one
+            // rounds reserve clean processors for the fill-ins instead.
+            best = best_outside(&ctx.procs_hosting(t));
+        }
+        let best = best.expect("fill-ins always find a host outside the exclusions");
+        let specs = specs_on(best);
         ctx.commit(t, copy, best, &specs);
         supports[t.index()].push(proc_bit(best));
         if !locked.contains(&best) {
@@ -335,58 +350,6 @@ fn singleton_replica_sets(ctx: &Ctx<'_>, t: TaskId) -> Vec<Vec<Replica>> {
                 .collect()
         })
         .collect()
-}
-
-/// Full fan-in specs for a hardened fill-in replica: like
-/// [`Ctx::full_fanin_specs`], but the co-location short-circuit is only
-/// taken when the local copy is *self-supported* (its support is exactly
-/// its own processor). A co-located chain replica can starve even while
-/// its processor lives, so relying on it alone would break the fill-in
-/// invariant "survives iff own processor survives"; in that case the
-/// remote copies are kept as backups.
-fn hardened_fanin_specs(
-    ctx: &Ctx<'_>,
-    t: TaskId,
-    copy: usize,
-    dst: ProcId,
-    supports: &[Vec<u64>],
-) -> Vec<MsgSpec> {
-    let g = &ctx.inst.graph;
-    let dst_ref = ReplicaRef::new(t, copy);
-    let mut specs = Vec::new();
-    for &e in g.in_edges(t) {
-        let pred = g.edge(e).src;
-        let reps = ctx.sched.replicas_of(pred);
-        let local = reps.iter().find(|r| r.proc == dst);
-        if let Some(local) = local {
-            specs.push(MsgSpec {
-                edge: e,
-                src: local.of,
-                dst: dst_ref,
-                from: local.proc,
-                ready: local.finish,
-                w: 0.0,
-            });
-            let self_supported = supports[pred.index()][local.of.copy as usize] == proc_bit(dst);
-            if self_supported {
-                continue;
-            }
-        }
-        for r in reps {
-            if r.proc == dst {
-                continue; // already added as the local copy
-            }
-            specs.push(MsgSpec {
-                edge: e,
-                src: r.of,
-                dst: dst_ref,
-                from: r.proc,
-                ready: r.finish,
-                w: ctx.inst.comm_time(e, r.proc, dst),
-            });
-        }
-    }
-    specs
 }
 
 /// Evaluates every unlocked processor for one one-to-one placement and

@@ -1,6 +1,7 @@
 //! Shared scheduling machinery used by FTSA, FTBAR and CAFT.
 
 use crate::prio::{mean_bottom_levels, FreePool, ReadyTracker};
+use crate::subdag::SubDagSpec;
 use ft_graph::TaskId;
 use ft_model::timeline::Timeline;
 use ft_model::{CommModel, FtSchedule, MsgSpec, NetworkState, PlannedMsg, Replica, ReplicaRef};
@@ -54,101 +55,81 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Initializes a run: ε, communication model, tie-break seed.
+    /// Initializes a run: ε, communication model, tie-break seed. This is
+    /// [`Ctx::for_subdag`] over the whole DAG: every task to schedule, no
+    /// frontier sources, every processor, release 0.
     ///
     /// # Panics
     /// Panics unless the platform has at least `ε + 1` processors (space
     /// exclusion needs `ε + 1` distinct hosts per task).
     pub fn new(inst: &'a Instance, eps: usize, model: CommModel, seed: u64) -> Self {
-        let m = inst.num_procs();
-        assert!(
-            m > eps,
-            "need at least ε+1 = {} processors, platform has {m}",
-            eps + 1
-        );
-        let v = inst.graph.num_tasks();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let tie: Vec<u64> = (0..v).map(|_| rng.gen()).collect();
-        let ready = ReadyTracker::new(&inst.graph);
-        let mut pool = FreePool::new();
-        for t in ready.initial() {
-            pool.push(t);
-        }
-        Ctx {
-            inst,
-            eps,
-            state: NetworkState::new(m, model),
-            sched: FtSchedule::new(v, eps, model),
-            bl: mean_bottom_levels(inst),
-            tl: vec![0.0; v],
-            tie,
-            ready,
-            pool,
-            insertion: false,
-            exec_slots: vec![Timeline::new(); m],
-            allowed: inst.platform.procs().collect(),
-        }
+        let v = inst.num_tasks();
+        let procs: Vec<ProcId> = inst.platform.procs().collect();
+        let spec = SubDagSpec {
+            remnant: &vec![true; v],
+            sources: &vec![Vec::new(); v],
+            alive: &procs,
+            release: 0.0,
+        };
+        Self::for_subdag(inst, eps, model, seed, &spec)
     }
 
-    /// Initializes a *sub-DAG* run for online rescheduling: only `remnant`
-    /// tasks will be scheduled, placements are restricted to the `allowed`
-    /// (surviving) processors, no computation starts before `release`, and
-    /// data produced by already-executed tasks is injected as frontier
-    /// pseudo-replicas (`sources[t]`: where copies of non-remnant task `t`
-    /// live, with `finish` = the time the data becomes available).
+    /// Initializes a *sub-DAG* run for online rescheduling: only
+    /// `spec.remnant` tasks will be scheduled, placements are restricted
+    /// to the `spec.alive` (surviving) processors, no computation starts
+    /// before `spec.release`, and data produced by already-executed tasks
+    /// is injected as frontier pseudo-replicas: copy `k` of non-remnant
+    /// task `t` is `spec.sources[t][k]`, available from its time on. At
+    /// most `eps + 1` copies per task are used, in the caller's order.
     ///
     /// The returned schedule contains real placements for remnant tasks
     /// and echoes the frontier pseudo-replicas for non-remnant ones (so
     /// message records resolve); callers only consume the remnant part.
     ///
     /// # Panics
-    /// Panics unless `allowed` has at least `eps + 1` processors.
-    #[allow(clippy::too_many_arguments)]
+    /// Panics unless `spec.alive` has at least `eps + 1` processors.
     pub fn for_subdag(
         inst: &'a Instance,
         eps: usize,
         model: CommModel,
         seed: u64,
-        remnant: &[bool],
-        sources: &[Vec<Replica>],
-        allowed: Vec<ProcId>,
-        release: f64,
+        spec: &SubDagSpec<'_>,
     ) -> Self {
         let m = inst.num_procs();
         let v = inst.graph.num_tasks();
-        assert_eq!(remnant.len(), v, "remnant mask must cover every task");
-        assert_eq!(sources.len(), v, "sources must cover every task");
+        assert_eq!(spec.remnant.len(), v, "remnant mask must cover every task");
+        assert_eq!(spec.sources.len(), v, "sources must cover every task");
         assert!(
-            allowed.len() > eps,
-            "need at least ε+1 = {} surviving processors, got {}",
+            spec.alive.len() > eps,
+            "need at least ε+1 = {} processors, got {}",
             eps + 1,
-            allowed.len()
+            spec.alive.len()
         );
         let mut rng = StdRng::seed_from_u64(seed);
         let tie: Vec<u64> = (0..v).map(|_| rng.gen()).collect();
-        let ready = ReadyTracker::for_subset(&inst.graph, remnant);
+        let ready = ReadyTracker::for_subset(&inst.graph, spec.remnant);
         let mut pool = FreePool::new();
         for t in ready.initial() {
             pool.push(t);
         }
         let mut state = NetworkState::new(m, model);
-        for &p in &allowed {
-            state.commit_exec(p, release);
+        for &p in spec.alive {
+            state.commit_exec(p, spec.release);
         }
         // Pre-populate the schedule with the frontier pseudo-replicas so
-        // `full_fanin_specs` & friends resolve non-remnant predecessors.
+        // the fan-in builders resolve non-remnant predecessors.
         let mut sched = FtSchedule::new(v, eps, model);
-        for (t, srcs) in sources.iter().enumerate() {
+        for (t, srcs) in spec.sources.iter().enumerate() {
             debug_assert!(
-                srcs.is_empty() || !remnant[t],
+                srcs.is_empty() || !spec.remnant[t],
                 "remnant task {t} cannot also be a data source"
             );
-            let mut srcs = srcs.clone();
-            srcs.sort_by(|a, b| a.finish.total_cmp(&b.finish).then(a.proc.cmp(&b.proc)));
-            for (copy, src) in srcs.into_iter().take(eps + 1).enumerate() {
+            for (copy, &(proc, ready)) in srcs.iter().take(eps + 1).enumerate() {
                 sched.push_replica(Replica {
-                    of: ReplicaRef::new(ft_graph::TaskId::from_index(t), copy),
-                    ..src
+                    of: ReplicaRef::new(TaskId::from_index(t), copy),
+                    proc,
+                    start: ready,
+                    finish: ready,
                 });
             }
         }
@@ -158,13 +139,13 @@ impl<'a> Ctx<'a> {
             state,
             sched,
             bl: mean_bottom_levels(inst),
-            tl: vec![release; v],
+            tl: vec![spec.release; v],
             tie,
             ready,
             pool,
             insertion: false,
             exec_slots: vec![Timeline::new(); m],
-            allowed,
+            allowed: spec.alive.to_vec(),
         }
     }
 
@@ -201,6 +182,20 @@ impl<'a> Ctx<'a> {
     /// that, per the paper's §6 note, if some replica of a predecessor is
     /// co-located with `dst`, only that (free, local) copy is used.
     pub fn full_fanin_specs(&self, t: TaskId, copy: usize, dst: ProcId) -> Vec<MsgSpec> {
+        self.fanin_specs(t, copy, dst, |_| true)
+    }
+
+    /// The fan-in builder behind [`Ctx::full_fanin_specs`]: a co-located
+    /// replica of a predecessor sends for free, and it is the only sender
+    /// when `local_suffices` holds for it; otherwise every remote replica
+    /// of that predecessor sends too.
+    pub fn fanin_specs(
+        &self,
+        t: TaskId,
+        copy: usize,
+        dst: ProcId,
+        local_suffices: impl Fn(&Replica) -> bool,
+    ) -> Vec<MsgSpec> {
         let g = &self.inst.graph;
         let mut specs = Vec::new();
         let dst_ref = ReplicaRef::new(t, copy);
@@ -217,17 +212,19 @@ impl<'a> Ctx<'a> {
                     ready: local.finish,
                     w: 0.0,
                 });
-            } else {
-                for r in reps {
-                    specs.push(MsgSpec {
-                        edge: e,
-                        src: r.of,
-                        dst: dst_ref,
-                        from: r.proc,
-                        ready: r.finish,
-                        w: self.inst.comm_time(e, r.proc, dst),
-                    });
+                if local_suffices(local) {
+                    continue;
                 }
+            }
+            for r in reps.iter().filter(|r| r.proc != dst) {
+                specs.push(MsgSpec {
+                    edge: e,
+                    src: r.of,
+                    dst: dst_ref,
+                    from: r.proc,
+                    ready: r.finish,
+                    w: self.inst.comm_time(e, r.proc, dst),
+                });
             }
         }
         specs

@@ -104,17 +104,10 @@ pub struct ReadyTracker {
 }
 
 impl ReadyTracker {
-    /// Initializes from the graph's in-degrees.
-    pub fn new(g: &TaskGraph) -> Self {
-        ReadyTracker {
-            remaining_preds: g.tasks().map(|t| g.in_degree(t)).collect(),
-        }
-    }
-
-    /// Initializes for scheduling only the tasks with `in_subset[t]`,
-    /// counting only predecessors inside the subset (data of outside
-    /// predecessors is assumed already produced). Outside tasks are pinned
-    /// with a sentinel so they never become free.
+    /// Initializes for scheduling only the tasks with `in_subset[t]` (every
+    /// task, for a whole-DAG run), counting only predecessors inside the
+    /// subset (data of outside predecessors is assumed already produced).
+    /// Outside tasks are pinned with a sentinel so they never become free.
     ///
     /// The subset must be closed under successors: every successor of a
     /// subset task is itself in the subset (which holds by construction for
@@ -225,7 +218,7 @@ mod tests {
         b.add_edge(a, d, 1.0).unwrap();
         b.add_edge(c, d, 1.0).unwrap();
         let g = b.build();
-        let mut rt = ReadyTracker::new(&g);
+        let mut rt = ReadyTracker::for_subset(&g, &[true; 3]);
         assert_eq!(rt.initial(), vec![a, c]);
         assert_eq!(rt.complete(&g, a), vec![]);
         assert_eq!(rt.complete(&g, c), vec![d]);

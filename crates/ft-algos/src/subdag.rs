@@ -4,14 +4,17 @@
 //! `ft-runtime`), the `Reschedule` recovery policy re-runs CAFT on the
 //! tasks that have not produced any result yet, against the surviving
 //! platform. This module provides that entry point without duplicating the
-//! scheduling machinery: [`Ctx::for_subdag`] seeds a normal CAFT run with
+//! scheduling machinery: [`Ctx::for_subdag`] seeds the one CAFT driver
+//! that also serves [`caft`](crate::caft::caft) and
+//! [`caft_windowed`](crate::windowed::caft_windowed) with
 //!
 //! * a **remnant mask** — the tasks still to execute (closed under
 //!   successors by construction);
 //! * **frontier sources** — for each already-executed task feeding the
 //!   remnant, the processors holding its output and the times the data
-//!   became available, injected as pseudo-replicas so the ordinary fan-in
-//!   and one-to-one machinery treats them like any scheduled predecessor;
+//!   became available, in the caller's copy order, injected as
+//!   pseudo-replicas so the ordinary fan-in and one-to-one machinery
+//!   treats them like any scheduled predecessor;
 //! * the **surviving processors** and a **release time** before which no
 //!   new computation may start (detection time of the failure).
 //!
@@ -23,23 +26,24 @@
 //! descendants stay unscheduled (empty replica lists), and the caller
 //! observes the gap (see [`SubDagOutcome::unscheduled`]).
 
-use crate::caft::{schedule_task_for, CaftOptions};
+use crate::caft::{place_free_tasks, CaftOptions};
 use crate::common::Ctx;
 use ft_graph::TaskId;
-use ft_model::{FtSchedule, Replica};
+use ft_model::FtSchedule;
 use ft_platform::{Instance, ProcId};
 
 /// The input of an incremental rescheduling run.
-#[derive(Clone, Debug)]
-pub struct SubDagSpec {
+#[derive(Clone, Copy, Debug)]
+pub struct SubDagSpec<'a> {
     /// `remnant[t]`: task `t` still needs to execute.
-    pub remnant: Vec<bool>,
+    pub remnant: &'a [bool],
     /// `sources[t]`: surviving copies of the output of non-remnant task
-    /// `t` — host processor and availability time (`finish`). Empty for
-    /// remnant tasks and for tasks that feed nothing in the remnant.
-    pub sources: Vec<Vec<Replica>>,
+    /// `t`, in copy order — host processor and the time the data is
+    /// available there. Empty for remnant tasks and for tasks that feed
+    /// nothing in the remnant.
+    pub sources: &'a [Vec<(ProcId, f64)>],
     /// Surviving processors, candidates for the new placements.
-    pub alive: Vec<ProcId>,
+    pub alive: &'a [ProcId],
     /// No new computation or transfer decision starts before this time
     /// (typically the failure-detection instant).
     pub release: f64,
@@ -61,59 +65,11 @@ pub struct SubDagOutcome {
 /// capped internally so the survivors can host `ε + 1` space-exclusive
 /// copies. The run is deterministic in `(inst, spec, opts)`.
 pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) -> SubDagOutcome {
-    if opts.disjoint_lineages {
-        // Same guard as `caft_with`: supports are 64-bit processor masks.
-        assert!(
-            inst.num_procs() <= 64,
-            "hardened sub-DAG repair tracks supports as 64-bit masks (m ≤ 64)"
-        );
-    }
     let eps = opts.eps.min(spec.alive.len().saturating_sub(1));
-    let mut ctx = Ctx::for_subdag(
-        inst,
-        eps,
-        opts.model,
-        opts.seed,
-        &spec.remnant,
-        &spec.sources,
-        spec.alive.clone(),
-        spec.release,
-    );
-    let run_opts = CaftOptions { eps, ..*opts };
-    let g = &inst.graph;
-    // Frontier pseudo-replicas support themselves (used when the hardened
-    // lineage mode is enabled for the repair run).
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
-    for (t, srcs) in spec.sources.iter().enumerate() {
-        let n = ctx
-            .sched
-            .replicas_of(TaskId::from_index(t))
-            .len()
-            .min(srcs.len());
-        for r in ctx.sched.replicas_of(TaskId::from_index(t)).iter().take(n) {
-            supports[t].push(1u64 << (r.proc.index() & 63));
-        }
-    }
-    let mut unscheduled = Vec::new();
-    while let Some(t) = ctx.pop_task() {
-        // A remnant task is schedulable only if every non-remnant
-        // predecessor left at least one surviving copy of its data.
-        let feasible = g.in_edges(t).iter().all(|&e| {
-            let pred = g.edge(e).src;
-            spec.remnant[pred.index()] || !ctx.sched.replicas_of(pred).is_empty()
-        });
-        if !feasible {
-            // Skipping without `finish_task` keeps every descendant
-            // blocked, which is exactly the semantics we want: data gone,
-            // subtree unrecoverable by rescheduling alone.
-            unscheduled.push(t);
-            continue;
-        }
-        schedule_task_for(&mut ctx, t, &run_opts, &mut supports);
-        ctx.finish_task(t);
-    }
+    let mut ctx = Ctx::for_subdag(inst, eps, opts.model, opts.seed, spec);
+    let mut unscheduled = place_free_tasks(&mut ctx, &CaftOptions { eps, ..*opts }, 1);
     // Tasks never freed (descendants of unscheduled ones) are also gaps.
-    for t in g.tasks() {
+    for t in inst.graph.tasks() {
         if spec.remnant[t.index()]
             && ctx.sched.replicas_of(t).is_empty()
             && !unscheduled.contains(&t)
@@ -131,7 +87,7 @@ pub fn caft_on_subdag(inst: &Instance, spec: &SubDagSpec, opts: &CaftOptions) ->
 mod tests {
     use super::*;
     use ft_graph::GraphBuilder;
-    use ft_model::{CommModel, ReplicaRef};
+    use ft_model::CommModel;
     use ft_platform::{ExecMatrix, Platform};
 
     /// chain a → b → c, plus d independent; 4 uniform processors.
@@ -151,28 +107,19 @@ mod tests {
         )
     }
 
-    fn source(task: u32, copy: usize, proc: u32, finish: f64) -> Replica {
-        Replica {
-            of: ReplicaRef::new(TaskId(task), copy),
-            proc: ProcId(proc),
-            start: finish,
-            finish,
-        }
-    }
-
     #[test]
     fn reschedules_tail_on_survivors() {
         let inst = chain_instance();
         // t0 finished at 1.0 on P0 and P1; t1, t2, t3 still to run; P3 died.
         let spec = SubDagSpec {
-            remnant: vec![false, true, true, true],
-            sources: vec![
-                vec![source(0, 0, 0, 1.0), source(0, 1, 1, 1.0)],
+            remnant: &[false, true, true, true],
+            sources: &[
+                vec![(ProcId(0), 1.0), (ProcId(1), 1.0)],
                 vec![],
                 vec![],
                 vec![],
             ],
-            alive: vec![ProcId(0), ProcId(1), ProcId(2)],
+            alive: &[ProcId(0), ProcId(1), ProcId(2)],
             release: 2.0,
         };
         let opts = CaftOptions {
@@ -200,9 +147,9 @@ mod tests {
     fn caps_replication_to_survivors() {
         let inst = chain_instance();
         let spec = SubDagSpec {
-            remnant: vec![false, true, true, true],
-            sources: vec![vec![source(0, 0, 0, 1.0)], vec![], vec![], vec![]],
-            alive: vec![ProcId(0), ProcId(1)],
+            remnant: &[false, true, true, true],
+            sources: &[vec![(ProcId(0), 1.0)], vec![], vec![], vec![]],
+            alive: &[ProcId(0), ProcId(1)],
             release: 1.0,
         };
         let opts = CaftOptions {
@@ -225,9 +172,9 @@ mod tests {
         // t0 executed but its only copy died with its processor: t1 and t2
         // are unrecoverable; independent t3 still reschedules.
         let spec = SubDagSpec {
-            remnant: vec![false, true, true, true],
-            sources: vec![vec![], vec![], vec![], vec![]],
-            alive: vec![ProcId(0), ProcId(1), ProcId(2)],
+            remnant: &[false, true, true, true],
+            sources: &[vec![], vec![], vec![], vec![]],
+            alive: &[ProcId(0), ProcId(1), ProcId(2)],
             release: 2.0,
         };
         let opts = CaftOptions {
@@ -246,9 +193,9 @@ mod tests {
     fn deterministic() {
         let inst = chain_instance();
         let spec = SubDagSpec {
-            remnant: vec![false, true, true, true],
-            sources: vec![vec![source(0, 0, 0, 1.0)], vec![], vec![], vec![]],
-            alive: vec![ProcId(0), ProcId(1), ProcId(2)],
+            remnant: &[false, true, true, true],
+            sources: &[vec![(ProcId(0), 1.0)], vec![], vec![], vec![]],
+            alive: &[ProcId(0), ProcId(1), ProcId(2)],
             release: 2.0,
         };
         let opts = CaftOptions {

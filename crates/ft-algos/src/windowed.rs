@@ -17,11 +17,11 @@
 //! processor congestion rather than to static priority alone.
 //!
 //! With `window = 1` this is exactly [`caft`](crate::caft::caft) (the pool
-//! head is the unique window member). The replica placement itself reuses
-//! the full CAFT machinery (one-to-one mapping + fill-ins), so all message
-//! and validity properties carry over.
+//! head is the unique window member): both run the one CAFT driver, so the
+//! replica placement (one-to-one mapping + fill-ins) and all message and
+//! validity properties carry over.
 
-use crate::caft::CaftOptions;
+use crate::caft::{place_free_tasks, CaftOptions};
 use crate::common::Ctx;
 use ft_graph::TaskId;
 use ft_model::{CommModel, FtSchedule};
@@ -71,52 +71,33 @@ pub fn caft_windowed(
 pub fn caft_windowed_with(inst: &Instance, opts: WindowedOptions) -> FtSchedule {
     assert!(opts.window >= 1, "window must be at least 1");
     let co = opts.caft;
-    if co.disjoint_lineages {
-        assert!(inst.num_procs() <= 64, "hardened mode requires m ≤ 64");
-    }
     let mut ctx = Ctx::new(inst, co.eps, co.model, co.seed);
     if co.insertion {
         ctx = ctx.with_insertion();
     }
-    let mut supports: Vec<Vec<u64>> = vec![Vec::new(); inst.num_tasks()];
-    loop {
-        // Draw up to `window` tasks in priority order.
-        let mut window_tasks: Vec<TaskId> = Vec::with_capacity(opts.window);
-        while window_tasks.len() < opts.window {
-            match ctx.pop_task() {
-                Some(t) => window_tasks.push(t),
-                None => break,
-            }
-        }
-        if window_tasks.is_empty() {
-            break;
-        }
-        // Most urgent member: largest (best-EFT + remaining bottom level
-        // beyond own execution) — the projected makespan if scheduled now.
-        let chosen = if window_tasks.len() == 1 {
-            window_tasks[0]
-        } else {
-            *window_tasks
-                .iter()
-                .max_by(|&&a, &&b| {
-                    let ua = urgency(&ctx, a);
-                    let ub = urgency(&ctx, b);
-                    ua.total_cmp(&ub)
-                        .then_with(|| ctx.tie[a.index()].cmp(&ctx.tie[b.index()]))
-                        .then_with(|| b.cmp(&a))
-                })
-                .expect("window not empty")
-        };
-        // The rest go back to the pool for the next decision.
-        for t in window_tasks {
-            if t != chosen {
-                ctx.pool.push(t);
-            }
-        }
-        crate::caft::schedule_task_for(&mut ctx, chosen, &co, &mut supports);
-        ctx.finish_task(chosen);
-    }
+    place_free_tasks(&mut ctx, &co, opts.window);
     ctx.sched
+}
+
+/// Pops the next task to place from up to `window` highest-priority free
+/// tasks: the most urgent one — largest best-EFT plus remaining bottom
+/// level beyond its own execution, the projected makespan if scheduled
+/// now. The rest go back to the pool for the next decision, so a window
+/// of one takes the pool head.
+pub(crate) fn pop_window(ctx: &mut Ctx<'_>, window: usize) -> Option<TaskId> {
+    let members: Vec<TaskId> = std::iter::from_fn(|| ctx.pop_task()).take(window).collect();
+    let &chosen = members.iter().max_by(|&&a, &&b| {
+        urgency(ctx, a)
+            .total_cmp(&urgency(ctx, b))
+            .then_with(|| ctx.tie[a.index()].cmp(&ctx.tie[b.index()]))
+            .then_with(|| b.cmp(&a))
+    })?;
+    for &t in &members {
+        if t != chosen {
+            ctx.pool.push(t);
+        }
+    }
+    Some(chosen)
 }
 
 /// Projected schedule pressure of scheduling `t` now: its best first-copy

@@ -110,7 +110,7 @@ use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
 use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
-use ft_model::{FtSchedule, MessageRecord, Replica, ReplicaRef};
+use ft_model::{FtSchedule, MessageRecord, ReplicaRef};
 #[cfg(doc)]
 use ft_net::NetworkState;
 use ft_platform::{Instance, ProcId};
@@ -1923,31 +1923,24 @@ impl<'a> Engine<'a> {
 
         // Remnant = not completed and not safely in flight.
         let remnant: Vec<bool> = (0..v).map(|t| !self.task_believed_safe(t)).collect();
-        // Frontier sources, pre-sorted exactly like `Ctx::for_subdag` sorts
-        // (by finish then proc) and capped at ε+1, so pseudo-replica copy
-        // indices align with `src_ops`.
-        let mut sources: Vec<Vec<Replica>> = vec![Vec::new(); v];
+        // Frontier sources in `surviving_copies` order, capped at ε+1, so
+        // the plan's copy indices align with `src_ops`.
+        let mut sources: Vec<Vec<(ProcId, f64)>> = vec![Vec::new(); v];
         let mut src_ops: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
         for t in 0..v {
             if remnant[t] {
                 continue;
             }
             for (op, proc, est) in self.surviving_copies(t).into_iter().take(eps + 1) {
-                let copy = sources[t].len();
-                sources[t].push(Replica {
-                    of: ReplicaRef::new(TaskId::from_index(t), copy),
-                    proc,
-                    start: est,
-                    finish: est,
-                });
+                sources[t].push((proc, est));
                 src_ops[t].push(op);
             }
         }
 
         let spec = SubDagSpec {
-            remnant: remnant.clone(),
-            sources,
-            alive,
+            remnant: &remnant,
+            sources: &sources,
+            alive: &alive,
             release: now,
         };
         let opts = CaftOptions {

@@ -21,7 +21,6 @@
 
 use ftsched::algos::{caft_windowed_with, caft_with, ftbar_with, ftsa_with};
 use ftsched::graph::topo::topological_order;
-use ftsched::model::{Replica, ReplicaRef};
 use ftsched::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,8 +64,13 @@ fn instance(seed: u64, tasks: usize, m: usize, granularity: f64) -> Instance {
 /// The repair input of a crash at `cut` that loses `lost`: the remnant is
 /// every task with no replica finished by `cut`, closed under successors;
 /// the sources are the other tasks' replicas off `lost`, by (finish,
-/// proc); the survivors are every other processor.
-fn cut_spec(inst: &Instance, sched: &FtSchedule, cut: f64, lost: ProcId) -> SubDagSpec {
+/// proc).
+fn cut_spec(
+    inst: &Instance,
+    sched: &FtSchedule,
+    cut: f64,
+    lost: ProcId,
+) -> (Vec<bool>, Vec<Vec<(ProcId, f64)>>) {
     let g = &inst.graph;
     let mut remnant = vec![false; g.num_tasks()];
     for t in topological_order(g) {
@@ -87,23 +91,9 @@ fn cut_spec(inst: &Instance, sched: &FtSchedule, cut: f64, lost: ProcId) -> SubD
                 .collect();
             copies.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
             copies
-                .into_iter()
-                .enumerate()
-                .map(|(copy, (proc, ready))| Replica {
-                    of: ReplicaRef::new(t, copy),
-                    proc,
-                    start: ready,
-                    finish: ready,
-                })
-                .collect()
         })
         .collect();
-    SubDagSpec {
-        remnant,
-        sources,
-        alive: inst.platform.procs().filter(|&p| p != lost).collect(),
-        release: cut,
-    }
+    (remnant, sources)
 }
 
 /// Renders one line per (instance, ε, model, entry point) case and
@@ -200,7 +190,14 @@ fn render() -> (String, usize) {
                 let nominal = plain.latency();
                 for (k, frac) in CUTS.iter().enumerate() {
                     let lost = ProcId::from_index((seed as usize + k) % m);
-                    let spec = cut_spec(&inst, &plain, frac * nominal, lost);
+                    let (remnant, sources) = cut_spec(&inst, &plain, frac * nominal, lost);
+                    let alive: Vec<ProcId> = inst.platform.procs().filter(|&p| p != lost).collect();
+                    let spec = SubDagSpec {
+                        remnant: &remnant,
+                        sources: &sources,
+                        alive: &alive,
+                        release: frac * nominal,
+                    };
                     let out = caft_on_subdag(&inst, &spec, &caft_opts);
                     unscheduled_total += out.unscheduled.len();
                     let mut bytes = schedule_bytes(&out.schedule);
