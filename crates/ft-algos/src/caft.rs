@@ -193,7 +193,7 @@ fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mu
             supports,
             placed: &supports[t.index()],
             remaining_fillins: replicas_needed - copy - 1,
-            m: ctx.inst.num_procs(),
+            candidates: ctx.candidate_procs().fold(0, |a, p| a | proc_bit(p)),
         });
         match one_to_one_round(ctx, t, copy, &locked, &bbar, lineage) {
             Some(round) => {
@@ -285,8 +285,9 @@ struct LineageCtx<'a> {
     placed: &'a [u64],
     /// Fill-in replicas still owed after this round.
     remaining_fillins: usize,
-    /// Platform size.
-    m: usize,
+    /// Mask of the processors replicas may be placed on: only these can
+    /// host the fill-ins.
+    candidates: u64,
 }
 
 impl LineageCtx<'_> {
@@ -298,7 +299,7 @@ impl LineageCtx<'_> {
             return false;
         }
         let union = self.placed.iter().fold(tentative, |a, &b| a | b);
-        let clean = self.m - (union.count_ones() as usize).min(self.m);
+        let clean = (self.candidates & !union).count_ones() as usize;
         clean >= self.remaining_fillins
     }
 

@@ -209,4 +209,78 @@ mod tests {
         assert_eq!(a.schedule.latency(), b.schedule.latency());
         assert_eq!(a.schedule.messages.len(), b.schedule.messages.len());
     }
+
+    /// Hardened repair of an ε = 2 CAFT schedule on 4 processors, cut at
+    /// half its latency with `lost` gone: the remnant is every task with
+    /// no replica finished by the cut (closed under successors), the
+    /// sources the other tasks' replicas off `lost` by (finish, proc).
+    /// Checks every remnant task gets ε + 1 replicas on distinct
+    /// survivors.
+    fn hardened_repair_on_shrunk_platform(seed: u64, tasks: usize, lost: ProcId) {
+        use ft_graph::gen::{random_layered, RandomDagParams};
+        use ft_graph::topo::topological_order;
+        use ft_platform::{random_instance, PlatformParams};
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = random_layered(&RandomDagParams::default().with_tasks(tasks), &mut rng);
+        let params = PlatformParams::default().with_procs(4);
+        let inst = random_instance(g, &params, 1.0, &mut rng);
+        let sched = crate::caft::caft(&inst, 2, CommModel::OnePort, 0);
+        let cut = 0.5 * sched.latency();
+        let g = &inst.graph;
+        let mut remnant = vec![false; g.num_tasks()];
+        for t in topological_order(g) {
+            remnant[t.index()] = g.predecessors(t).any(|p| remnant[p.index()])
+                || sched.replicas_of(t).iter().all(|r| r.finish > cut);
+        }
+        let sources: Vec<Vec<(ProcId, f64)>> = g
+            .tasks()
+            .map(|t| {
+                let mut copies: Vec<(ProcId, f64)> = (sched.replicas_of(t).iter())
+                    .filter(|r| !remnant[t.index()] && r.proc != lost)
+                    .map(|r| (r.proc, r.finish))
+                    .collect();
+                copies.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                copies
+            })
+            .collect();
+        let alive: Vec<ProcId> = inst.platform.procs().filter(|&p| p != lost).collect();
+        let spec = SubDagSpec {
+            remnant: &remnant,
+            sources: &sources,
+            alive: &alive,
+            release: cut,
+        };
+        let opts = CaftOptions {
+            eps: 2,
+            disjoint_lineages: true,
+            ..Default::default()
+        };
+        let out = caft_on_subdag(&inst, &spec, &opts);
+        for t in g.tasks().filter(|t| remnant[t.index()]) {
+            if out.unscheduled.contains(&t) {
+                continue;
+            }
+            let mut hosts: Vec<ProcId> = out.schedule.procs_of(t);
+            assert_eq!(hosts.len(), 3, "task {t} gets ε+1 replicas");
+            assert!(hosts.iter().all(|p| alive.contains(p)), "on survivors");
+            hosts.sort();
+            hosts.dedup();
+            assert_eq!(hosts.len(), 3, "on distinct processors");
+        }
+    }
+
+    #[test]
+    fn hardened_repair_counts_only_survivors_as_clean() {
+        // Before clean processors were counted among the survivors, the
+        // lost processor counted as clean and the last fill-in found no
+        // admissible host.
+        hardened_repair_on_shrunk_platform(0, 10, ProcId(1));
+        for seed in 1..8 {
+            for lost in 0..4 {
+                hardened_repair_on_shrunk_platform(seed, 10 + seed as usize, ProcId(lost));
+            }
+        }
+    }
 }
