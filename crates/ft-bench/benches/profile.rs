@@ -1,16 +1,14 @@
-//! Phase-attribution benchmark of the online engine (`phase-profile`).
+//! Phase-attribution benchmark of the online engine.
 //!
 //! Two cells compare the engine with and without the profiling
 //! scaffolding on the standard two-crash paper-scale run:
 //!
 //! * `runtime/profile/run` — the plain engine (the baseline);
 //! * `runtime/profile/run_profiled` — the same run through
-//!   [`Simulation::run_profiled`]; without the `phase-profile` cargo feature the
-//!   timers are compiled out and the two cells must agree within noise,
-//!   with it the gap *is* the measurement overhead.
+//!   [`Simulation::run_profiled`]; the gap *is* the measurement overhead.
 //!
-//! With the feature enabled the bench also aggregates a [`PhaseProfile`]
-//! over a batch of runs and reports the per-phase wall-clock attribution
+//! The bench also aggregates a [`PhaseProfile`] over a batch of runs and
+//! reports the per-phase wall-clock attribution
 //! (queue pop / completion drain / detection fan-out / policy dispatch /
 //! action validation / spawn-replan). Set `PHASE_JSON=<path>` to dump the
 //! aggregate as JSON; the committed attribution baseline lives in
@@ -18,14 +16,14 @@
 //!
 //! ```text
 //! PHASE_JSON=$PWD/BENCH_phases.json \
-//!   cargo bench -p ft-bench --features phase-profile --bench profile
+//!   cargo bench -p ft-bench --bench profile
 //! ```
 //!
 //! (absolute path: cargo runs the bench binary with the package
 //! directory, not the workspace root, as its cwd)
 //!
-//! Either way the bench pins the invariant that profiling only measures:
-//! the profiled outcome is byte-identical to the plain one.
+//! The bench also pins the invariant that profiling only measures: the
+//! profiled outcome is byte-identical to the plain one.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ft_algos::{caft, CommModel};
@@ -65,20 +63,11 @@ fn bench_profile(c: &mut Criterion) {
         let (_, profile) = sim.run_profiled(&scenario);
         total.merge(&profile);
     }
-    if cfg!(feature = "phase-profile") {
-        let json = serde_json::to_string_pretty(&total).unwrap();
-        eprintln!("phase attribution over 100 runs:\n{json}");
-        if let Ok(path) = std::env::var("PHASE_JSON") {
-            std::fs::write(&path, json + "\n").expect("writing PHASE_JSON");
-            eprintln!("phase attribution written to {path}");
-        }
-    } else {
-        assert_eq!(
-            total.total_nanos(),
-            0,
-            "timers must be compiled out without the phase-profile feature"
-        );
-        eprintln!("phase-profile feature disabled: timers compiled out, attribution all-zero");
+    let json = serde_json::to_string_pretty(&total).unwrap();
+    eprintln!("phase attribution over 100 runs:\n{json}");
+    if let Ok(path) = std::env::var("PHASE_JSON") {
+        std::fs::write(&path, json + "\n").expect("writing PHASE_JSON");
+        eprintln!("phase attribution written to {path}");
     }
 }
 

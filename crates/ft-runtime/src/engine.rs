@@ -566,10 +566,8 @@ impl Clone for Op {
     }
 }
 
-/// Times `$body` into the engine's attached [`PhaseProfile`] under the
-/// `phase-profile` feature; expands to `$body` alone without it, keeping
-/// the default build on the untraced fast path.
-#[cfg(feature = "phase-profile")]
+/// Times `$body` into the engine's attached [`PhaseProfile`], if any; an
+/// unprofiled run pays one `Option` check per phase.
 macro_rules! phase {
     ($self:ident, $ph:ident, $body:expr) => {{
         let timer = $self.profile.is_some().then(std::time::Instant::now);
@@ -580,13 +578,6 @@ macro_rules! phase {
         out
     }};
 }
-#[cfg(not(feature = "phase-profile"))]
-macro_rules! phase {
-    ($self:ident, $ph:ident, $body:expr) => {
-        $body
-    };
-}
-
 /// Local propagation actions, drained to a fixpoint between events.
 pub(crate) enum Act {
     TrySchedule(u32),
@@ -619,12 +610,11 @@ struct Engine<'a> {
     /// (ghost pass-through, DESIGN.md §4).
     frontier: f64,
     /// Phase timers, attached by
-    /// [`Simulation::run_profiled`](crate::Simulation::run_profiled);
-    /// only read with the `phase-profile` feature. (`PhaseProfile` is a
-    /// concrete type, so this keeps `Engine<'a>` covariant — a `&mut dyn`
-    /// observer field would not, which is why the observer travels
-    /// through [`Engine::run`] as an argument instead.)
-    #[cfg_attr(not(feature = "phase-profile"), allow(dead_code))]
+    /// [`Simulation::run_profiled`](crate::Simulation::run_profiled).
+    /// (`PhaseProfile` is a concrete type, so this keeps `Engine<'a>`
+    /// covariant — a `&mut dyn` observer field would not, which is why
+    /// the observer travels through [`Engine::run`] as an argument
+    /// instead.)
     profile: Option<&'a mut PhaseProfile>,
 }
 

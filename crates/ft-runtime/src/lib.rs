@@ -58,9 +58,8 @@
 //!   `tests/engine_invariants.rs` property suite), and batches carry
 //!   exact mergeable [`MetricSet`] histograms on
 //!   [`BatchSummary::metrics`];
-//! * [`PhaseProfile`] — feature-gated (`phase-profile`) wall-clock
-//!   attribution of the engine's hot-loop phases
-//!   ([`Simulation::run_profiled`]);
+//! * [`PhaseProfile`] — wall-clock attribution of the engine's hot-loop
+//!   phases ([`Simulation::run_profiled`]);
 //! * [`report`] — one run against the §6 latency bounds.
 //!
 //! ## Consistency with the static stack

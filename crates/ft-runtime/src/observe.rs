@@ -23,11 +23,9 @@
 //! # Phase profiling
 //!
 //! [`PhaseProfile`] aggregates per-[`Phase`] wall-clock timers over the
-//! engine's hot loop.  The timers are compiled in only under the
-//! `phase-profile` cargo feature so the default build keeps the untraced
-//! fast path; the types (and
-//! [`Simulation::run_profiled`](crate::Simulation::run_profiled)) exist
-//! unconditionally, the profile simply stays empty without the feature.
+//! engine's hot loop. The timers run only when a profile is attached by
+//! [`Simulation::run_profiled`](crate::Simulation::run_profiled); every
+//! other run pays one `Option` check per phase.
 
 use crate::engine::{EngineTrace, OpTrace, TraceEvent};
 use crate::metrics::RunOutcome;
@@ -178,9 +176,7 @@ pub struct PhaseStat {
 /// Wall-clock attribution of an engine run across [`Phase`]s.
 ///
 /// Collected by
-/// [`Simulation::run_profiled`](crate::Simulation::run_profiled); without
-/// the `phase-profile` cargo feature the timers compile out and every
-/// entry stays zero.
+/// [`Simulation::run_profiled`](crate::Simulation::run_profiled).
 /// Serializes to the JSON exported by `ft-bench`'s profile case and the
 /// `BENCH_phases.json` baseline.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]

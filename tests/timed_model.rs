@@ -30,7 +30,8 @@
 //!   the recovery redesign replaced the engine's enum match with the
 //!   open action path without changing any built-in's behavior;
 //! * **observers listen but never steer**: a run with a `NoopObserver`
-//!   or a `TraceObserver` attached is the plain run byte-for-byte;
+//!   or a `TraceObserver` attached, or profiled by `run_profiled`, is the
+//!   plain run byte-for-byte (and the profile times its phases);
 //! * **network**: `Contention::Ideal` is the historical contention-free
 //!   engine byte-for-byte under every policy and detection model (and
 //!   charges nothing against the link model), while the contended
@@ -326,7 +327,8 @@ proptest! {
 
     /// The eighth pinned identity (observability): observers listen but
     /// never steer. A `NoopObserver` or a `TraceObserver` attached with
-    /// `run_observed` reproduces the plain run byte-for-byte.
+    /// `run_observed`, or a phase profile attached by `run_profiled`,
+    /// reproduces the plain run byte-for-byte.
     #[test]
     fn observers_listen_but_never_steer(
         (seed, tasks, procs, eps, gran) in arb_workload(),
@@ -364,6 +366,18 @@ proptest! {
                 serde_json::to_string(&plain).unwrap(),
                 serde_json::to_string(&traced_out).unwrap(),
                 "{}: tracing changed the run", policy
+            );
+
+            // A phase profile only measures, and it sees the run.
+            let (profiled, profile) = base.run_profiled(&scenario);
+            prop_assert_eq!(
+                serde_json::to_string(&plain).unwrap(),
+                serde_json::to_string(&profiled).unwrap(),
+                "{}: profiling changed the run", policy
+            );
+            prop_assert!(
+                profile.phases.iter().any(|s| s.calls > 0),
+                "{}: no phase was timed", policy
             );
         }
     }
