@@ -37,9 +37,13 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
+
+/// The largest job spec a claim reads, in bytes: about 2,000× the
+/// 496-byte example spec. A larger file fails into `failed/`.
+const MAX_SPEC_BYTES: u64 = 1 << 20;
 
 /// Errors of the service layer.
 #[derive(Debug)]
@@ -422,11 +426,25 @@ impl JobQueue {
         Ok(all)
     }
 
-    /// Reads a job's spec out of the given state directory.
+    /// Reads a job's spec out of the given state directory. A spec file
+    /// over 1 MiB is an error, found without reading it whole.
     pub fn read_spec(&self, state: JobState, id: &str) -> Result<JobSpec, ServeError> {
         let path = self.job_file(state, id);
-        let text = fs::read_to_string(&path)?;
-        serde_json::from_str(&text).map_err(|e| err(format!("parsing {}: {e}", path.display())))
+        // The head start reads a typical spec in one call, so the capped
+        // read costs no more syscalls than `fs::read_to_string`.
+        let mut bytes = Vec::with_capacity(8 << 10);
+        fs::File::open(&path)?
+            .take(MAX_SPEC_BYTES + 1)
+            .read_to_end(&mut bytes)?;
+        if bytes.len() as u64 > MAX_SPEC_BYTES {
+            return Err(err(format!(
+                "{} exceeds the {MAX_SPEC_BYTES}-byte spec size limit",
+                path.display()
+            )));
+        }
+        let parse_err = |e: &dyn fmt::Display| err(format!("parsing {}: {e}", path.display()));
+        let text = String::from_utf8(bytes).map_err(|e| parse_err(&e))?;
+        serde_json::from_str(&text).map_err(|e| parse_err(&e))
     }
 
     /// The diagnostic of a failed job, if recorded.

@@ -270,6 +270,29 @@ fn deeply_nested_spec_fails_out_while_the_queue_keeps_draining() {
 }
 
 #[test]
+fn oversized_spec_fails_out_while_the_queue_keeps_draining() {
+    // Hostile input: a valid spec padded with whitespace past the spec
+    // size cap. Read whole, a big enough file would exhaust the daemon's
+    // memory; capped, it fails out with a diagnostic naming the limit.
+    let root = temp_root("huge");
+    let queue = JobQueue::open(&root).unwrap();
+    let spec = serde_json::to_string(&JobSpec::example("huge")).unwrap();
+    let padded = format!("{spec}{}", " ".repeat(2 << 20));
+    std::fs::write(root.join("queue/pending/bloat.json"), padded).unwrap();
+    let good = queue.submit(None, &JobSpec::example("fine")).unwrap();
+    Daemon::new(&root).unwrap().run_until_idle().unwrap();
+    assert_eq!(queue.state("bloat"), Some(JobState::Failed));
+    let diag = queue.read_error("bloat").unwrap();
+    assert!(diag.contains("spec size limit"), "diagnostic: {diag}");
+    assert_eq!(
+        queue.state(&good),
+        Some(JobState::Done),
+        "the next job drained"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn racing_workers_over_malformed_specs_never_kill_the_pool() {
     // Regression (REVIEW PR8): several workers scan the same pending
     // snapshot; whoever loses the race to claim — or to fail a broken
