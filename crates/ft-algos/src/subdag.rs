@@ -237,7 +237,9 @@ mod tests {
         let sources: Vec<Vec<(ProcId, f64)>> = g
             .tasks()
             .map(|t| {
-                let mut copies: Vec<(ProcId, f64)> = (sched.replicas_of(t).iter())
+                let mut copies: Vec<(ProcId, f64)> = sched
+                    .replicas_of(t)
+                    .iter()
                     .filter(|r| !remnant[t.index()] && r.proc != lost)
                     .map(|r| (r.proc, r.finish))
                     .collect();
@@ -273,9 +275,9 @@ mod tests {
 
     #[test]
     fn hardened_repair_counts_only_survivors_as_clean() {
-        // Before clean processors were counted among the survivors, the
-        // lost processor counted as clean and the last fill-in found no
-        // admissible host.
+        // Only survivors can host the fill-ins, so only they count as
+        // clean: counting the lost processor too leaves the last fill-in
+        // with no admissible host (the first case did so).
         hardened_repair_on_shrunk_platform(0, 10, ProcId(1));
         for seed in 1..8 {
             for lost in 0..4 {
