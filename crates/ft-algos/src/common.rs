@@ -189,7 +189,7 @@ impl<'a> Ctx<'a> {
     /// replica of a predecessor sends for free, and it is the only sender
     /// when `local_suffices` holds for it; otherwise every remote replica
     /// of that predecessor sends too.
-    pub fn fanin_specs(
+    pub(crate) fn fanin_specs(
         &self,
         t: TaskId,
         copy: usize,

@@ -578,6 +578,7 @@ macro_rules! phase {
         out
     }};
 }
+
 /// Local propagation actions, drained to a fixpoint between events.
 pub(crate) enum Act {
     TrySchedule(u32),
