@@ -32,7 +32,7 @@
 use crate::common::Ctx;
 use crate::windowed::{caft_windowed_with, pop_window, WindowedOptions};
 use ft_graph::TaskId;
-use ft_model::{CommModel, FtSchedule, MsgSpec, Replica, ReplicaRef};
+use ft_model::{CommModel, FtSchedule, MsgSpec, PlannedMsg, Replica, ReplicaRef};
 use ft_platform::{Instance, ProcId};
 
 /// Options for [`caft_with`]; the toggles exist for the ablation benches.
@@ -123,6 +123,111 @@ fn proc_bit(p: ProcId) -> u64 {
     1u64 << (p.index() & 63)
 }
 
+/// The CAFT driver's per-run buffers: every `Vec` a placement touches,
+/// kept across tasks, rounds and candidates, so placing a task allocates
+/// nothing once they have grown.
+#[derive(Default)]
+struct Buffers {
+    /// The support of every replica placed so far.
+    supports: Supports,
+    /// P̄ — processors locked for the current task (hosting one of its
+    /// replicas or feeding one of them).
+    locked: Vec<ProcId>,
+    /// Processors a fill-in must avoid.
+    excluded: Vec<ProcId>,
+    /// `B̄(tj)` per in-edge of the current task; only the first
+    /// in-degree sets are live, the rest keep their capacity.
+    bbar: Vec<Vec<Replica>>,
+    /// Replicas per processor among the current task's predecessors.
+    count: Vec<usize>,
+    /// The candidate under evaluation.
+    cand: Fanin,
+    /// The best candidate so far, swapped with `cand` on improvement.
+    best: Fanin,
+    /// The planned batch of the candidate under evaluation.
+    planned: Vec<PlannedMsg>,
+}
+
+/// One candidate placement and its fan-in.
+struct Fanin {
+    proc: ProcId,
+    specs: Vec<MsgSpec>,
+    /// Sender processors to lock (eq. (7); one-to-one rounds only).
+    senders: Vec<ProcId>,
+    /// Which head replica of each predecessor is consumed (None when a
+    /// co-located replica outside B̄ supplies the data; one-to-one rounds
+    /// only).
+    heads: Vec<Option<ReplicaRef>>,
+    /// Transitive support mask of the new replica (hardened mode; own
+    /// processor only otherwise).
+    support: u64,
+}
+
+impl Default for Fanin {
+    fn default() -> Self {
+        Fanin {
+            proc: ProcId(0),
+            specs: Vec::new(),
+            senders: Vec::new(),
+            heads: Vec::new(),
+            support: 0,
+        }
+    }
+}
+
+impl Fanin {
+    /// Starts candidate `p` with an empty fan-in.
+    fn reset(&mut self, p: ProcId) {
+        self.proc = p;
+        self.specs.clear();
+        self.senders.clear();
+        self.heads.clear();
+        self.support = proc_bit(p);
+    }
+}
+
+/// Per-replica support masks: the processors whose survival the
+/// completion of a replica transitively depends on. Maintained in both
+/// modes (cheap), enforced only under [`CaftOptions::disjoint_lineages`].
+#[derive(Default)]
+struct Supports {
+    /// `masks[t · stride + k]`: the support of replica `k` of task `t`.
+    masks: Vec<u64>,
+    /// Replicas per task, `ε + 1`.
+    stride: usize,
+}
+
+impl Supports {
+    /// The supports of the replicas already in `ctx`'s schedule: a
+    /// frontier pseudo-replica supports itself.
+    fn new(ctx: &Ctx<'_>) -> Self {
+        let stride = ctx.sched.num_replicas;
+        let mut masks = vec![0; ctx.sched.num_tasks() * stride];
+        for (t, reps) in ctx.sched.replicas.iter().enumerate() {
+            for (k, r) in reps.iter().enumerate() {
+                masks[t * stride + k] = proc_bit(r.proc);
+            }
+        }
+        Supports { masks, stride }
+    }
+
+    /// Support of an already-scheduled replica.
+    fn of(&self, r: ReplicaRef) -> u64 {
+        self.masks[r.task.index() * self.stride + r.copy as usize]
+    }
+
+    /// Supports of the first `n` replicas of `t`.
+    fn first(&self, t: TaskId, n: usize) -> &[u64] {
+        let base = t.index() * self.stride;
+        &self.masks[base..base + n]
+    }
+
+    /// Records the support of replica `k` of `t`.
+    fn set(&mut self, t: TaskId, k: usize, mask: u64) {
+        self.masks[t.index() * self.stride + k] = mask;
+    }
+}
+
 /// The one CAFT driver (Algorithm 5.1's outer loop) behind every entry
 /// point — whole-DAG, windowed and sub-DAG: places the free task
 /// [`pop_window`] picks until none is left. Returns the tasks it skipped
@@ -141,16 +246,10 @@ pub(crate) fn place_free_tasks(
             "hardened CAFT tracks supports as 64-bit masks (m ≤ 64)"
         );
     }
-    // supports[t][k]: bitmask over processors the completion of replica
-    // t^(k+1) transitively depends on. Maintained in both modes (cheap),
-    // enforced only under `disjoint_lineages`. A frontier pseudo-replica
-    // supports itself.
-    let mut supports: Vec<Vec<u64>> = ctx
-        .sched
-        .replicas
-        .iter()
-        .map(|reps| reps.iter().map(|r| proc_bit(r.proc)).collect())
-        .collect();
+    let mut buf = Buffers {
+        supports: Supports::new(ctx),
+        ..Buffers::default()
+    };
     let mut skipped = Vec::new();
     while let Some(t) = pop_window(ctx, window) {
         if inst
@@ -161,23 +260,22 @@ pub(crate) fn place_free_tasks(
             skipped.push(t);
             continue;
         }
-        schedule_task(ctx, t, opts, &mut supports);
+        schedule_task(ctx, t, opts, &mut buf);
         ctx.finish_task(t);
     }
     skipped
 }
 
 /// Places the `ε + 1` replicas of one task (Algorithm 5.1, lines 10–20).
-fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mut Vec<Vec<u64>>) {
+fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, buf: &mut Buffers) {
     let replicas_needed = opts.eps + 1;
-    // P̄ — processors locked for this task (hosting one of its replicas or
-    // feeding one of them).
-    let mut locked: Vec<ProcId> = Vec::new();
+    buf.locked.clear();
 
     // B̄(tj): replicas of each predecessor on singleton processors.
-    let mut bbar: Vec<Vec<Replica>> = singleton_replica_sets(ctx, t);
-    let theta = if opts.one_to_one && !bbar.is_empty() {
-        bbar.iter()
+    let preds = singleton_replica_sets(ctx, t, &mut buf.count, &mut buf.bbar);
+    let theta = if opts.one_to_one && preds > 0 {
+        buf.bbar[..preds]
+            .iter()
             .map(|b| b.len())
             .min()
             .unwrap_or(0)
@@ -189,98 +287,118 @@ fn schedule_task(ctx: &mut Ctx<'_>, t: TaskId, opts: &CaftOptions, supports: &mu
     let mut copy = 0usize;
     // --- One-to-one mapping rounds (Algorithm 5.2). ---
     while copy < theta {
-        let lineage = opts.disjoint_lineages.then(|| LineageCtx {
-            supports,
-            placed: &supports[t.index()],
-            remaining_fillins: replicas_needed - copy - 1,
-            candidates: ctx.candidate_procs().fold(0, |a, p| a | proc_bit(p)),
-        });
-        match one_to_one_round(ctx, t, copy, &locked, &bbar, lineage) {
-            Some(round) => {
-                ctx.commit(t, copy, round.proc, &round.specs);
-                supports[t.index()].push(round.support);
-                locked.push(round.proc);
-                if opts.lock_senders {
-                    for &s in &round.senders {
-                        if !locked.contains(&s) {
-                            locked.push(s);
-                        }
-                    }
-                }
-                // Pop the used heads from B̄ (Algorithm 5.2, line 11).
-                for (j, used) in round.heads.iter().enumerate() {
-                    if let Some(r) = used {
-                        bbar[j].retain(|x| x.of != *r);
-                    }
-                }
-                copy += 1;
-            }
-            // No unlocked candidate left: fall through to fill-in, which
-            // relaxes the exclusions.
-            None => break,
+        // No unlocked candidate left: fall through to fill-in, which
+        // relaxes the exclusions.
+        if !one_to_one_round(ctx, t, copy, opts, preds, buf) {
+            break;
         }
+        let round = &buf.best;
+        ctx.commit(t, copy, round.proc, &round.specs);
+        buf.supports.set(t, copy, round.support);
+        buf.locked.push(round.proc);
+        if opts.lock_senders {
+            for &s in &round.senders {
+                if !buf.locked.contains(&s) {
+                    buf.locked.push(s);
+                }
+            }
+        }
+        // Pop the used heads from B̄ (Algorithm 5.2, line 11).
+        for (j, used) in round.heads.iter().enumerate() {
+            if let Some(r) = used {
+                buf.bbar[j].retain(|x| x.of != *r);
+            }
+        }
+        copy += 1;
     }
 
     // --- FTSA-style fill-in for the remaining replicas (lines 16–20). ---
     while copy < replicas_needed {
-        let mut excluded = locked.clone();
-        for p in ctx.procs_hosting(t) {
-            if !excluded.contains(&p) {
-                excluded.push(p);
+        let excluded = &mut buf.excluded;
+        excluded.clone_from(&buf.locked);
+        for r in ctx.sched.replicas_of(t) {
+            if !excluded.contains(&r.proc) {
+                excluded.push(r.proc);
             }
         }
         if opts.disjoint_lineages {
             // A fill-in replica's support is its own processor, which must
             // stay outside every sibling's support.
-            let union: u64 = supports[t.index()].iter().fold(0, |a, &b| a | b);
+            let union: u64 = buf.supports.first(t, copy).iter().fold(0, |a, &b| a | b);
             for p in ctx.candidate_procs() {
                 if union & proc_bit(p) != 0 && !excluded.contains(&p) {
                     excluded.push(p);
                 }
             }
         }
-        // Under hardening a co-located predecessor copy is the sole sender
-        // only when it is self-supported (its support is exactly its own
-        // processor): a co-located chain replica can starve even while its
-        // processor lives, so relying on it alone would break the fill-in
-        // invariant "survives iff own processor survives"; the remote
-        // copies stay as backups.
-        let specs_on = |p: ProcId| {
-            ctx.fanin_specs(t, copy, p, |r| {
-                !opts.disjoint_lineages
-                    || supports[r.of.task.index()][r.of.copy as usize] == proc_bit(r.proc)
-            })
-        };
-        // The earliest-finishing allowed host, ties to the smaller id.
-        let best_outside = |excluded: &[ProcId]| {
-            ctx.candidate_procs()
-                .filter(|p| !excluded.contains(p))
-                .map(|p| (ctx.eval(t, p, &specs_on(p)).eft, p))
-                .min_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)))
-                .map(|(_, p)| p)
-        };
-        let mut best = best_outside(&excluded);
-        if best.is_none() && !opts.disjoint_lineages {
+        let mut found = best_fillin(ctx, t, copy, opts, buf);
+        if !found && !opts.disjoint_lineages {
             // Every processor is locked: relax the sender locks (keep only
             // the hard space-exclusion constraint). Hardened one-to-one
             // rounds reserve clean processors for the fill-ins instead.
-            best = best_outside(&ctx.procs_hosting(t));
+            buf.excluded.clear();
+            buf.excluded
+                .extend(ctx.sched.replicas_of(t).iter().map(|r| r.proc));
+            found = best_fillin(ctx, t, copy, opts, buf);
         }
-        let best = best.expect("fill-ins always find a host outside the exclusions");
-        let specs = specs_on(best);
-        ctx.commit(t, copy, best, &specs);
-        supports[t.index()].push(proc_bit(best));
-        if !locked.contains(&best) {
-            locked.push(best);
+        assert!(found, "fill-ins always find a host outside the exclusions");
+        let best = buf.best.proc;
+        ctx.commit(t, copy, best, &buf.best.specs);
+        buf.supports.set(t, copy, proc_bit(best));
+        if !buf.locked.contains(&best) {
+            buf.locked.push(best);
         }
         copy += 1;
     }
 }
 
+/// Evaluates every allowed processor outside `buf.excluded` for fill-in
+/// replica `copy` of `t` and leaves the earliest-finishing one, ties to
+/// the smaller id, with its fan-in in `buf.best`; false if none is left.
+fn best_fillin(
+    ctx: &Ctx<'_>,
+    t: TaskId,
+    copy: usize,
+    opts: &CaftOptions,
+    buf: &mut Buffers,
+) -> bool {
+    let Buffers {
+        supports,
+        excluded,
+        cand,
+        best,
+        planned,
+        ..
+    } = buf;
+    // Under hardening a co-located predecessor copy is the sole sender
+    // only when it is self-supported (its support is exactly its own
+    // processor): a co-located chain replica can starve even while its
+    // processor lives, so relying on it alone would break the fill-in
+    // invariant "survives iff own processor survives"; the remote
+    // copies stay as backups.
+    let self_supported =
+        |r: &Replica| !opts.disjoint_lineages || supports.of(r.of) == proc_bit(r.proc);
+    let mut best_eft: Option<f64> = None;
+    for p in ctx.candidate_procs().filter(|p| !excluded.contains(p)) {
+        cand.reset(p);
+        ctx.fanin_specs(t, copy, p, self_supported, &mut cand.specs);
+        let eft = ctx.eval(t, p, &cand.specs, planned).eft;
+        let better = match best_eft {
+            None => true,
+            Some(beft) => eft.total_cmp(&beft).then_with(|| p.cmp(&best.proc)).is_lt(),
+        };
+        if better {
+            best_eft = Some(eft);
+            std::mem::swap(cand, best);
+        }
+    }
+    best_eft.is_some()
+}
+
 /// Lineage-tracking context for hardened one-to-one rounds.
 struct LineageCtx<'a> {
     /// Per-replica supports of every scheduled task.
-    supports: &'a Vec<Vec<u64>>,
+    supports: &'a Supports,
     /// Supports of the replicas of the current task placed so far.
     placed: &'a [u64],
     /// Fill-in replicas still owed after this round.
@@ -305,83 +423,92 @@ impl LineageCtx<'_> {
 
     /// Support of an already-scheduled replica.
     fn support_of(&self, r: ReplicaRef) -> u64 {
-        self.supports[r.task.index()][r.copy as usize]
+        self.supports.of(r)
     }
 }
 
-/// The outcome of evaluating one one-to-one round.
-struct OneToOneRound {
-    proc: ProcId,
-    specs: Vec<MsgSpec>,
-    /// Sender processors to lock (eq. (7)).
-    senders: Vec<ProcId>,
-    /// Which head replica of each predecessor was consumed (None when a
-    /// co-located replica outside B̄ supplied the data).
-    heads: Vec<Option<ReplicaRef>>,
-    /// Transitive support mask of the new replica (hardened mode; own
-    /// processor only otherwise).
-    support: u64,
-}
-
-/// Computes `B̄(tj)` for every predecessor of `t`: replicas living on
-/// processors that host exactly one replica among all predecessors'
-/// replicas. Returns an empty vector for entry tasks.
-fn singleton_replica_sets(ctx: &Ctx<'_>, t: TaskId) -> Vec<Vec<Replica>> {
+/// Fills `bbar[j]` with `B̄(tj)` for every predecessor `tj` of `t` (in
+/// in-edge order): the replicas living on processors that host exactly
+/// one replica among all predecessors' replicas. Returns the number of
+/// sets filled, the in-degree of `t` (0 for entry tasks).
+fn singleton_replica_sets(
+    ctx: &Ctx<'_>,
+    t: TaskId,
+    count: &mut Vec<usize>,
+    bbar: &mut Vec<Vec<Replica>>,
+) -> usize {
     let g = &ctx.inst.graph;
-    if g.in_degree(t) == 0 {
-        return Vec::new();
+    let in_edges = g.in_edges(t);
+    if in_edges.is_empty() {
+        return 0;
     }
-    let m = ctx.inst.num_procs();
-    let mut count = vec![0usize; m];
-    for &e in g.in_edges(t) {
-        let pred = g.edge(e).src;
-        for r in ctx.sched.replicas_of(pred) {
+    count.clear();
+    count.resize(ctx.inst.num_procs(), 0);
+    for &e in in_edges {
+        for r in ctx.sched.replicas_of(g.edge(e).src) {
             count[r.proc.index()] += 1;
         }
     }
-    g.in_edges(t)
-        .iter()
-        .map(|&e| {
-            let pred = g.edge(e).src;
+    if bbar.len() < in_edges.len() {
+        bbar.resize_with(in_edges.len(), Vec::new);
+    }
+    for (set, &e) in bbar.iter_mut().zip(in_edges) {
+        set.clear();
+        set.extend(
             ctx.sched
-                .replicas_of(pred)
+                .replicas_of(g.edge(e).src)
                 .iter()
-                .filter(|r| count[r.proc.index()] == 1)
-                .copied()
-                .collect()
-        })
-        .collect()
+                .filter(|r| count[r.proc.index()] == 1),
+        );
+    }
+    in_edges.len()
 }
 
-/// Evaluates every unlocked processor for one one-to-one placement and
-/// returns the winning round, or `None` if no candidate remains.
+/// Evaluates every unlocked processor for one one-to-one placement of
+/// replica `copy` of `t` over the first `preds` B̄ sets, building each
+/// candidate's fan-in in `buf.cand` and leaving the winner in
+/// `buf.best`; false if no candidate remains.
 fn one_to_one_round(
     ctx: &Ctx<'_>,
     t: TaskId,
     copy: usize,
-    locked: &[ProcId],
-    bbar: &[Vec<Replica>],
-    lineage: Option<LineageCtx<'_>>,
-) -> Option<OneToOneRound> {
+    opts: &CaftOptions,
+    preds: usize,
+    buf: &mut Buffers,
+) -> bool {
+    let Buffers {
+        supports,
+        locked,
+        bbar,
+        cand,
+        best,
+        planned,
+        ..
+    } = buf;
+    let bbar = &bbar[..preds];
+    let lineage = opts.disjoint_lineages.then(|| LineageCtx {
+        supports,
+        placed: supports.first(t, copy),
+        remaining_fillins: opts.eps - copy,
+        candidates: ctx.candidate_procs().fold(0, |a, p| a | proc_bit(p)),
+    });
     let g = &ctx.inst.graph;
     let in_edges = g.in_edges(t);
-    let mut best: Option<(f64, OneToOneRound)> = None;
+    let dst_ref = ReplicaRef::new(t, copy);
+    let mut best_eft: Option<f64> = None;
 
     'candidates: for p in ctx.candidate_procs() {
-        if locked.contains(&p) || ctx.procs_hosting(t).contains(&p) {
+        // Space exclusion: no second replica of `t` on one processor.
+        if locked.contains(&p) || ctx.sched.replicas_of(t).iter().any(|r| r.proc == p) {
             continue;
         }
-        let dst_ref = ReplicaRef::new(t, copy);
-        let mut specs = Vec::with_capacity(in_edges.len());
-        let mut senders = Vec::with_capacity(in_edges.len());
-        let mut heads = Vec::with_capacity(in_edges.len());
-        let mut support = proc_bit(p);
+        cand.reset(p);
         for (j, &e) in in_edges.iter().enumerate() {
             let pred = g.edge(e).src;
             // Co-location short-circuit (§6 note): if a replica of the
             // predecessor lives on the candidate itself, use it for free.
             if let Some(local) = ctx.sched.replicas_of(pred).iter().find(|r| r.proc == p) {
-                specs.push(MsgSpec {
+                cand.specs.push(MsgSpec {
                     edge: e,
                     src: local.of,
                     dst: dst_ref,
@@ -389,18 +516,20 @@ fn one_to_one_round(
                     ready: local.finish,
                     w: 0.0,
                 });
-                senders.push(local.proc);
+                cand.senders.push(local.proc);
                 if let Some(l) = &lineage {
-                    support |= l.support_of(local.of);
+                    cand.support |= l.support_of(local.of);
                 }
                 // Pop it from B̄ only if it is a singleton replica.
-                heads.push(bbar[j].iter().any(|x| x.of == local.of).then_some(local.of));
+                cand.heads
+                    .push(bbar[j].iter().any(|x| x.of == local.of).then_some(local.of));
                 continue;
             }
             // Head of B̄(tj): the replica with the earliest unconstrained
             // communication finish towards p (the sort of Alg. 5.2 line 3).
             // Under hardening, only heads whose support stays disjoint from
             // the sibling replicas' supports are admissible.
+            let support = cand.support;
             let head = bbar[j]
                 .iter()
                 .filter(|r| r.proc != p)
@@ -415,7 +544,7 @@ fn one_to_one_round(
                 });
             match head {
                 Some(h) => {
-                    specs.push(MsgSpec {
+                    cand.specs.push(MsgSpec {
                         edge: e,
                         src: h.of,
                         dst: dst_ref,
@@ -423,11 +552,11 @@ fn one_to_one_round(
                         ready: h.finish,
                         w: ctx.inst.comm_time(e, h.proc, p),
                     });
-                    senders.push(h.proc);
+                    cand.senders.push(h.proc);
                     if let Some(l) = &lineage {
-                        support |= l.support_of(h.of);
+                        cand.support |= l.support_of(h.of);
                     }
-                    heads.push(Some(h.of));
+                    cand.heads.push(Some(h.of));
                 }
                 // B̄(tj) exhausted for this candidate (can happen when the
                 // only singleton replicas sit on p itself, already handled,
@@ -438,35 +567,26 @@ fn one_to_one_round(
         if let Some(l) = &lineage {
             // Final admissibility: the assembled support must stay disjoint
             // and leave room for the remaining fill-ins.
-            if !l.admissible(support) {
+            if !l.admissible(cand.support) {
                 continue 'candidates;
             }
         }
-        let cand = ctx.eval(t, p, &specs);
-        let better = match &best {
+        let eft = ctx.eval(t, p, &cand.specs, planned).eft;
+        let better = match best_eft {
             None => true,
-            Some((beft, bround)) => {
-                cand.eft
-                    .total_cmp(beft)
-                    .then_with(|| bround.proc.cmp(&p))
+            Some(beft) => {
+                eft.total_cmp(&beft)
+                    .then_with(|| best.proc.cmp(&p))
                     .then_with(|| std::cmp::Ordering::Less)
                     == std::cmp::Ordering::Less
             }
         };
         if better {
-            best = Some((
-                cand.eft,
-                OneToOneRound {
-                    proc: p,
-                    specs,
-                    senders,
-                    heads,
-                    support,
-                },
-            ));
+            best_eft = Some(eft);
+            std::mem::swap(cand, best);
         }
     }
-    best.map(|(_, r)| r)
+    best_eft.is_some()
 }
 
 /// The unconstrained link finish `F̂(c, l)` of sending `r`'s data over edge

@@ -9,9 +9,9 @@ use ft_platform::{Instance, ProcId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One evaluated `(task, processor)` placement: its planned incoming
-/// messages and the resulting start/finish estimate.
-#[derive(Clone, Debug)]
+/// One evaluated `(task, processor)` placement: its start/finish
+/// estimate.
+#[derive(Clone, Copy, Debug)]
 pub struct Candidate {
     /// Candidate host processor.
     pub proc: ProcId,
@@ -19,8 +19,6 @@ pub struct Candidate {
     pub est: f64,
     /// Earliest finish time `EST + E(t, P)`.
     pub eft: f64,
-    /// The planned batch realizing the estimate.
-    pub planned: Vec<PlannedMsg>,
 }
 
 /// Mutable state threaded through a scheduling run.
@@ -52,6 +50,13 @@ pub struct Ctx<'a> {
     /// Processors replicas may be placed on. Defaults to the whole
     /// platform; sub-DAG rescheduling restricts it to the survivors.
     allowed: Vec<ProcId>,
+    /// The platform's mean delay, the factor of every edge's mean
+    /// communication time ([`Instance::mean_comm`]), computed once per run.
+    mean_delay: f64,
+    /// The batch [`Ctx::commit`] plans into, reused across commits.
+    committed: Vec<PlannedMsg>,
+    /// The successors [`Ctx::finish_task`] frees, reused across tasks.
+    freed: Vec<TaskId>,
 }
 
 impl<'a> Ctx<'a> {
@@ -113,6 +118,7 @@ impl<'a> Ctx<'a> {
             pool.push(t);
         }
         let mut state = NetworkState::new(m, model);
+        let mean_delay = inst.platform.mean_delay();
         for &p in spec.alive {
             state.commit_exec(p, spec.release);
         }
@@ -138,7 +144,7 @@ impl<'a> Ctx<'a> {
             eps,
             state,
             sched,
-            bl: mean_bottom_levels(inst),
+            bl: mean_bottom_levels(inst, mean_delay),
             tl: vec![spec.release; v],
             tie,
             ready,
@@ -146,6 +152,9 @@ impl<'a> Ctx<'a> {
             insertion: false,
             exec_slots: vec![Timeline::new(); m],
             allowed: spec.alive.to_vec(),
+            mean_delay,
+            committed: Vec::new(),
+            freed: Vec::new(),
         }
     }
 
@@ -178,26 +187,28 @@ impl<'a> Ctx<'a> {
     }
 
     /// Full fan-in message specs for placing replica `copy` of `t` on
-    /// `dst`: every replica of every predecessor sends a copy — except
-    /// that, per the paper's §6 note, if some replica of a predecessor is
-    /// co-located with `dst`, only that (free, local) copy is used.
-    pub fn full_fanin_specs(&self, t: TaskId, copy: usize, dst: ProcId) -> Vec<MsgSpec> {
-        self.fanin_specs(t, copy, dst, |_| true)
+    /// `dst`, written into `specs`: every replica of every predecessor
+    /// sends a copy — except that, per the paper's §6 note, if some
+    /// replica of a predecessor is co-located with `dst`, only that (free,
+    /// local) copy is used.
+    pub fn full_fanin_specs(&self, t: TaskId, copy: usize, dst: ProcId, specs: &mut Vec<MsgSpec>) {
+        self.fanin_specs(t, copy, dst, |_| true, specs)
     }
 
     /// The fan-in builder behind [`Ctx::full_fanin_specs`]: a co-located
     /// replica of a predecessor sends for free, and it is the only sender
     /// when `local_suffices` holds for it; otherwise every remote replica
-    /// of that predecessor sends too.
+    /// of that predecessor sends too. `specs` is cleared first.
     pub(crate) fn fanin_specs(
         &self,
         t: TaskId,
         copy: usize,
         dst: ProcId,
         local_suffices: impl Fn(&Replica) -> bool,
-    ) -> Vec<MsgSpec> {
+        specs: &mut Vec<MsgSpec>,
+    ) {
         let g = &self.inst.graph;
-        let mut specs = Vec::new();
+        specs.clear();
         let dst_ref = ReplicaRef::new(t, copy);
         for &e in g.in_edges(t) {
             let pred = g.edge(e).src;
@@ -227,22 +238,27 @@ impl<'a> Ctx<'a> {
                 });
             }
         }
-        specs
     }
 
     /// Evaluates placing replica `copy` of `t` on `dst` with the given
-    /// incoming messages (pure; nothing is committed).
+    /// incoming messages, planned into the scratch batch `planned` (pure;
+    /// nothing is committed).
     ///
     /// The earliest start (equation (5)) waits for `r(P)` and, per
     /// predecessor edge, the *earliest* arriving copy of the data.
-    pub fn eval(&self, t: TaskId, dst: ProcId, specs: &[MsgSpec]) -> Candidate {
-        let planned = self.state.plan_batch(dst, specs);
-        let est = self.est_of(t, dst, &planned);
+    pub fn eval(
+        &self,
+        t: TaskId,
+        dst: ProcId,
+        specs: &[MsgSpec],
+        planned: &mut Vec<PlannedMsg>,
+    ) -> Candidate {
+        self.state.plan_batch(dst, specs, planned);
+        let est = self.est_of(t, dst, planned);
         Candidate {
             proc: dst,
             est,
             eft: est + self.inst.exec_time(t, dst),
-            planned,
         }
     }
 
@@ -281,16 +297,16 @@ impl<'a> Ctx<'a> {
     /// evaluation), then books messages, ports and the computation.
     /// Returns the committed replica.
     pub fn commit(&mut self, t: TaskId, copy: usize, dst: ProcId, specs: &[MsgSpec]) -> Replica {
-        let planned = self.state.plan_batch(dst, specs);
-        let est = self.est_of(t, dst, &planned);
+        self.state.plan_batch(dst, specs, &mut self.committed);
+        let est = self.est_of(t, dst, &self.committed);
         let finish = est + self.inst.exec_time(t, dst);
-        self.state.commit_batch(dst, &planned);
+        self.state.commit_batch(dst, &self.committed);
         if self.insertion {
             self.exec_slots[dst.index()].add(est, finish, t.0);
         } else {
             self.state.commit_exec(dst, finish);
         }
-        self.sched.push_messages(dst, &planned);
+        self.sched.push_messages(dst, &self.committed);
         let replica = Replica {
             of: ReplicaRef::new(t, copy),
             proc: dst,
@@ -307,9 +323,9 @@ impl<'a> Ctx<'a> {
     /// `tl(s) = max over in-edges (earliest replica finish of pred + mean
     /// comm)` — the dynamic top level on the partially mapped graph.
     pub fn finish_task(&mut self, t: TaskId) {
-        let freed = self.ready.complete(&self.inst.graph, t);
-        for s in freed {
-            let g = &self.inst.graph;
+        let g = &self.inst.graph;
+        self.ready.complete(g, t, &mut self.freed);
+        for &s in &self.freed {
             let mut tl = 0.0f64;
             for &e in g.in_edges(s) {
                 let pred = g.edge(e).src;
@@ -319,17 +335,11 @@ impl<'a> Ctx<'a> {
                     .iter()
                     .map(|r| r.finish)
                     .fold(f64::INFINITY, f64::min);
-                tl = tl.max(first_finish + self.inst.mean_comm(e));
+                tl = tl.max(first_finish + g.edge(e).volume * self.mean_delay);
             }
             self.tl[s.index()] = tl;
             self.pool.push(s);
         }
-    }
-
-    /// Processors already hosting a replica of `t` (space exclusion: later
-    /// copies must avoid them).
-    pub fn procs_hosting(&self, t: TaskId) -> Vec<ProcId> {
-        self.sched.procs_of(t)
     }
 
     /// Evaluates every allowed processor for replica `copy` of `t` with
@@ -342,12 +352,13 @@ impl<'a> Ctx<'a> {
         excluded: &[ProcId],
     ) -> Vec<Candidate> {
         let mut out = Vec::new();
+        let (mut specs, mut planned) = (Vec::new(), Vec::new());
         for p in self.candidate_procs() {
             if excluded.contains(&p) {
                 continue;
             }
-            let specs = self.full_fanin_specs(t, copy, p);
-            out.push(self.eval(t, p, &specs));
+            self.full_fanin_specs(t, copy, p, &mut specs);
+            out.push(self.eval(t, p, &specs, &mut planned));
         }
         out.sort_by(|a, b| a.eft.total_cmp(&b.eft).then_with(|| a.proc.cmp(&b.proc)));
         out
@@ -378,7 +389,9 @@ mod tests {
     fn entry_tasks_have_no_specs() {
         let inst = inst();
         let ctx = Ctx::new(&inst, 1, CommModel::OnePort, 0);
-        assert!(ctx.full_fanin_specs(TaskId(0), 0, ProcId(0)).is_empty());
+        let mut specs = vec![];
+        ctx.full_fanin_specs(TaskId(0), 0, ProcId(0), &mut specs);
+        assert!(specs.is_empty());
     }
 
     #[test]
@@ -389,11 +402,12 @@ mod tests {
         ctx.commit(TaskId(0), 0, ProcId(0), &[]);
         ctx.commit(TaskId(0), 1, ProcId(1), &[]);
         // Towards P0 (hosting a copy): a single local spec.
-        let specs = ctx.full_fanin_specs(TaskId(1), 0, ProcId(0));
+        let mut specs = vec![];
+        ctx.full_fanin_specs(TaskId(1), 0, ProcId(0), &mut specs);
         assert_eq!(specs.len(), 1);
         assert_eq!(specs[0].w, 0.0);
         // Towards P2 (no copy): one spec per replica.
-        let specs = ctx.full_fanin_specs(TaskId(1), 0, ProcId(2));
+        ctx.full_fanin_specs(TaskId(1), 0, ProcId(2), &mut specs);
         assert_eq!(specs.len(), 2);
         assert!(specs.iter().all(|s| s.w == 2.0));
     }
@@ -404,11 +418,9 @@ mod tests {
         let mut ctx = Ctx::new(&inst, 1, CommModel::OnePort, 0);
         ctx.commit(TaskId(0), 0, ProcId(0), &[]);
         ctx.commit(TaskId(0), 1, ProcId(1), &[]);
-        let cand = ctx.eval(
-            TaskId(1),
-            ProcId(2),
-            &ctx.full_fanin_specs(TaskId(1), 0, ProcId(2)),
-        );
+        let mut specs = vec![];
+        ctx.full_fanin_specs(TaskId(1), 0, ProcId(2), &mut specs);
+        let cand = ctx.eval(TaskId(1), ProcId(2), &specs, &mut vec![]);
         // Both copies finish at 1; the first transfer arrives at 3 (w = 2),
         // the second is serialized behind it at the receive port — but EST
         // only waits for the first: 3.

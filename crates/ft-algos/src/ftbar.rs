@@ -74,6 +74,7 @@ pub fn ftbar_with(inst: &Instance, opts: FtbarOptions) -> FtSchedule {
         ctx = ctx.with_insertion();
     }
     let mut schedule_length = 0.0f64; // R(n−1)
+    let mut specs = Vec::new();
     while !ctx.pool.is_empty() {
         // Evaluate the pressure of every free task on every processor.
         let mut best_task: Option<(TaskId, f64, Vec<ft_platform::ProcId>)> = None;
@@ -108,7 +109,7 @@ pub fn ftbar_with(inst: &Instance, opts: FtbarOptions) -> FtSchedule {
         let (t, _, procs) = best_task.expect("pool not empty");
         ctx.pool.remove(t);
         for (copy, &proc) in procs.iter().enumerate() {
-            let specs = ctx.full_fanin_specs(t, copy, proc);
+            ctx.full_fanin_specs(t, copy, proc, &mut specs);
             let r = ctx.commit(t, copy, proc, &specs);
             schedule_length = schedule_length.max(r.finish);
         }

@@ -63,6 +63,7 @@ pub fn ftsa_with(inst: &Instance, opts: FtsaOptions) -> FtSchedule {
     if opts.insertion {
         ctx = ctx.with_insertion();
     }
+    let mut specs = Vec::new();
     while let Some(t) = ctx.pop_task() {
         // One ranking pass over all processors (the paper keeps the first
         // ε + 1 processors that allow the minimum finish time).
@@ -72,7 +73,7 @@ pub fn ftsa_with(inst: &Instance, opts: FtsaOptions) -> FtSchedule {
         for (copy, &proc) in chosen.iter().enumerate() {
             // Re-plan against the live state: earlier copies of t have
             // already consumed port time.
-            let specs = ctx.full_fanin_specs(t, copy, proc);
+            ctx.full_fanin_specs(t, copy, proc, &mut specs);
             ctx.commit(t, copy, proc, &specs);
         }
         ctx.finish_task(t);

@@ -15,9 +15,15 @@ use ft_graph::levels::bottom_levels;
 use ft_graph::{TaskGraph, TaskId};
 use ft_platform::Instance;
 
-/// Static bottom levels on the mean-cost weighted graph.
-pub fn mean_bottom_levels(inst: &Instance) -> Vec<f64> {
-    bottom_levels(&inst.graph, |t| inst.exec.mean(t), |e| inst.mean_comm(e))
+/// Static bottom levels on the mean-cost weighted graph; `mean_delay` is
+/// the platform's [`mean_delay`](ft_platform::Platform::mean_delay),
+/// computed once by the caller rather than once per edge.
+pub fn mean_bottom_levels(inst: &Instance, mean_delay: f64) -> Vec<f64> {
+    bottom_levels(
+        &inst.graph,
+        |t| inst.exec.mean(t),
+        |e| inst.graph.edge(e).volume * mean_delay,
+    )
 }
 
 /// A deterministic max-priority pool of free tasks.
@@ -139,9 +145,10 @@ impl ReadyTracker {
             .collect()
     }
 
-    /// Marks `t` scheduled; returns the successors that just became free.
-    pub fn complete(&mut self, g: &TaskGraph, t: TaskId) -> Vec<TaskId> {
-        let mut freed = Vec::new();
+    /// Marks `t` scheduled; fills `freed` with the successors that just
+    /// became free.
+    pub fn complete(&mut self, g: &TaskGraph, t: TaskId, freed: &mut Vec<TaskId>) {
+        freed.clear();
         for s in g.successors(t) {
             let c = &mut self.remaining_preds[s.index()];
             debug_assert!(*c > 0);
@@ -150,7 +157,6 @@ impl ReadyTracker {
                 freed.push(s);
             }
         }
-        freed
     }
 }
 
@@ -174,7 +180,7 @@ mod tests {
     #[test]
     fn mean_bottom_levels_use_mean_costs() {
         let inst = mini_instance();
-        let bl = mean_bottom_levels(&inst);
+        let bl = mean_bottom_levels(&inst, inst.platform.mean_delay());
         // mean exec: t0 = (2+4)/2 = 3; t1 = (6+12)/2 = 9.
         // mean comm of edge = 4 * 0.5 = 2.
         assert_eq!(bl[1], 9.0);
@@ -220,8 +226,11 @@ mod tests {
         let g = b.build();
         let mut rt = ReadyTracker::for_subset(&g, &[true; 3]);
         assert_eq!(rt.initial(), vec![a, c]);
-        assert_eq!(rt.complete(&g, a), vec![]);
-        assert_eq!(rt.complete(&g, c), vec![d]);
+        let mut freed = vec![];
+        rt.complete(&g, a, &mut freed);
+        assert_eq!(freed, vec![]);
+        rt.complete(&g, c, &mut freed);
+        assert_eq!(freed, vec![d]);
     }
 
     #[test]

@@ -85,6 +85,9 @@ pub fn caft_windowed_with(inst: &Instance, opts: WindowedOptions) -> FtSchedule 
 /// now. The rest go back to the pool for the next decision, so a window
 /// of one takes the pool head.
 pub(crate) fn pop_window(ctx: &mut Ctx<'_>, window: usize) -> Option<TaskId> {
+    if window == 1 {
+        return ctx.pop_task();
+    }
     let members: Vec<TaskId> = std::iter::from_fn(|| ctx.pop_task()).take(window).collect();
     let &chosen = members.iter().max_by(|&&a, &&b| {
         urgency(ctx, a)

@@ -8,10 +8,10 @@
 //! * `R(l)`  — ready time of each directed link;
 //! * `r(P)`  — processor ready time (last computation finish).
 //!
-//! Planning a batch of incoming messages towards a candidate destination is
-//! a *pure* function ([`NetworkState::plan_batch`]) so heuristics can
-//! evaluate every candidate processor and only [`commit`](NetworkState::commit_batch)
-//! the winner — this is how the paper's algorithms "simulate the mapping of
+//! Planning a batch of incoming messages towards a candidate destination
+//! never mutates the state ([`NetworkState::plan_batch`] writes the plan
+//! into the caller's buffer) so heuristics can evaluate every candidate
+//! processor and only [`commit`](NetworkState::commit_batch) the winner — this is how the paper's algorithms "simulate the mapping of
 //! ti on processor Pk as well as the communications induced … to the links"
 //! (Algorithm 5.2, line 5) without an undo log.
 
@@ -80,7 +80,8 @@ impl NetworkState {
     }
 
     /// Plans the transfer of `specs` into destination `dst` without
-    /// mutating the state.
+    /// mutating the state, into the caller's `planned` buffer (cleared
+    /// first, so one buffer serves every candidate a heuristic evaluates).
     ///
     /// Under [`CommModel::OnePort`], remote messages are ordered by their
     /// *unconstrained* link finish time (the sort of equation (6)) and then
@@ -89,91 +90,77 @@ impl NetworkState {
     /// time. Under [`CommModel::MacroDataflow`] every remote message simply
     /// takes `[ready, ready + w]`.
     ///
-    /// The returned vector is in serialization order (arrival order at
-    /// `dst`), not in `specs` order.
-    pub fn plan_batch(&self, dst: ProcId, specs: &[MsgSpec]) -> Vec<PlannedMsg> {
+    /// The batch is left in serialization order (arrival order at `dst`),
+    /// not in `specs` order.
+    pub fn plan_batch(&self, dst: ProcId, specs: &[MsgSpec], planned: &mut Vec<PlannedMsg>) {
+        planned.clear();
+        // Locals pass through untouched (and first, in `specs` order).
+        let instant = |spec: MsgSpec| PlannedMsg {
+            spec,
+            start: spec.ready,
+            finish: spec.ready,
+        };
+        planned.extend(specs.iter().filter(|s| s.from == dst).map(|&s| instant(s)));
+        let locals = planned.len();
         match self.model {
             CommModel::MacroDataflow => {
-                let mut planned: Vec<PlannedMsg> = specs
-                    .iter()
-                    .map(|&spec| {
-                        if spec.from == dst {
-                            PlannedMsg {
-                                spec,
-                                start: spec.ready,
-                                finish: spec.ready,
-                            }
-                        } else {
-                            PlannedMsg {
-                                spec,
-                                start: spec.ready,
-                                finish: spec.ready + spec.w,
-                            }
-                        }
+                planned.extend(
+                    specs
+                        .iter()
+                        .filter(|s| s.from != dst)
+                        .map(|&spec| PlannedMsg {
+                            spec,
+                            start: spec.ready,
+                            finish: spec.ready + spec.w,
+                        }),
+                );
+            }
+            CommModel::OnePort => {
+                // Unconstrained finish F̂(c, l) = max(ready, SF, R(l)) + w:
+                // the sort key of equation (6), parked in `finish` until
+                // the message is serialized. Ties break on (sender, src
+                // task, copy, edge) for determinism.
+                planned.extend(specs.iter().filter(|s| s.from != dst).map(|&spec| {
+                    let uf = spec
+                        .ready
+                        .max(self.send_free(spec.from))
+                        .max(self.link_ready(spec.from, dst))
+                        + spec.w;
+                    PlannedMsg {
+                        spec,
+                        start: uf,
+                        finish: uf,
+                    }
+                }));
+                let remote = &mut planned[locals..];
+                remote.sort_by(|a, b| {
+                    a.finish.total_cmp(&b.finish).then_with(|| {
+                        (a.spec.from, a.spec.src, a.spec.edge).cmp(&(
+                            b.spec.from,
+                            b.spec.src,
+                            b.spec.edge,
+                        ))
                     })
-                    .collect();
-                planned.sort_by(cmp_planned);
-                planned
-            }
-            CommModel::OnePort => self.plan_batch_one_port(dst, specs),
-        }
-    }
-
-    fn plan_batch_one_port(&self, dst: ProcId, specs: &[MsgSpec]) -> Vec<PlannedMsg> {
-        let mut planned: Vec<PlannedMsg> = Vec::with_capacity(specs.len());
-        // Locals pass through untouched.
-        let mut remote: Vec<MsgSpec> = Vec::with_capacity(specs.len());
-        for &spec in specs {
-            if spec.from == dst {
-                planned.push(PlannedMsg {
-                    spec,
-                    start: spec.ready,
-                    finish: spec.ready,
                 });
-            } else {
-                remote.push(spec);
+                // Serialize through the receive port. Finishes only grow
+                // along the batch, so a sender's port and its link to `dst`
+                // are free by the finish of its latest message here, which
+                // the receive port already waits for: the committed SF and
+                // R(l) are the only port state a message needs.
+                let mut rf = self.recv_free(dst);
+                for p in remote {
+                    let s = p.spec;
+                    p.start = s
+                        .ready
+                        .max(self.send_free(s.from))
+                        .max(self.link_ready(s.from, dst))
+                        .max(rf);
+                    p.finish = p.start + s.w;
+                    rf = p.finish;
+                }
             }
-        }
-        // Unconstrained finish F̂(c, l) = max(ready, SF, R(l)) + w: the sort
-        // key of equation (6). Ties break on (sender, src task, copy, edge)
-        // for determinism.
-        let mut keyed: Vec<(f64, MsgSpec)> = remote
-            .into_iter()
-            .map(|s| {
-                let uf = s
-                    .ready
-                    .max(self.send_free(s.from))
-                    .max(self.link_ready(s.from, dst))
-                    + s.w;
-                (uf, s)
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            a.0.total_cmp(&b.0)
-                .then_with(|| (a.1.from, a.1.src, a.1.edge).cmp(&(b.1.from, b.1.src, b.1.edge)))
-        });
-        // Serialize: chain through temporary copies of SF / R(l) / RF.
-        // Batches are small (≤ |Γ−(t)| · (ε+1)), so linear scans beat maps.
-        let mut sf_tmp: Vec<(ProcId, f64)> = Vec::new();
-        let mut link_tmp: Vec<(ProcId, f64)> = Vec::new();
-        let mut rf = self.recv_free(dst);
-        for (_, spec) in keyed {
-            let sf = lookup(&sf_tmp, spec.from).unwrap_or_else(|| self.send_free(spec.from));
-            let lr =
-                lookup(&link_tmp, spec.from).unwrap_or_else(|| self.link_ready(spec.from, dst));
-            let start = spec.ready.max(sf).max(lr).max(rf);
-            let finish = start + spec.w;
-            store(&mut sf_tmp, spec.from, finish);
-            store(&mut link_tmp, spec.from, finish);
-            rf = finish;
-            planned.push(PlannedMsg {
-                spec,
-                start,
-                finish,
-            });
         }
         planned.sort_by(cmp_planned);
-        planned
     }
 
     /// Commits a previously planned batch towards `dst`, advancing the
@@ -214,17 +201,6 @@ fn cmp_planned(a: &PlannedMsg, b: &PlannedMsg) -> std::cmp::Ordering {
         })
 }
 
-fn lookup(v: &[(ProcId, f64)], key: ProcId) -> Option<f64> {
-    v.iter().find(|(k, _)| *k == key).map(|(_, t)| *t)
-}
-
-fn store(v: &mut Vec<(ProcId, f64)>, key: ProcId, val: f64) {
-    match v.iter_mut().find(|(k, _)| *k == key) {
-        Some((_, t)) => *t = val,
-        None => v.push((key, val)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -242,10 +218,20 @@ mod tests {
         }
     }
 
+    fn plan(st: &NetworkState, dst: ProcId, specs: &[MsgSpec]) -> Vec<PlannedMsg> {
+        let mut planned = Vec::new();
+        st.plan_batch(dst, specs, &mut planned);
+        planned
+    }
+
     #[test]
     fn macro_dataflow_is_contention_free() {
         let st = NetworkState::new(3, CommModel::MacroDataflow);
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 1.0, 5.0), spec(1, 1, 1.0, 5.0)]);
+        let planned = plan(
+            &st,
+            ProcId(2),
+            &[spec(0, 0, 1.0, 5.0), spec(1, 1, 1.0, 5.0)],
+        );
         // Both transfers run concurrently: identical windows.
         assert_eq!(planned[0].start, 1.0);
         assert_eq!(planned[0].finish, 6.0);
@@ -258,7 +244,11 @@ mod tests {
         let st = NetworkState::new(3, CommModel::OnePort);
         // Two messages from different senders to the same destination must
         // not overlap at the receive port (constraint (3)).
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 4.0), spec(1, 1, 0.0, 4.0)]);
+        let planned = plan(
+            &st,
+            ProcId(2),
+            &[spec(0, 0, 0.0, 4.0), spec(1, 1, 0.0, 4.0)],
+        );
         assert_eq!(planned[0].start, 0.0);
         assert_eq!(planned[0].finish, 4.0);
         assert_eq!(planned[1].start, 4.0);
@@ -277,7 +267,7 @@ mod tests {
                 finish: 10.0,
             }],
         );
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 3.0)]);
+        let planned = plan(&st, ProcId(2), &[spec(0, 0, 0.0, 3.0)]);
         assert_eq!(planned[0].start, 10.0);
         assert_eq!(planned[0].finish, 13.0);
     }
@@ -285,7 +275,7 @@ mod tests {
     #[test]
     fn local_messages_are_free_and_instant() {
         let st = NetworkState::new(2, CommModel::OnePort);
-        let planned = st.plan_batch(ProcId(1), &[spec(0, 1, 7.0, 0.0)]);
+        let planned = plan(&st, ProcId(1), &[spec(0, 1, 7.0, 0.0)]);
         assert_eq!(planned[0].start, 7.0);
         assert_eq!(planned[0].finish, 7.0);
         // Committing a local message must not move any port.
@@ -300,7 +290,11 @@ mod tests {
         let st = NetworkState::new(3, CommModel::OnePort);
         // Message A: ready 0, w 10 (unconstrained finish 10).
         // Message B: ready 5, w 1 (unconstrained finish 6) → goes first.
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 10.0), spec(1, 1, 5.0, 1.0)]);
+        let planned = plan(
+            &st,
+            ProcId(2),
+            &[spec(0, 0, 0.0, 10.0), spec(1, 1, 5.0, 1.0)],
+        );
         assert_eq!(planned[0].spec.edge, EdgeId(1));
         assert_eq!(planned[0].finish, 6.0);
         // A is pushed behind B at the receive port.
@@ -313,7 +307,7 @@ mod tests {
     fn planning_is_pure() {
         let st = NetworkState::new(3, CommModel::OnePort);
         let before = st.clone();
-        let _ = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 4.0)]);
+        let _ = plan(&st, ProcId(2), &[spec(0, 0, 0.0, 4.0)]);
         assert_eq!(before.recv_free(ProcId(2)), st.recv_free(ProcId(2)));
         assert_eq!(before.send_free(ProcId(0)), st.send_free(ProcId(0)));
         assert_eq!(
@@ -325,7 +319,7 @@ mod tests {
     #[test]
     fn commit_advances_all_three_resources() {
         let mut st = NetworkState::new(3, CommModel::OnePort);
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 4.0)]);
+        let planned = plan(&st, ProcId(2), &[spec(0, 0, 0.0, 4.0)]);
         st.commit_batch(ProcId(2), &planned);
         assert_eq!(st.send_free(ProcId(0)), 4.0);
         assert_eq!(st.recv_free(ProcId(2)), 4.0);
@@ -340,7 +334,11 @@ mod tests {
     #[test]
     fn same_sender_chains_on_send_port_within_batch() {
         let st = NetworkState::new(3, CommModel::OnePort);
-        let planned = st.plan_batch(ProcId(2), &[spec(0, 0, 0.0, 3.0), spec(1, 0, 0.0, 3.0)]);
+        let planned = plan(
+            &st,
+            ProcId(2),
+            &[spec(0, 0, 0.0, 3.0), spec(1, 0, 0.0, 3.0)],
+        );
         assert_eq!(planned[0].finish, 3.0);
         assert_eq!(planned[1].start, 3.0);
         assert_eq!(planned[1].finish, 6.0);
