@@ -110,7 +110,7 @@ use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
 use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
-use ft_model::{FtSchedule, MessageRecord, ReplicaRef};
+use ft_model::{FtSchedule, ReplicaRef};
 #[cfg(doc)]
 use ft_net::NetworkState;
 use ft_platform::{Instance, ProcId};
@@ -224,6 +224,20 @@ fn reset_nested<T>(v: &mut Vec<Vec<T>>, n: usize) {
 fn reset_flat<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
     v.clear();
     v.resize(n, fill);
+}
+
+/// Writes `op` into slot `*next` of the op arena and advances `*next`:
+/// over the recycled op there, in place via `Clone::clone_from`, so its
+/// five dependency lists keep their capacity, or appended past the end.
+/// Returns the op's id.
+fn put_op(ops: &mut Vec<Op>, next: &mut usize, op: Op) -> u32 {
+    let id = *next;
+    match ops.get_mut(id) {
+        Some(slot) => slot.clone_from(&op),
+        None => ops.push(op),
+    }
+    *next += 1;
+    id as u32
 }
 
 /// Clones `src` into `dst` element-wise via `Clone::clone_from`, reusing
@@ -706,7 +720,7 @@ impl<'a> Engine<'a> {
         if contended {
             // Ideal runs never read the occupancy tables, so the reset
             // (and its per-link clears) stays off the contention-free path.
-            arena.net.reset(&plan.network);
+            arena.net.reset(plan.network(&inst.platform));
         }
         // The outcome's vectors are this run's first-finish/recovered
         // buffers; every counter restarts from zero.
@@ -805,57 +819,59 @@ impl<'a> Engine<'a> {
     /// statically starved under the processors crashed at t ≤ 0, builds
     /// exec/msg ops, inherits the static FIFO orders, and wires the
     /// first-copy input groups.
+    ///
+    /// The ops are written over the arena's recycled ones in place
+    /// ([`put_op`]) and the arena is then cut to the build's op count, so
+    /// a one-shot run keeps the dependency lists' capacity of the
+    /// previous run through the pooled arena; every per-replica table is
+    /// a flat arena buffer.
     fn build_static_ops(&mut self) {
         let g = &self.inst.graph;
+        let sched = self.sched;
         let v = g.num_tasks();
         let m = self.inst.num_procs();
-        // Arena reset (no-op on a fresh engine): the op arena and the
-        // per-(task, copy) exec table are rebuilt from nothing here.
-        self.arena.ops.clear();
-        self.arena.static_exec.truncate(v);
-        for (t, se) in self.arena.static_exec.iter_mut().enumerate() {
+        let scenario = self.scenario;
+        let a = &mut self.arena;
+        a.static_exec.truncate(v);
+        for (t, se) in a.static_exec.iter_mut().enumerate() {
             se.clear();
-            se.resize(self.sched.replicas[t].len(), None);
+            se.resize(sched.replicas[t].len(), None);
         }
-        for t in self.arena.static_exec.len()..v {
-            self.arena
-                .static_exec
-                .push(vec![None; self.sched.replicas[t].len()]);
+        for t in a.static_exec.len()..v {
+            a.static_exec.push(vec![None; sched.replicas[t].len()]);
         }
-        let dead0: Vec<bool> = (0..m)
-            .map(|p| self.deadline_after(ProcId::from_index(p), 0.0) <= 0.0)
-            .collect();
+        a.proc_deadline.clear();
+        a.proc_deadline
+            .extend((0..m).map(|p| scenario.deadline_after(ProcId::from_index(p), 0.0)));
+        let dead0 = |deadline: &[f64], p: ProcId| deadline[p.index()] <= 0.0;
 
         // Pass 1: static liveness (crash-at-0 processors only).
-        let mut alive: Vec<Vec<bool>> = self
-            .sched
-            .replicas
-            .iter()
-            .map(|rs| rs.iter().map(|r| !dead0[r.proc.index()]).collect())
-            .collect();
-        let mut incoming: Vec<Vec<Vec<usize>>> = (0..v)
-            .map(|t| vec![Vec::new(); self.sched.replicas[t].len()])
-            .collect();
-        for (mi, msg) in self.sched.messages.iter().enumerate() {
-            let t = msg.dst.task.index();
-            let c = msg.dst.copy as usize;
-            if c < incoming[t].len() {
-                incoming[t][c].push(mi);
-            }
-        }
-        for &t in &ft_graph::topological_order(g) {
+        a.slots.index(sched);
+        a.slot_alive.clear();
+        a.slot_alive.extend(
+            sched
+                .replicas
+                .iter()
+                .flatten()
+                .map(|r| !dead0(&a.proc_deadline, r.proc)),
+        );
+        for &t in &self.plan.topo_order {
             let ti = t.index();
-            for c in 0..alive[ti].len() {
-                if !alive[ti][c] {
+            for c in 0..sched.replicas[ti].len() {
+                let s = a.slots.slot(ti, c);
+                if !a.slot_alive[s] {
                     continue;
                 }
                 for &e in g.in_edges(t) {
-                    let has_live_copy = incoming[ti][c].iter().any(|&mi| {
-                        let msg = &self.sched.messages[mi];
-                        msg.edge == e && alive[msg.src.task.index()][msg.src.copy as usize]
+                    let has_live_copy = a.slots.inbox(s).iter().any(|&mi| {
+                        let msg = &sched.messages[mi as usize];
+                        msg.edge == e
+                            && a.slots
+                                .slot_of(msg.src)
+                                .is_some_and(|src| a.slot_alive[src])
                     });
                     if !has_live_copy {
-                        alive[ti][c] = false; // statically starved
+                        a.slot_alive[s] = false; // statically starved
                         break;
                     }
                 }
@@ -863,100 +879,109 @@ impl<'a> Engine<'a> {
         }
 
         // Pass 2a: exec ops for surviving replicas.
-        for (t, alive_t) in alive.iter().enumerate() {
-            for (c, r) in self.sched.replicas[t].iter().enumerate() {
-                if !alive_t[c] {
+        let mut built = 0;
+        for (t, rs) in sched.replicas.iter().enumerate() {
+            for (c, r) in rs.iter().enumerate() {
+                if !self.arena.slot_alive[self.arena.slots.slot(t, c)] {
                     continue;
                 }
-                let id = self.arena.ops.len() as u32;
                 let mut op = Op::new(
                     self.inst.exec_time(r.of.task, r.proc),
                     0.0,
-                    self.deadline_after(r.proc, 0.0),
+                    self.arena.proc_deadline[r.proc.index()],
                     r.proc,
                 );
                 op.task = Some(r.of.task);
                 self.apply_checkpointing(&mut op);
-                self.arena.ops.push(op);
+                let id = put_op(&mut self.arena.ops, &mut built, op);
                 self.arena.static_exec[t][c] = Some(id);
             }
         }
 
         // Pass 2b: msg ops for messages whose source replica survives.
-        let mut msg_op: Vec<Option<u32>> = vec![None; self.sched.messages.len()];
-        for (mi, msg) in self.sched.messages.iter().enumerate() {
-            if !alive[msg.src.task.index()][msg.src.copy as usize] {
+        self.arena.msg_op.clear();
+        for msg in &sched.messages {
+            let src = self.arena.slots.slot_of(msg.src);
+            if !self.arena.slot_alive[src.expect("message from a scheduled replica")] {
+                self.arena.msg_op.push(None);
                 continue;
             }
-            let id = self.arena.ops.len() as u32;
             let mut mop = Op::new(
                 msg.finish - msg.start,
                 0.0,
-                self.deadline_after(msg.from, 0.0),
+                self.arena.proc_deadline[msg.from.index()],
                 msg.from,
             );
             mop.dst = msg.to.index() as u32;
-            self.arena.ops.push(mop);
-            msg_op[mi] = Some(id);
+            let id = put_op(&mut self.arena.ops, &mut built, mop);
+            self.arena.msg_op.push(Some(id));
             let src = self.arena.static_exec[msg.src.task.index()][msg.src.copy as usize]
                 .expect("surviving source replica has an exec op");
             self.add_hard_dep(src, id);
         }
+        self.arena.ops.truncate(built);
 
-        // Pass 2c: inherited FIFO chains (from static start times).
-        let mut per_proc: Vec<Vec<(f64, u32)>> = vec![Vec::new(); m];
-        for (t, rs) in self.sched.replicas.iter().enumerate() {
+        // Pass 2c: inherited FIFO chains (from static start times), as one
+        // `(queue, start, op)` table sorted once: queue p is processor p,
+        // m + p its send port, 2m + p its receive port and 3m + k·m + h
+        // the link k → h, so each queue chains in start order and the
+        // queues chain in that order.
+        let a = &mut self.arena;
+        let queue = |base: usize, p: ProcId| (base * m + p.index()) as u32;
+        a.fifo.clear();
+        for (t, rs) in sched.replicas.iter().enumerate() {
             for (c, r) in rs.iter().enumerate() {
-                if let Some(op) = self.arena.static_exec[t][c] {
-                    per_proc[r.proc.index()].push((r.start, op));
+                if let Some(op) = a.static_exec[t][c] {
+                    a.fifo.push((queue(0, r.proc), r.start, op));
                 }
             }
         }
-        let mut send_q: Vec<Vec<(f64, u32)>> = vec![Vec::new(); m];
-        let mut recv_q: Vec<Vec<(f64, u32)>> = vec![Vec::new(); m];
-        let mut link_q: Vec<Vec<(f64, u32)>> = vec![Vec::new(); m * m];
-        for (mi, msg) in self.sched.messages.iter().enumerate() {
-            let Some(op) = msg_op[mi] else { continue };
+        for (msg, op) in sched.messages.iter().zip(&a.msg_op) {
+            let Some(op) = *op else { continue };
             if msg.is_local() {
                 continue;
             }
-            send_q[msg.from.index()].push((msg.start, op));
-            link_q[msg.from.index() * m + msg.to.index()].push((msg.start, op));
-            if !dead0[msg.to.index()] {
-                recv_q[msg.to.index()].push((msg.start, op));
+            a.fifo.push((queue(1, msg.from), msg.start, op));
+            if !dead0(&a.proc_deadline, msg.to) {
+                a.fifo.push((queue(2, msg.to), msg.start, op));
             }
+            a.fifo
+                .push((queue(3 + msg.from.index(), msg.to), msg.start, op));
         }
-        for q in per_proc
-            .iter_mut()
-            .chain(send_q.iter_mut())
-            .chain(recv_q.iter_mut())
-            .chain(link_q.iter_mut())
-        {
-            q.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-            for w in q.windows(2) {
-                let (prev, next) = (w[0].1, w[1].1);
-                self.arena.ops[prev as usize].fifo_deps.push(next);
-                self.arena.ops[next as usize].fifo_remaining += 1;
+        a.fifo
+            .sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)).then(x.2.cmp(&y.2)));
+        for w in a.fifo.windows(2) {
+            let ((q, _, prev), (q_next, _, next)) = (w[0], w[1]);
+            if q == q_next {
+                a.ops[prev as usize].fifo_deps.push(next);
+                a.ops[next as usize].fifo_remaining += 1;
             }
         }
 
         // Pass 2d: first-copy input groups.
-        for (t, incoming_t) in incoming.iter().enumerate() {
-            for (c, incoming_tc) in incoming_t.iter().enumerate() {
+        let mut members = std::mem::take(&mut self.arena.members);
+        for (t, rs) in sched.replicas.iter().enumerate() {
+            for c in 0..rs.len() {
                 let Some(ex) = self.arena.static_exec[t][c] else {
                     continue;
                 };
+                let s = self.arena.slots.slot(t, c);
                 for &e in g.in_edges(TaskId::from_index(t)) {
-                    let members: Vec<u32> = incoming_tc
-                        .iter()
-                        .filter(|&&mi| self.sched.messages[mi].edge == e)
-                        .filter_map(|&mi| msg_op[mi])
-                        .collect();
+                    members.clear();
+                    members.extend(
+                        self.arena
+                            .slots
+                            .inbox(s)
+                            .iter()
+                            .filter(|&&mi| sched.messages[mi as usize].edge == e)
+                            .filter_map(|&mi| self.arena.msg_op[mi as usize]),
+                    );
                     debug_assert!(!members.is_empty(), "live replica with starved edge");
                     self.add_group(ex, &members);
                 }
             }
         }
+        self.arena.members = members;
     }
 
     /// Queues the initial completions and the availability events: one
@@ -1215,7 +1240,7 @@ impl<'a> Engine<'a> {
         if op.task.is_none() {
             if op.proc != op.dst && op.duration > 0.0 {
                 let charged = self.arena.net.plan_transfer(
-                    &self.plan.network,
+                    self.plan.network(&self.inst.platform),
                     self.cfg.contention,
                     op.proc as usize,
                     op.dst as usize,
@@ -1911,26 +1936,32 @@ impl<'a> Engine<'a> {
 
         let v = self.inst.num_tasks();
         let eps = self.sched.epsilon().min(alive.len() - 1);
+        // The replan's tables, out of the arena while the plan is wired.
+        let mut rp = std::mem::take(&mut self.arena.replan);
+        let mut slots = std::mem::take(&mut self.arena.slots);
+        let mut members = std::mem::take(&mut self.arena.members);
 
         // Remnant = not completed and not safely in flight.
-        let remnant: Vec<bool> = (0..v).map(|t| !self.task_believed_safe(t)).collect();
+        rp.remnant.clear();
+        rp.remnant
+            .extend((0..v).map(|t| !self.task_believed_safe(t)));
         // Frontier sources in `surviving_copies` order, capped at ε+1, so
         // the plan's copy indices align with `src_ops`.
-        let mut sources: Vec<Vec<(ProcId, f64)>> = vec![Vec::new(); v];
-        let mut src_ops: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
+        reset_nested(&mut rp.sources, v);
+        reset_nested(&mut rp.src_ops, v);
         for t in 0..v {
-            if remnant[t] {
+            if rp.remnant[t] {
                 continue;
             }
             for (op, proc, est) in self.surviving_copies(t).into_iter().take(eps + 1) {
-                sources[t].push((proc, est));
-                src_ops[t].push(op);
+                rp.sources[t].push((proc, est));
+                rp.src_ops[t].push(op);
             }
         }
 
         let spec = SubDagSpec {
-            remnant: &remnant,
-            sources: &sources,
+            remnant: &rp.remnant,
+            sources: &rp.sources,
             alive: &alive,
             release: now,
         };
@@ -1950,9 +1981,9 @@ impl<'a> Engine<'a> {
 
         // Materialize the plan as fixed-time ops.
         let plan = &out.schedule;
-        let mut new_exec: Vec<Vec<Option<u32>>> = vec![Vec::new(); v];
+        reset_nested(&mut rp.new_exec, v);
         for t in 0..v {
-            if !remnant[t] {
+            if !rp.remnant[t] {
                 continue;
             }
             for r in plan.replicas_of(TaskId::from_index(t)) {
@@ -1965,41 +1996,34 @@ impl<'a> Engine<'a> {
                 op.task = Some(r.of.task);
                 op.fixed_finish = Some(r.finish);
                 op.est_finish = r.finish;
-                new_exec[t].push(Some(self.push_recovery_exec(op)));
+                rp.new_exec[t].push(self.push_recovery_exec(op));
             }
         }
         // Wire the plan's messages: first-copy groups per (replica, edge).
         let resolve_src = |src: ReplicaRef| -> Option<Option<u32>> {
             let t = src.task.index();
             let c = src.copy as usize;
-            if remnant[t] {
-                new_exec[t].get(c).copied()
+            if rp.remnant[t] {
+                rp.new_exec[t].get(c).map(|&id| Some(id))
             } else {
-                src_ops[t].get(c).copied()
+                rp.src_ops[t].get(c).copied()
             }
         };
-        // The plan's messages per destination replica, in plan order, so the
-        // wiring below reads each replica's own inbox instead of rescanning
-        // every message per replica and in-edge.
-        let mut inbox: Vec<Vec<Vec<&MessageRecord>>> = (0..v)
-            .map(|t| vec![Vec::new(); plan.replicas_of(TaskId::from_index(t)).len()])
-            .collect();
-        for msg in &plan.messages {
-            if let Some(slot) = inbox[msg.dst.task.index()].get_mut(msg.dst.copy as usize) {
-                slot.push(msg);
-            }
-        }
+        // Each replica reads its own inbox of plan messages, in plan order,
+        // instead of rescanning every message per replica and in-edge.
+        slots.index(plan);
         for t in 0..v {
-            if !remnant[t] {
+            if !rp.remnant[t] {
                 continue;
             }
-            for (c, into_c) in inbox[t].iter().enumerate() {
-                let Some(Some(ex)) = new_exec[t].get(c).copied() else {
-                    continue;
-                };
+            for (c, &ex) in rp.new_exec[t].iter().enumerate() {
+                let inbox = slots.inbox(slots.slot(t, c));
                 for &e in self.inst.graph.in_edges(TaskId::from_index(t)) {
-                    let mut members: Vec<u32> = Vec::new();
-                    for msg in into_c.iter().filter(|m| m.edge == e) {
+                    members.clear();
+                    for msg in inbox.iter().map(|&mi| &plan.messages[mi as usize]) {
+                        if msg.edge != e {
+                            continue;
+                        }
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
@@ -2024,6 +2048,9 @@ impl<'a> Engine<'a> {
                 self.arena.act_scratch.push(Act::TrySchedule(ex));
             }
         }
+        self.arena.replan = rp;
+        self.arena.slots = slots;
+        self.arena.members = members;
         self.settle();
     }
 
@@ -2072,6 +2099,7 @@ mod tests {
     use crate::policy::RecoveryPolicy;
     use ft_algos::{caft, ftsa, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
+    use ft_net::Contention;
     use ft_platform::PlatformParams;
     use ft_sim::{replay, ReplayOutcome};
     use rand::rngs::StdRng;
@@ -2840,32 +2868,62 @@ mod tests {
     /// runs would be caught.
     #[test]
     fn executor_matches_one_shot_run_byte_for_byte() {
-        let inst = setup(11, 30, 1.0);
-        let sched = caft(&inst, 1, CommModel::OnePort, 3);
-        let nominal = sched.latency();
-        let scenarios = [
-            FaultScenario::none(),
-            FaultScenario::timed(&[(ProcId(0), nominal * 0.4)]),
-            FaultScenario::timed(&[(ProcId(1), nominal * 0.2), (ProcId(2), nominal * 0.7)]),
-            FaultScenario::timed(&[(ProcId(2), 0.0)]),
-            FaultScenario::timed(&[(ProcId(0), 0.0), (ProcId(3), nominal * 0.5)]),
-        ];
+        // Instances of different sizes interleave through the one-shot
+        // pool, so each one-shot build overwrites ops recycled from a
+        // larger or a smaller op graph; every outcome must still match a
+        // fresh Executor of its own instance.
+        let cases: Vec<(Instance, FtSchedule)> = [(11, 30), (12, 12), (13, 60)]
+            .into_iter()
+            .map(|(seed, tasks)| {
+                let inst = setup(seed, tasks, 1.0);
+                let sched = caft(&inst, 1, CommModel::OnePort, 3);
+                (inst, sched)
+            })
+            .collect();
+        let scenarios: Vec<[FaultScenario; 5]> = cases
+            .iter()
+            .map(|(_, sched)| {
+                let nominal = sched.latency();
+                [
+                    FaultScenario::none(),
+                    FaultScenario::timed(&[(ProcId(0), nominal * 0.4)]),
+                    FaultScenario::timed(&[(ProcId(1), nominal * 0.2), (ProcId(2), nominal * 0.7)]),
+                    FaultScenario::timed(&[(ProcId(2), 0.0)]),
+                    FaultScenario::timed(&[(ProcId(0), 0.0), (ProcId(3), nominal * 0.5)]),
+                ]
+            })
+            .collect();
+        // (scenario, instance) pairs, instances interleaved per scenario.
+        let order: Vec<(usize, usize)> = (0..5)
+            .flat_map(|i| (0..cases.len()).map(move |k| (i, k)))
+            .collect();
         for policy in RecoveryPolicy::ALL {
-            let cfg = EngineConfig {
-                policy,
-                detection: DetectionModel::uniform(1.0),
-                seed: 7,
-                ..EngineConfig::default()
-            };
-            let mut exec = crate::Executor::new(&inst, &sched, &cfg);
-            // Two passes over the same arena: the second pass runs every
-            // scenario through buffers warmed by a *different* scenario.
-            for pass in 0..2 {
-                for (i, scenario) in scenarios.iter().enumerate() {
-                    let warm = serde_json::to_string(exec.run(scenario)).unwrap();
-                    let cold =
-                        serde_json::to_string(&one_shot(&inst, &sched, scenario, &cfg)).unwrap();
-                    assert_eq!(warm, cold, "{policy}: scenario {i}, pass {pass}");
+            for contention in [Contention::Ideal, Contention::FairShare] {
+                let cfg = EngineConfig {
+                    policy,
+                    detection: DetectionModel::uniform(1.0),
+                    seed: 7,
+                    contention,
+                };
+                let mut execs: Vec<_> = cases
+                    .iter()
+                    .map(|(inst, sched)| crate::Executor::new(inst, sched, &cfg))
+                    .collect();
+                // Two passes over the same arenas: the second pass runs
+                // every scenario through buffers warmed by a *different*
+                // scenario.
+                for pass in 0..2 {
+                    for &(i, k) in &order {
+                        let (inst, sched) = &cases[k];
+                        let scenario = &scenarios[k][i];
+                        let warm = serde_json::to_string(execs[k].run(scenario)).unwrap();
+                        let cold =
+                            serde_json::to_string(&one_shot(inst, sched, scenario, &cfg)).unwrap();
+                        assert_eq!(
+                            warm, cold,
+                            "{policy} {contention:?}: instance {k}, scenario {i}, pass {pass}"
+                        );
+                    }
                 }
             }
         }

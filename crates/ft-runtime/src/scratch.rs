@@ -5,16 +5,16 @@
 //!
 //! * [`StaticPlan`] — everything that depends only on `(instance,
 //!   schedule, policy)`: validated per-task checkpoint plans, the
-//!   topological order, the resolved network, and — for warm plans built
-//!   by [`StaticPlan::new`] — a **pre-built op template** (the full
-//!   static op graph with its dependency wiring) that a run clones *in
-//!   place*. The template is valid for every scenario with no crash at
+//!   topological order, the resolved network (built by the plan's first
+//!   contended run), and — for warm plans built by [`StaticPlan::new`] —
+//!   a **pre-built op template** (the full static op graph with its
+//!   dependency wiring) that a run clones *in place*. The template is valid for every scenario with no crash at
 //!   `t ≤ 0`: such a build takes identical branches everywhere except the
 //!   per-op crash deadlines, which are a per-processor overwrite (the
 //!   host of a computation, the sender of a transfer). Scenarios that do
 //!   kill a processor at `t ≤ 0` — the adversarial replay identities —
 //!   and one-shot plans, which carry no template, take the full build,
-//!   byte-for-byte.
+//!   byte-for-byte, written over the arena's recycled ops in place.
 //! * [`EngineScratch`] — every per-run buffer the engine touches, kept
 //!   across runs: the op arena, the indexed event queue, belief and
 //!   detection state, propagation scratch, and the run's [`RunOutcome`],
@@ -43,11 +43,11 @@ use crate::engine::{build_template, run_into, Act, Op};
 use crate::metrics::RunOutcome;
 use crate::policy::{EngineConfig, Policy, RecoveryAction, TaskInfo};
 use ft_graph::TaskId;
-use ft_model::FtSchedule;
+use ft_model::{FtSchedule, ReplicaRef};
 use ft_net::{NetworkModel, NetworkState};
-use ft_platform::Instance;
+use ft_platform::{Instance, Platform, ProcId};
 use ft_sim::FaultScenario;
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Indexed min-heap over `(time, kind, id)` event keys — the engine's
 /// event queue, backed by one reusable `Vec` instead of a fresh
@@ -133,18 +133,21 @@ pub struct StaticPlan {
     /// [`Policy::checkpoint_plan`], validated once here instead of once
     /// per run.
     pub(crate) plans: Vec<Option<(f64, f64)>>,
+    /// The tasks in topological order (the static liveness pass walks it).
+    pub(crate) topo_order: Vec<TaskId>,
     /// Topological position of each task (spawn-ordering key).
     pub(crate) topo_position: Vec<usize>,
     /// The op template of a warm plan; `None` on a one-shot plan, whose
     /// single run takes the full build.
     pub(crate) template: Option<OpTemplate>,
     /// Link ids and per-route hop tables of the platform's network,
-    /// resolved once here; runs under a contended [`Contention`] mode
-    /// charge transfers against it ([`ft_net::NetworkState`]), Ideal runs
-    /// never read it.
+    /// resolved by the plan's first contended run ([`StaticPlan::network`])
+    /// and shared by every later one; runs under a contended
+    /// [`Contention`] mode charge transfers against it
+    /// ([`ft_net::NetworkState`]), Ideal runs never build it.
     ///
     /// [`Contention`]: ft_net::Contention
-    pub(crate) network: NetworkModel,
+    network: OnceLock<NetworkModel>,
 }
 
 /// The static op graph of a build with no crash at `t ≤ 0`, wiring
@@ -192,20 +195,26 @@ impl StaticPlan {
                 })
             })
             .collect();
+        let topo_order = ft_graph::topological_order(&inst.graph);
         let mut topo_position = vec![0usize; v];
-        for (i, t) in ft_graph::topological_order(&inst.graph)
-            .into_iter()
-            .enumerate()
-        {
+        for (i, t) in topo_order.iter().enumerate() {
             topo_position[t.index()] = i;
         }
         let _ = sched; // shape checks happen in the engine per run
         StaticPlan {
             plans,
+            topo_order,
             topo_position,
             template: None,
-            network: NetworkModel::new(&inst.platform),
+            network: OnceLock::new(),
         }
+    }
+
+    /// The resolved network of `platform`, the platform of the plan's
+    /// instance: built on the first call, shared by every later run on
+    /// any thread.
+    pub(crate) fn network(&self, platform: &Platform) -> &NetworkModel {
+        self.network.get_or_init(|| NetworkModel::new(platform))
     }
 }
 
@@ -298,9 +307,24 @@ pub struct EngineScratch {
     /// Best checkpointed fraction of each task (stable storage: survives
     /// any crash; monotone under the max over crashed replicas).
     pub(crate) task_ck_frac: Vec<f64>,
-    /// Per-processor first crash deadline after `t = 0`, used by the
-    /// template fast path to overwrite op deadlines in one pass.
+    /// Per-processor first crash deadline after `t = 0`: the static
+    /// ops' deadlines, overwritten in one pass on the template fast path.
     pub(crate) proc_deadline: Vec<f64>,
+    /// Replica slots and per-replica inboxes of the schedule being
+    /// wired: the static schedule during the full build, a replan's plan
+    /// during `Engine::reschedule`.
+    pub(crate) slots: ReplicaSlots,
+    /// Static liveness per replica slot (full build only).
+    pub(crate) slot_alive: Vec<bool>,
+    /// Static transfer op per schedule message; `None` when pruned.
+    pub(crate) msg_op: Vec<Option<u32>>,
+    /// The inherited FIFO orders as one `(queue, start, op)` table,
+    /// sorted once (see `Engine::build_static_ops`).
+    pub(crate) fifo: Vec<(u32, f64, u32)>,
+    /// One first-copy input group's members while it is wired.
+    pub(crate) members: Vec<u32>,
+    /// The per-task tables of a `Reschedule` replan.
+    pub(crate) replan: ReplanScratch,
     /// Live link/port occupancy, charged under a contended
     /// [`Contention`](ft_net::Contention) mode; interval lists keep their
     /// capacity across runs (Ideal runs carry it through untouched).
@@ -318,6 +342,87 @@ impl EngineScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// Replica slots of a schedule and each replica's inbox, as flat tables
+/// rebuilt in place per schedule: replica `(t, c)` is slot `base[t] + c`,
+/// and the messages into slot `s`, in schedule order, are
+/// `msgs[start[s]..start[s + 1]]` (message indices). A message into a
+/// copy past its task's replicas has no slot and is dropped.
+#[derive(Debug, Default)]
+pub(crate) struct ReplicaSlots {
+    base: Vec<u32>,
+    start: Vec<u32>,
+    msgs: Vec<u32>,
+}
+
+impl ReplicaSlots {
+    /// Indexes `sched`'s replicas and messages, reusing the tables.
+    pub(crate) fn index(&mut self, sched: &FtSchedule) {
+        self.base.clear();
+        let mut slots = 0u32;
+        for rs in &sched.replicas {
+            self.base.push(slots);
+            slots += rs.len() as u32;
+        }
+        self.base.push(slots);
+        // Counting sort by destination slot: count slot s at s + 2, so
+        // the prefix sums leave each slot's begin at s + 1, where the
+        // fill advances it to its end — the next slot's begin.
+        let n = slots as usize;
+        self.start.clear();
+        self.start.resize(n + 2, 0);
+        for msg in &sched.messages {
+            if let Some(s) = self.slot_of(msg.dst) {
+                self.start[s + 2] += 1;
+            }
+        }
+        for i in 2..n + 2 {
+            self.start[i] += self.start[i - 1];
+        }
+        self.msgs.clear();
+        self.msgs.resize(self.start[n + 1] as usize, 0);
+        for (mi, msg) in sched.messages.iter().enumerate() {
+            if let Some(s) = self.slot_of(msg.dst) {
+                let at = &mut self.start[s + 1];
+                self.msgs[*at as usize] = mi as u32;
+                *at += 1;
+            }
+        }
+    }
+
+    /// The slot of replica `r`, `None` past its task's replicas.
+    pub(crate) fn slot_of(&self, r: ReplicaRef) -> Option<usize> {
+        let t = r.task.index();
+        let at = self.base[t] + r.copy as u32;
+        (at < self.base[t + 1]).then_some(at as usize)
+    }
+
+    /// The slot of copy `c` of task `t`.
+    #[inline]
+    pub(crate) fn slot(&self, t: usize, c: usize) -> usize {
+        self.base[t] as usize + c
+    }
+
+    /// The messages into slot `s`, in schedule order.
+    #[inline]
+    pub(crate) fn inbox(&self, s: usize) -> &[u32] {
+        &self.msgs[self.start[s] as usize..self.start[s + 1] as usize]
+    }
+}
+
+/// The per-task tables of one `Reschedule` replan, kept across replans
+/// and runs (each inner list keeps its capacity).
+#[derive(Debug, Default)]
+pub(crate) struct ReplanScratch {
+    /// Tasks still to run (neither completed nor safely in flight).
+    pub(crate) remnant: Vec<bool>,
+    /// Frontier copies `(proc, ready)` of each non-remnant task.
+    pub(crate) sources: Vec<Vec<(ProcId, f64)>>,
+    /// The op still producing each frontier copy (`None`: data exists).
+    pub(crate) src_ops: Vec<Vec<Option<u32>>>,
+    /// The plan's exec op per remnant replica.
+    pub(crate) new_exec: Vec<Vec<u32>>,
 }
 
 impl std::fmt::Debug for EngineScratch {

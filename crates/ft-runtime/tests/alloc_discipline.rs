@@ -4,18 +4,23 @@
 //! allocations per run, and batch chunks through a warm
 //! [`ChunkedBatch`] allocate sublinearly in the number of runs (the
 //! only allocations left are the rayon driver's per-chunk bookkeeping).
+//! A one-shot [`Simulation::run`] allocates a constant number of times,
+//! whatever the instance size, and CAFT — static and on a sub-DAG —
+//! allocates a small constant per task. Allocation counts are
+//! deterministic, so these gates hold on any machine.
 //!
 //! The counting allocator tallies process-wide, so this binary contains
 //! exactly one `#[test]` — a second test thread would pollute the
 //! counter.
 
 use alloc_counter::{allocation_count, CountingAlloc};
-use ft_algos::{caft, CommModel};
+use ft_algos::{caft, caft_on_subdag, CaftOptions, CommModel, SubDagSpec};
 use ft_graph::gen::{random_layered, RandomDagParams};
-use ft_platform::{random_instance, PlatformParams};
+use ft_graph::topological_order;
+use ft_platform::{random_instance, Instance, PlatformParams, ProcId, Topology};
 use ft_runtime::{
     ChunkedBatch, Contention, EngineConfig, Executor, FailureKind, LifetimeDist, MonteCarloConfig,
-    RecoveryPolicy,
+    RecoveryPolicy, Simulation,
 };
 use ft_sim::FaultScenario;
 use rand::rngs::StdRng;
@@ -23,6 +28,24 @@ use rand::SeedableRng;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations `f` performs.
+fn allocations<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let before = allocation_count();
+    let out = f();
+    (allocation_count() - before, out)
+}
+
+/// A `tasks`-task instance of the benchmark's crash-drill shape: a Beneš
+/// B(3) platform (m = 8) at granularity 0.2.
+fn drill_instance(seed: u64, tasks: usize) -> Instance {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let g = random_layered(&RandomDagParams::default().with_tasks(tasks), &mut rng);
+    let params = PlatformParams::default()
+        .with_procs(8)
+        .with_topology(Topology::Benes { log2_m: 3 });
+    random_instance(g, &params, 0.2, &mut rng)
+}
 
 #[test]
 fn steady_state_hot_loop_does_not_allocate() {
@@ -102,5 +125,86 @@ fn steady_state_hot_loop_does_not_allocate() {
         big <= small + 64,
         "a 10x chunk allocated {big} vs {small} for the small chunk — \
          per-run allocations crept back into the hot loop"
+    );
+
+    // Part 3: a one-shot run recycles the pooled arena's ops in place,
+    // so once warm it allocates the same number of times on a 100-task
+    // instance as on a 25-task one — failure-free, and with a processor
+    // dead at t = 0, which takes the full op-graph build. (Only the
+    // throwaway plan's few per-run tables remain.)
+    let mut oneshot = Vec::new();
+    for tasks in [25, 100] {
+        let mut rng = StdRng::seed_from_u64(6);
+        let g = random_layered(&RandomDagParams::default().with_tasks(tasks), &mut rng);
+        let inst = random_instance(g, &PlatformParams::default(), 1.0, &mut rng);
+        let sched = caft(&inst, 1, CommModel::OnePort, 6);
+        let sim = Simulation::of(&inst, &sched);
+        for scenario in [none.clone(), FaultScenario::timed(&[(ProcId(0), 0.0)])] {
+            for _ in 0..3 {
+                sim.run(&scenario);
+            }
+            oneshot.push(allocations(|| sim.run(&scenario)).0);
+        }
+    }
+    let (small, big) = oneshot.split_at(2);
+    for (scenario, (small, big)) in ["failure-free", "crash-at-0"]
+        .iter()
+        .zip(small.iter().zip(big))
+    {
+        assert!(
+            big.abs_diff(*small) <= 8,
+            "{scenario} one-shot runs allocated {small} times on 25 tasks and {big} on 100 — \
+             the op-graph build allocates per op again"
+        );
+    }
+
+    // Part 4: CAFT plans into per-run buffers, so a static schedule and a
+    // sub-DAG repair each allocate a small constant per task: the output
+    // schedule's replica lists and the run's own tables.
+    let tasks = 100;
+    let inst = drill_instance(3, tasks);
+    let (n, sched) = allocations(|| caft(&inst, 2, CommModel::OnePort, 3));
+    let limit = 4 * tasks as u64;
+    assert!(
+        n <= limit,
+        "caft allocated {n} times on {tasks} tasks (limit {limit})"
+    );
+    // The crash-drill repair: everything without a replica finished by
+    // half the latency is the remnant, the other tasks' surviving copies
+    // off the lost processor are its frontier.
+    let cut = 0.5 * sched.latency();
+    let lost = ProcId(1);
+    let g = &inst.graph;
+    let mut remnant = vec![false; tasks];
+    for t in topological_order(g) {
+        remnant[t.index()] = g.predecessors(t).any(|p| remnant[p.index()])
+            || sched.replicas_of(t).iter().all(|r| r.finish > cut);
+    }
+    let sources: Vec<Vec<(ProcId, f64)>> = g
+        .tasks()
+        .map(|t| {
+            let live = sched.replicas_of(t).iter().filter(|r| r.proc != lost);
+            match remnant[t.index()] {
+                true => Vec::new(),
+                false => live.map(|r| (r.proc, r.finish)).collect(),
+            }
+        })
+        .collect();
+    let alive: Vec<ProcId> = inst.platform.procs().filter(|&p| p != lost).collect();
+    let spec = SubDagSpec {
+        remnant: &remnant,
+        sources: &sources,
+        alive: &alive,
+        release: cut,
+    };
+    let opts = CaftOptions {
+        eps: 2,
+        ..CaftOptions::default()
+    };
+    let (n, out) = allocations(|| caft_on_subdag(&inst, &spec, &opts));
+    assert!(out.unscheduled.is_empty(), "every remnant task is repaired");
+    assert!(
+        n <= limit,
+        "caft_on_subdag allocated {n} times on {tasks} tasks (limit {limit})"
     );
 }
