@@ -20,7 +20,7 @@ use ft_model::FtSchedule;
 use ft_platform::Instance;
 use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Content key of an instance: every [`WorkloadSpec`] field the
 /// instance build reads (ε excluded — it only feeds the schedule).
@@ -178,10 +178,19 @@ impl ArtifactCache {
         }
     }
 
+    /// The cache maps. A build that panics (a workload validation let
+    /// through) poisons the lock it ran under, yet the maps are only
+    /// written after a build returns, so they are consistent and the
+    /// poison is safe to ignore: one failed job must not fail every
+    /// later one.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Resolves a workload: cached artifacts when warm, built (and
     /// cached) when cold.
     pub fn resolve(&self, spec: &WorkloadSpec) -> ResolvedJob {
-        let mut inner = self.inner.lock().expect("cache lock poisoned");
+        let mut inner = self.lock();
         let ikey = InstanceKey::of(spec);
         let (inst, instance_hit) = match inner.instances.get(&ikey) {
             Some(inst) => (inst, true),
@@ -215,7 +224,7 @@ impl ArtifactCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().expect("cache lock poisoned");
+        let inner = self.lock();
         CacheStats {
             instance_hits: inner.instances.hits,
             instance_misses: inner.instances.misses,
@@ -278,6 +287,21 @@ mod tests {
             inst.mean_task_cost().to_bits()
         );
         assert_eq!(warm.sched.latency().to_bits(), sched.latency().to_bits());
+    }
+
+    #[test]
+    fn a_panicking_build_leaves_the_cache_usable() {
+        let cache = ArtifactCache::default();
+        let mut bad = spec(1, 1);
+        bad.eps = bad.procs; // CAFT needs ε + 1 processors: the schedule build panics
+        let build = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cache.resolve(&bad)));
+        assert!(build.is_err());
+        let r = cache.resolve(&spec(1, 1));
+        assert!(
+            r.outcome.instance_hit,
+            "the instance built first stays cached"
+        );
+        assert!(!r.outcome.schedule_hit);
     }
 
     #[test]

@@ -81,10 +81,11 @@ impl JobSpec {
     }
 
     /// Validates the spec's cheap invariants (a tenant that follows the
-    /// job-id character rule, non-empty axes, positive run count) so
-    /// misconfigured jobs fail at submit/claim time with a message
-    /// instead of producing an empty sweep — or, for a tenant such as
-    /// `../x`, auto ids that escape the queue tree.
+    /// job-id character rule, non-empty axes, positive run count, a
+    /// workload the CAFT build accepts) so misconfigured jobs fail at
+    /// submit/claim time with a message instead of producing an empty
+    /// sweep or panicking mid-build — or, for a tenant such as `../x`,
+    /// auto ids that escape the queue tree.
     pub fn validate(&self) -> Result<(), String> {
         if !is_safe_name(&self.tenant) {
             return Err(format!(
@@ -101,8 +102,23 @@ impl JobSpec {
         {
             return Err("grid axes must be non-empty".into());
         }
-        if self.workload.tasks == 0 || self.workload.procs == 0 {
+        let w = &self.workload;
+        if w.tasks == 0 || w.procs == 0 {
             return Err("workload must have tasks and processors".into());
+        }
+        if w.eps >= w.procs {
+            return Err(format!(
+                "workload.eps = {} needs at least eps + 1 = {} processors, got procs = {}",
+                w.eps,
+                w.eps + 1,
+                w.procs
+            ));
+        }
+        if !(w.granularity.is_finite() && w.granularity > 0.0) {
+            return Err(format!(
+                "workload.granularity must be finite and positive, got {}",
+                w.granularity
+            ));
         }
         Ok(())
     }
@@ -193,5 +209,13 @@ mod tests {
         spec.grid.runs = 1;
         spec.grid.mttf_factors.clear();
         assert!(spec.validate().is_err(), "empty axis");
+        let mut spec = JobSpec::example("t");
+        spec.workload.eps = spec.workload.procs;
+        assert!(spec.validate().is_err(), "ε + 1 > m");
+        for g in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = JobSpec::example("t");
+            spec.workload.granularity = g;
+            assert!(spec.validate().is_err(), "granularity {g}");
+        }
     }
 }

@@ -293,6 +293,42 @@ fn oversized_spec_fails_out_while_the_queue_keeps_draining() {
 }
 
 #[test]
+fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
+    // Hostile input: workloads whose build panics — fewer than ε + 1
+    // processors, a zero granularity. They must fail at claim with a
+    // diagnostic; run, the first one's panic poisoned the artifact
+    // cache and every later job failed with it.
+    let root = temp_root("unbuildable");
+    let queue = JobQueue::open(&root).unwrap();
+    let mut few_procs = JobSpec::example("t");
+    few_procs.workload.eps = few_procs.workload.procs;
+    let mut flat = JobSpec::example("t");
+    flat.workload.granularity = 0.0;
+    // Written straight into pending/ (submit would refuse them), ahead of
+    // the valid job in claim order.
+    for (id, spec) in [("bad-eps", &few_procs), ("bad-granularity", &flat)] {
+        let json = serde_json::to_string(spec).unwrap();
+        std::fs::write(root.join(format!("queue/pending/{id}.json")), json).unwrap();
+    }
+    let good = queue
+        .submit(Some("good"), &JobSpec::example("fine"))
+        .unwrap();
+    Daemon::new(&root).unwrap().run_until_idle().unwrap();
+    assert_eq!(
+        queue.state(&good),
+        Some(JobState::Done),
+        "the next job drained: {:?}",
+        queue.read_error(&good)
+    );
+    for (id, field) in [("bad-eps", "eps"), ("bad-granularity", "granularity")] {
+        assert_eq!(queue.state(id), Some(JobState::Failed), "{id}");
+        let diag = queue.read_error(id).unwrap();
+        assert!(diag.contains(&format!("workload.{field}")), "{id}: {diag}");
+    }
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn racing_workers_over_malformed_specs_never_kill_the_pool() {
     // Regression (REVIEW PR8): several workers scan the same pending
     // snapshot; whoever loses the race to claim — or to fail a broken
