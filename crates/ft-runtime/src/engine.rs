@@ -107,7 +107,7 @@ use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{EngineScratch, OpTemplate, StaticPlan};
+use crate::scratch::{EngineScratch, EventKey, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
 use ft_model::{FtSchedule, ReplicaRef};
@@ -115,6 +115,7 @@ use ft_model::{FtSchedule, ReplicaRef};
 use ft_net::NetworkState;
 use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
+use std::cmp::Reverse;
 
 /// Runs one scenario on a throwaway template-free plan, through an arena
 /// borrowed from the process-wide pool: the one-shot path behind
@@ -228,7 +229,7 @@ fn reset_flat<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
 
 /// Writes `op` into slot `*next` of the op arena and advances `*next`:
 /// over the recycled op there, in place via `Clone::clone_from`, so its
-/// five dependency lists keep their capacity, or appended past the end.
+/// four per-op lists keep their capacity, or appended past the end.
 /// Returns the op's id.
 fn put_op(ops: &mut Vec<Op>, next: &mut usize, op: Op) -> u32 {
     let id = *next;
@@ -238,17 +239,6 @@ fn put_op(ops: &mut Vec<Op>, next: &mut usize, op: Op) -> u32 {
     }
     *next += 1;
     id as u32
-}
-
-/// Clones `src` into `dst` element-wise via `Clone::clone_from`, reusing
-/// `dst`'s existing element buffers (for `Op`, every dependency list).
-fn clone_vec_reusing<T: Clone>(dst: &mut Vec<T>, src: &[T]) {
-    dst.truncate(src.len());
-    let shared = dst.len();
-    for (d, s) in dst.iter_mut().zip(&src[..shared]) {
-        d.clone_from(s);
-    }
-    dst.extend(src[shared..].iter().cloned());
 }
 
 /// One surviving copy of a task's output data: `(op, proc, ready)` — the
@@ -482,10 +472,9 @@ pub(crate) struct Op {
     hard_remaining: u32,
     fifo_remaining: u32,
     groups_remaining: u32,
-    /// Live (not-yet-failed) member count per input group.
-    group_live: Vec<u32>,
-    /// Whether each input group already delivered its first copy.
-    group_done: Vec<bool>,
+    /// Per input group: its live (not-yet-failed) member count, and
+    /// whether it already delivered its first copy.
+    groups: Vec<(u32, bool)>,
     data_ready: f64,
     fifo_ready: f64,
 
@@ -522,8 +511,7 @@ impl Op {
             hard_remaining: 0,
             fifo_remaining: 0,
             groups_remaining: 0,
-            group_live: Vec::new(),
-            group_done: Vec::new(),
+            groups: Vec::new(),
             data_ready: 0.0,
             fifo_ready: 0.0,
             hard_deps: Vec::new(),
@@ -539,7 +527,7 @@ impl Op {
 
 /// Hand-written so that `clone_from` reuses the target's buffers: the
 /// derived impl's `clone_from` falls back to `*self = source.clone()`,
-/// which would re-allocate all five dependency lists per op per run and
+/// which would re-allocate all four per-op lists per op per run and
 /// defeat the template fast path. `clone` builds through `clone_from`, so
 /// the field list is written once.
 impl Clone for Op {
@@ -566,8 +554,7 @@ impl Clone for Op {
         self.hard_remaining = source.hard_remaining;
         self.fifo_remaining = source.fifo_remaining;
         self.groups_remaining = source.groups_remaining;
-        self.group_live.clone_from(&source.group_live);
-        self.group_done.clone_from(&source.group_done);
+        self.groups.clone_from(&source.groups);
         self.data_ready = source.data_ready;
         self.fifo_ready = source.fifo_ready;
         self.hard_deps.clone_from(&source.hard_deps);
@@ -808,11 +795,11 @@ impl<'a> Engine<'a> {
         arena
             .proc_deadline
             .extend((0..m).map(|p| scenario.deadline_after(ProcId::from_index(p), 0.0)));
-        clone_vec_reusing(&mut arena.ops, &template.ops);
+        arena.ops.clone_from(&template.ops);
         for op in &mut arena.ops {
             op.deadline = arena.proc_deadline[op.proc as usize];
         }
-        clone_vec_reusing(&mut arena.static_exec, &template.static_exec);
+        arena.static_exec.clone_from(&template.static_exec);
     }
 
     /// Mirrors `ft_sim::replay` passes 1–2: prunes replicas dead or
@@ -1001,10 +988,10 @@ impl<'a> Engine<'a> {
             for k in 0..self.arena.epochs[p].len() {
                 let id = (k * m + p) as u32;
                 for w in Self::event_instants(&self.arena.crash_detect[p][k], p) {
-                    self.arena.queue.push((w, 1, id));
+                    self.arena.queue.push(Reverse(EventKey(w, 1, id)));
                 }
                 for w in Self::event_instants(&self.arena.rejoin_detect[p][k], p) {
-                    self.arena.queue.push((w, 2, id));
+                    self.arena.queue.push(Reverse(EventKey(w, 2, id)));
                 }
             }
         }
@@ -1044,7 +1031,7 @@ impl<'a> Engine<'a> {
         let m = self.inst.num_procs();
         loop {
             let popped = phase!(self, QueuePop, self.arena.queue.pop());
-            let Some((time, kind, id)) = popped else {
+            let Some(Reverse(EventKey(time, kind, id))) = popped else {
                 break;
             };
             self.frontier = self.frontier.max(time);
@@ -1062,14 +1049,14 @@ impl<'a> Engine<'a> {
                 }
             }
             match kind {
-                0 => self.on_completion(id, time),
+                0 => self.complete(id, time),
                 1 => self.on_detection(ProcId::from_index(id as usize % m), id as usize / m, time),
                 _ => self.on_rejoin(ProcId::from_index(id as usize % m), id as usize / m, time),
             }
         }
     }
 
-    fn on_completion(&mut self, id: u32, time: f64) {
+    fn complete(&mut self, id: u32, time: f64) {
         let frontier = self.frontier;
         let op = &mut self.arena.ops[id as usize];
         if op.state == OpState::Cancelled {
@@ -1082,13 +1069,11 @@ impl<'a> Engine<'a> {
         // knowable (DESIGN.md §4).
         op.discovered = frontier.max(op.finish);
         let (ck_pad, saved) = (op.ck_pad, op.full * op.done_frac);
-        let mut first_done = None;
         if let Some(t) = op.task {
             let ti = t.index();
             if self.arena.outcome.first_finish[ti].is_none() {
                 self.arena.outcome.first_finish[ti] = Some(time);
                 self.arena.outcome.recovered[ti] = op.recovery;
-                first_done = Some(t);
             }
         }
         self.arena.outcome.checkpoint_overhead += ck_pad;
@@ -1097,11 +1082,6 @@ impl<'a> Engine<'a> {
             self.arena.act_scratch.push(Act::RealDone(id, time));
             self.settle();
         });
-        if let Some(t) = first_done {
-            self.policy_hook(time, |policy, view, actions| {
-                policy.on_completion(view, t, time, actions)
-            });
-        }
     }
 
     /// Drains the actions queued in `act_scratch` to a fixpoint — the one
@@ -1143,8 +1123,8 @@ impl<'a> Engine<'a> {
                     let groups = std::mem::take(&mut self.arena.ops[i as usize].group_deps);
                     for &(d, gi) in &groups {
                         let dep = &mut self.arena.ops[d as usize];
-                        if dep.state == OpState::Pending && !dep.group_done[gi as usize] {
-                            dep.group_done[gi as usize] = true;
+                        if dep.state == OpState::Pending && !dep.groups[gi as usize].1 {
+                            dep.groups[gi as usize].1 = true;
                             dep.groups_remaining -= 1;
                             dep.data_ready = dep.data_ready.max(t);
                             acts.push(Act::TrySchedule(d));
@@ -1204,7 +1184,7 @@ impl<'a> Engine<'a> {
             op.start = start;
             op.finish = finish;
             op.est_finish = finish;
-            self.arena.queue.push((finish, 0, i));
+            self.arena.queue.push(Reverse(EventKey(finish, 0, i)));
             if self.contended {
                 self.commit_network(nominal, finish);
             }
@@ -1318,9 +1298,10 @@ impl<'a> Engine<'a> {
         let groups = std::mem::take(&mut self.arena.ops[i as usize].group_deps);
         for &(d, gi) in &groups {
             let dep = &mut self.arena.ops[d as usize];
-            if dep.state == OpState::Pending && !dep.group_done[gi as usize] {
-                dep.group_live[gi as usize] -= 1;
-                if dep.group_live[gi as usize] == 0 {
+            let (live, done) = &mut dep.groups[gi as usize];
+            if dep.state == OpState::Pending && !*done {
+                *live -= 1;
+                if *live == 0 {
                     acts.push(Act::Fail(d));
                 }
             }
@@ -1351,7 +1332,7 @@ impl<'a> Engine<'a> {
 
     /// Adds one first-copy group on `ex` over live `members`.
     fn add_group(&mut self, ex: u32, members: &[u32]) {
-        let gi = self.arena.ops[ex as usize].group_live.len() as u32;
+        let gi = self.arena.ops[ex as usize].groups.len() as u32;
         let mut live = 0u32;
         let mut done_time: Option<f64> = None;
         for &mo in members {
@@ -1368,19 +1349,14 @@ impl<'a> Engine<'a> {
             }
         }
         let op = &mut self.arena.ops[ex as usize];
+        op.groups.push((live, done_time.is_some()));
         if let Some(t) = done_time {
             // A member already delivered: group satisfied at its time.
-            op.group_live.push(live);
-            op.group_done.push(true);
             op.data_ready = op.data_ready.max(t);
         } else if live == 0 {
             // No member can ever deliver.
-            op.group_live.push(0);
-            op.group_done.push(false);
             self.fail_now(ex);
         } else {
-            op.group_live.push(live);
-            op.group_done.push(false);
             op.groups_remaining += 1;
         }
     }
@@ -2860,7 +2836,7 @@ mod tests {
     }
 
     /// A persistent [`Executor`](crate::Executor) run — warm arena, op
-    /// template, indexed event queue — must reproduce the one-shot run
+    /// template, reused event queue — must reproduce the one-shot run
     /// byte-for-byte on every scenario class: failure-free (template fast
     /// path), mid-run crashes (template + availability events), crashes
     /// at `t = 0` (full-build fallback inside a warm executor), and

@@ -471,18 +471,6 @@ pub trait Policy: Send + Sync {
         let _ = (view, event, actions);
     }
 
-    /// Called when a task completes for the first time (any replica,
-    /// static or recovery), after the completion's effects propagated.
-    fn on_completion(
-        &self,
-        view: &crate::PolicyView<'_>,
-        task: TaskId,
-        time: f64,
-        actions: &mut Vec<RecoveryAction>,
-    ) {
-        let _ = (view, task, time, actions);
-    }
-
     /// The task's checkpointing contract, asked **once per task** before
     /// a run starts; `None` (the default) disables checkpointing for
     /// the task. This is the hook that makes per-task Young/Daly

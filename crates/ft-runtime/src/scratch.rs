@@ -16,8 +16,8 @@
 //!   and one-shot plans, which carry no template, take the full build,
 //!   byte-for-byte, written over the arena's recycled ops in place.
 //! * [`EngineScratch`] — every per-run buffer the engine touches, kept
-//!   across runs: the op arena, the indexed event queue, belief and
-//!   detection state, propagation scratch, and the run's [`RunOutcome`],
+//!   across runs: the op arena, the event queue, belief and detection
+//!   state, propagation scratch, and the run's [`RunOutcome`],
 //!   whose per-task vectors are the run's first-finish/recovered
 //!   buffers. A run owns the arena whole — moved in, each buffer reset in
 //!   place, moved back. After one warm-up run on a failure-free
@@ -47,79 +47,46 @@ use ft_model::{FtSchedule, ReplicaRef};
 use ft_net::{NetworkModel, NetworkState};
 use ft_platform::{Instance, Platform, ProcId};
 use ft_sim::FaultScenario;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
 use std::sync::{Mutex, OnceLock};
 
-/// Indexed min-heap over `(time, kind, id)` event keys — the engine's
-/// event queue, backed by one reusable `Vec` instead of a fresh
-/// `BinaryHeap` per run.
-///
-/// Keys order lexicographically with `f64::total_cmp` on the time (the
-/// exact order the historical `BinaryHeap<Reverse<(OrdF64, u8, u32)>>`
-/// used). Every key pushed by the engine is distinct — an op id enters
-/// at most once (the `Pending → Scheduled` transition guards the push),
-/// and availability-event instants are deduplicated per `(proc, epoch)`
-/// with the id encoding the pair — so pop order is the unique ascending
-/// key order regardless of heap implementation details.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct EventQueue {
-    heap: Vec<(f64, u8, u32)>,
-}
+/// The engine's event queue: a min-heap of [`EventKey`]s, kept in the
+/// arena so its buffer outlives the run.
+pub(crate) type EventQueue = BinaryHeap<Reverse<EventKey>>;
 
-impl EventQueue {
-    /// Empties the queue, keeping its capacity for the next run.
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
-    }
+/// One event key `(time, kind, id)`, ordered lexicographically:
+/// `f64::total_cmp` on the time, then kind, then id. Every key pushed by
+/// the engine is distinct — an op id enters at most once (the
+/// `Pending → Scheduled` transition guards the push), and
+/// availability-event instants are deduplicated per `(proc, epoch)` with
+/// the id encoding the pair — so pop order is the unique ascending key
+/// order regardless of heap implementation details.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EventKey(pub(crate) f64, pub(crate) u8, pub(crate) u32);
 
-    #[inline]
-    fn less(a: (f64, u8, u32), b: (f64, u8, u32)) -> bool {
-        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)) == std::cmp::Ordering::Less
-    }
-
-    pub(crate) fn push(&mut self, key: (f64, u8, u32)) {
-        self.heap.push(key);
-        let mut i = self.heap.len() - 1;
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if Self::less(self.heap[i], self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
-    }
-
-    pub(crate) fn pop(&mut self) -> Option<(f64, u8, u32)> {
-        let n = self.heap.len();
-        if n == 0 {
-            return None;
-        }
-        self.heap.swap(0, n - 1);
-        let top = self.heap.pop();
-        let n = self.heap.len();
-        let mut i = 0;
-        loop {
-            let l = 2 * i + 1;
-            if l >= n {
-                break;
-            }
-            let r = l + 1;
-            let c = if r < n && Self::less(self.heap[r], self.heap[l]) {
-                r
-            } else {
-                l
-            };
-            if Self::less(self.heap[c], self.heap[i]) {
-                self.heap.swap(i, c);
-                i = c;
-            } else {
-                break;
-            }
-        }
-        top
+impl Ord for EventKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0
+            .total_cmp(&other.0)
+            .then(self.1.cmp(&other.1))
+            .then(self.2.cmp(&other.2))
     }
 }
+
+impl PartialOrd for EventKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for EventKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for EventKey {}
 
 /// Everything about a run that depends only on `(instance, schedule,
 /// policy)` — validated checkpoint plans, the topological order, the
@@ -550,5 +517,90 @@ impl std::fmt::Debug for Executor<'_> {
         f.debug_struct("Executor")
             .field("plan", &self.plan)
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every key of the test set, listed in the contract's pop order:
+    /// time by `total_cmp` (`-0.0` before `0.0`), then kind — completion
+    /// (0) before detection (1) before rejoin (2) — then id.
+    fn keys_in_pop_order() -> Vec<EventKey> {
+        let mut keys = Vec::new();
+        for time in [-1.5, -0.0, 0.0, 0.25, 1.0, 7.0] {
+            for kind in 0..3 {
+                for id in [0, 3, 11] {
+                    keys.push(EventKey(time, kind, id));
+                }
+            }
+        }
+        keys
+    }
+
+    /// The rank of `key` in `order`, matching the time bit for bit.
+    fn rank(order: &[EventKey], key: EventKey) -> usize {
+        order
+            .iter()
+            .position(|k| k.0.to_bits() == key.0.to_bits() && (k.1, k.2) == (key.1, key.2))
+            .expect("popped a key that was never pushed")
+    }
+
+    /// `keys` in a fixed scrambled order: every `stride`-th key, wrapping,
+    /// which visits each key once when `stride` is coprime to the length.
+    fn shuffled(keys: &[EventKey], stride: usize) -> Vec<EventKey> {
+        let n = keys.len();
+        assert!(
+            (1..n).all(|i| !(i * stride).is_multiple_of(n)),
+            "stride {stride} shares a factor with {n}"
+        );
+        (0..n).map(|i| keys[i * stride % n]).collect()
+    }
+
+    /// Pushes `keys` one by one, then pops the queue empty, returning
+    /// each popped key's rank in `order`.
+    fn push_then_drain(
+        queue: &mut EventQueue,
+        order: &[EventKey],
+        keys: &[EventKey],
+    ) -> Vec<usize> {
+        for &key in keys {
+            queue.push(Reverse(key));
+        }
+        std::iter::from_fn(|| queue.pop())
+            .map(|Reverse(key)| rank(order, key))
+            .collect()
+    }
+
+    #[test]
+    fn event_queue_pops_time_then_kind_then_id() {
+        let order = keys_in_pop_order();
+        let ascending: Vec<usize> = (0..order.len()).collect();
+        let mut queue = EventQueue::new();
+        assert_eq!(
+            push_then_drain(&mut queue, &order, &shuffled(&order, 7)),
+            ascending
+        );
+
+        // Interleaved pushes and pops: every pop returns the least key
+        // still queued.
+        let mut queued = std::collections::BTreeSet::new();
+        for (i, key) in shuffled(&order, 11).into_iter().enumerate() {
+            queue.push(Reverse(key));
+            queued.insert(rank(&order, key));
+            if i % 3 == 2 {
+                let Reverse(key) = queue.pop().expect("a queued key");
+                assert_eq!(Some(rank(&order, key)), queued.pop_first());
+            }
+        }
+
+        // A cleared queue forgets its keys and keeps the contract.
+        queue.clear();
+        assert!(queue.is_empty());
+        assert_eq!(
+            push_then_drain(&mut queue, &order, &shuffled(&order, 13)),
+            ascending
+        );
     }
 }
