@@ -5,6 +5,16 @@ use ft_experiments::{CellSpec, DetectionKind, SweepGrid, WorkloadSpec};
 use ft_runtime::{BatchSummary, Contention};
 use serde::{Deserialize, Serialize};
 
+/// The most processors a job's workload may ask for. The instance build
+/// allocates `procs²` delay and routing tables, and a failed allocation
+/// aborts the daemon (no unwind guard catches it), so an oversized
+/// workload must fail at validation, before anything is built.
+const MAX_PROCS: usize = 1_024;
+
+/// The largest `tasks × procs` execution matrix a job's workload may ask
+/// for, for the same reason as [`MAX_PROCS`].
+const MAX_TASK_PROCS: usize = 10_000_000;
+
 /// A simulation job: one tenant's workload plus the scenario grid to
 /// sweep over it. Everything the daemon needs is in the spec — resolved
 /// workload artifacts are shared through the
@@ -82,10 +92,11 @@ impl JobSpec {
 
     /// Validates the spec's cheap invariants (a tenant that follows the
     /// job-id character rule, non-empty axes, positive run count, a
-    /// workload the CAFT build accepts) so misconfigured jobs fail at
-    /// submit/claim time with a message instead of producing an empty
-    /// sweep or panicking mid-build — or, for a tenant such as `../x`,
-    /// auto ids that escape the queue tree.
+    /// workload the CAFT build accepts, within the size limits) so
+    /// misconfigured jobs fail at submit/claim time with a message
+    /// instead of producing an empty sweep, panicking mid-build or
+    /// aborting the daemon on a refused allocation — or, for a tenant
+    /// such as `../x`, auto ids that escape the queue tree.
     pub fn validate(&self) -> Result<(), String> {
         if !is_safe_name(&self.tenant) {
             return Err(format!(
@@ -105,6 +116,18 @@ impl JobSpec {
         let w = &self.workload;
         if w.tasks == 0 || w.procs == 0 {
             return Err("workload must have tasks and processors".into());
+        }
+        if w.procs > MAX_PROCS {
+            return Err(format!(
+                "workload.procs = {} exceeds the limit of {MAX_PROCS} processors",
+                w.procs
+            ));
+        }
+        if w.tasks.saturating_mul(w.procs) > MAX_TASK_PROCS {
+            return Err(format!(
+                "workload.tasks × workload.procs = {} × {} exceeds the limit of {MAX_TASK_PROCS}",
+                w.tasks, w.procs
+            ));
         }
         if w.eps >= w.procs {
             return Err(format!(
@@ -216,6 +239,25 @@ mod tests {
             let mut spec = JobSpec::example("t");
             spec.workload.granularity = g;
             assert!(spec.validate().is_err(), "granularity {g}");
+        }
+        let mut spec = JobSpec::example("t");
+        spec.workload.procs = MAX_PROCS;
+        spec.workload.tasks = MAX_TASK_PROCS / MAX_PROCS;
+        spec.validate().expect("a workload at both size limits");
+        spec.workload.procs = MAX_PROCS + 1;
+        let diag = spec.validate().unwrap_err();
+        assert!(
+            diag.contains("workload.procs") && diag.contains("limit"),
+            "{diag}"
+        );
+        spec.workload.procs = MAX_PROCS;
+        for tasks in [MAX_TASK_PROCS / MAX_PROCS + 1, usize::MAX] {
+            spec.workload.tasks = tasks;
+            let diag = spec.validate().unwrap_err();
+            assert!(
+                diag.contains("workload.tasks") && diag.contains("limit"),
+                "{diag}"
+            );
         }
     }
 }

@@ -295,18 +295,27 @@ fn oversized_spec_fails_out_while_the_queue_keeps_draining() {
 #[test]
 fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     // Hostile input: workloads whose build panics — fewer than ε + 1
-    // processors, a zero granularity. They must fail at claim with a
-    // diagnostic; run, the first one's panic poisoned the artifact
-    // cache and every later job failed with it.
+    // processors, a zero granularity — or aborts the process: 2^20
+    // processors ask for an 8 TiB delay table, an allocation the OS
+    // refuses, and no unwind guard catches the abort. They must fail at
+    // claim with a diagnostic; run, the first panic poisoned the
+    // artifact cache and every later job failed with it.
     let root = temp_root("unbuildable");
     let queue = JobQueue::open(&root).unwrap();
     let mut few_procs = JobSpec::example("t");
     few_procs.workload.eps = few_procs.workload.procs;
     let mut flat = JobSpec::example("t");
     flat.workload.granularity = 0.0;
+    let mut oversized = JobSpec::example("t");
+    oversized.workload.procs = 1 << 20;
+    let bad = [
+        ("bad-eps", &few_procs, "eps"),
+        ("bad-granularity", &flat, "granularity"),
+        ("bad-procs", &oversized, "procs"),
+    ];
     // Written straight into pending/ (submit would refuse them), ahead of
     // the valid job in claim order.
-    for (id, spec) in [("bad-eps", &few_procs), ("bad-granularity", &flat)] {
+    for (id, spec, _) in bad {
         let json = serde_json::to_string(spec).unwrap();
         std::fs::write(root.join(format!("queue/pending/{id}.json")), json).unwrap();
     }
@@ -320,7 +329,7 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
         "the next job drained: {:?}",
         queue.read_error(&good)
     );
-    for (id, field) in [("bad-eps", "eps"), ("bad-granularity", "granularity")] {
+    for (id, _, field) in bad {
         assert_eq!(queue.state(id), Some(JobState::Failed), "{id}");
         let diag = queue.read_error(id).unwrap();
         assert!(diag.contains(&format!("workload.{field}")), "{id}: {diag}");
