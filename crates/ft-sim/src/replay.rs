@@ -419,53 +419,6 @@ pub fn replay_with(
         ops[i as usize].dependents = dependents;
     }
 
-    if std::env::var_os("FTSIM_DEBUG").is_some() {
-        let describe = |i: usize| -> String {
-            match ops[i].replica {
-                Some(r) => format!("exec {r:?}"),
-                None => {
-                    let mi = msg_op.iter().position(|&o| o == Some(i as u32)).unwrap();
-                    let m = &messages[mi];
-                    format!(
-                        "msg e{} {:?}@{}->{:?}@{} key {:.1}",
-                        m.edge.index(),
-                        m.src,
-                        m.from,
-                        m.dst,
-                        m.to,
-                        m.start
-                    )
-                }
-            }
-        };
-        let mut shown = 0;
-        for (i, op) in ops.iter().enumerate() {
-            if op.finish.is_none() && shown < 12 {
-                shown += 1;
-                eprintln!(
-                    "stuck op {i} [{}]: hard {} groups {}",
-                    describe(i),
-                    op.hard_remaining,
-                    op.groups_remaining
-                );
-                // What does it wait on?
-                for (j, other) in ops.iter().enumerate() {
-                    if other.finish.is_some() {
-                        continue;
-                    }
-                    for d in &other.dependents {
-                        let tgt = match *d {
-                            Dep::Hard(t) | Dep::Group(t, _) => t as usize,
-                        };
-                        if tgt == i {
-                            eprintln!("    waits on stuck {j} [{}]", describe(j));
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     // --- Collect per-replica finishes. ---
     let mut replica_finish: Vec<Vec<Option<f64>>> = (0..v)
         .map(|t| vec![None; sched.replicas[t].len()])
