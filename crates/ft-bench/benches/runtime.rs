@@ -12,7 +12,8 @@
 //!   `static replay` is the floor;
 //! * `runtime/grid-sweep` — one million failure-free runs sharded across
 //!   an 8-cell policy grid via `simulate_grid`: all cells share one
-//!   scratch-arena pool and one `StaticPlan` per distinct policy, so the
+//!   scratch-arena pool and one `StaticPlan` per distinct checkpoint
+//!   table, so the
 //!   cell measures pure steady-state engine throughput at sweep scale;
 //! * `runtime/detection` — one `ReReplicate` run per detection model
 //!   (uniform / per-processor / gossip) on the same crash pair;
@@ -128,10 +129,10 @@ fn bench_grid_sweep(c: &mut Criterion) {
     let inst = paper_instance(7, 18, 4, 1.0);
     let sched = caft(&inst, 1, CommModel::OnePort, 0);
     // Eight failure-free cells x 125k runs = 1e6 engine runs per
-    // iteration. Two distinct policies alternate so the plan cache in
-    // `simulate_grid` is exercised (two StaticPlans serve all eight
-    // cells); `LifetimeDist::Never` keeps every run on the template
-    // fast path, so this measures raw steady-state sweep throughput.
+    // iteration. Two distinct policies alternate; neither checkpoints,
+    // so `simulate_grid` serves all eight cells from one StaticPlan;
+    // `LifetimeDist::Never` keeps every run on the template fast path,
+    // so this measures raw steady-state sweep throughput.
     let cells: Vec<MonteCarloConfig> = (0..8)
         .map(|i| MonteCarloConfig {
             runs: 125_000,

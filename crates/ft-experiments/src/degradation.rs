@@ -212,7 +212,8 @@ pub struct DegradationRow {
 /// A thin composition of the job-facing [`sweep`](crate::sweep) types —
 /// [`WorkloadSpec::build`], then the whole grid through
 /// [`simulate_grid`](ft_runtime::simulate_grid), which shares one warm
-/// scratch-arena pool and one static plan per policy across all cells —
+/// scratch-arena pool across all cells and one static plan per distinct
+/// checkpoint table —
 /// byte-identical to the historical fused per-cell loop (pinned by the
 /// golden tests and `sweep::tests`).
 pub fn run_degradation(cfg: &DegradationConfig) -> Vec<DegradationRow> {

@@ -114,11 +114,6 @@ pub fn draw_instance_on(procs: usize, gran: f64, seed: u64) -> Instance {
     random_instance(graph, &params, gran, &mut rng)
 }
 
-/// Draws one §6 instance at the given granularity.
-pub fn draw_instance(cfg: &FigureConfig, gran: f64, seed: u64) -> Instance {
-    draw_instance_on(cfg.procs, gran, seed)
-}
-
 /// The ε-independent setup of one graph draw: the instance plus the
 /// fault-free baselines (`CAFT* = HEFT` anchoring the overheads, and the
 /// fault-free FTBAR), computed once and shared by every ε-cell evaluated

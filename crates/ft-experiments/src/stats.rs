@@ -2,12 +2,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Streaming mean / min / max / standard deviation (Welford).
+/// Streaming mean / min / max (the mean updated incrementally, as in
+/// Welford's method).
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Accumulator {
     n: usize,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -18,7 +18,6 @@ impl Accumulator {
         Accumulator {
             n: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -30,7 +29,6 @@ impl Accumulator {
         self.n += 1;
         let d = x - self.mean;
         self.mean += d / self.n as f64;
-        self.m2 += d * (x - self.mean);
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -46,15 +44,6 @@ impl Accumulator {
             0.0
         } else {
             self.mean
-        }
-    }
-
-    /// Sample standard deviation (0 for < 2 samples).
-    pub fn std_dev(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.n - 1) as f64).sqrt()
         }
     }
 
@@ -94,20 +83,9 @@ mod tests {
     }
 
     #[test]
-    fn std_dev_matches_textbook() {
-        let mut a = Accumulator::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            a.push(x);
-        }
-        // Sample std dev of this classic dataset is ~2.138.
-        assert!((a.std_dev() - 2.138089935).abs() < 1e-6);
-    }
-
-    #[test]
     fn empty_accumulator_is_safe() {
         let a = Accumulator::new();
         assert_eq!(a.mean(), 0.0);
-        assert_eq!(a.std_dev(), 0.0);
         assert!(a.min().is_nan());
     }
 }

@@ -162,6 +162,32 @@ impl SweepGrid {
         all
     }
 
+    /// The number of cells [`cells`](SweepGrid::cells) resolves to —
+    /// |MTTF| × |MTTR| × |detections| × roster size, saturating at
+    /// `usize::MAX` — counted without building the roster, whose policy
+    /// constructors assert on their parameters.
+    pub fn cell_count(&self) -> usize {
+        let keep = |name: &str| self.only_policy.as_deref().is_none_or(|only| only == name);
+        let builtins = RecoveryPolicy::ALL
+            .iter()
+            .filter(|p| keep(p.name()))
+            .count();
+        let fixed = if keep("checkpoint") {
+            self.checkpoint_intervals.len()
+        } else {
+            0
+        };
+        let roster = builtins + fixed + usize::from(keep("adaptive-checkpoint"));
+        [
+            self.mttf_factors.len(),
+            self.mttr_factors.len(),
+            self.detections.len(),
+            roster,
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
+    }
+
     /// Resolves the grid into executable cells against a schedule of the
     /// given `nominal` latency on an instance of the given mean task
     /// cost, in the degradation sweep's order: MTTF outer, then MTTR,
@@ -382,6 +408,46 @@ mod tests {
         assert!(cells[..4]
             .iter()
             .all(|c| c.seed == grid.seed ^ 8.0f64.to_bits()));
+    }
+
+    #[test]
+    fn cell_count_matches_the_resolved_cells() {
+        let full = SweepGrid {
+            mttf_factors: vec![8.0, 2.0, 1.0],
+            mttr_factors: vec![None, Some(0.25)],
+            detections: vec![DetectionKind::Uniform, DetectionKind::Gossip],
+            checkpoint_intervals: vec![0.25, 1.0],
+            ..SweepGrid::default()
+        };
+        let names = [
+            None,
+            Some("absorb"),
+            Some("warm-spare"),
+            Some("checkpoint"),
+            Some("adaptive-checkpoint"),
+            Some("rereplicate"),
+        ];
+        for only in names {
+            let grid = SweepGrid {
+                only_policy: only.map(str::to_string),
+                ..full.clone()
+            };
+            assert_eq!(grid.cell_count(), grid.cells(1.0, 10.0).len(), "{only:?}");
+        }
+        let typo = SweepGrid {
+            only_policy: Some("rereplicate".into()),
+            ..full.clone()
+        };
+        assert_eq!(typo.cell_count(), 0);
+        // 2⁴⁸ · (2¹⁶ + 5) cells: past usize::MAX.
+        let huge = SweepGrid {
+            mttf_factors: vec![1.0; 1 << 16],
+            mttr_factors: vec![None; 1 << 16],
+            detections: vec![DetectionKind::Uniform; 1 << 16],
+            checkpoint_intervals: vec![1.0; 1 << 16],
+            ..full
+        };
+        assert_eq!(huge.cell_count(), usize::MAX);
     }
 
     #[test]

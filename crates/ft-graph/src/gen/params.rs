@@ -51,20 +51,6 @@ impl RandomDagParams {
         self.tasks = v..=v;
         self
     }
-
-    /// Overrides the degree range.
-    pub fn with_degree(mut self, lo: usize, hi: usize) -> Self {
-        assert!(lo >= 1 && hi >= lo);
-        self.degree = lo..=hi;
-        self
-    }
-
-    /// Overrides the mean layer width.
-    pub fn with_layer_width(mut self, w: usize) -> Self {
-        assert!(w >= 1);
-        self.layer_width = w;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -81,18 +67,7 @@ mod tests {
 
     #[test]
     fn builders() {
-        let p = RandomDagParams::default()
-            .with_tasks(200)
-            .with_degree(2, 4)
-            .with_layer_width(16);
+        let p = RandomDagParams::default().with_tasks(200);
         assert_eq!(p.tasks, 200..=200);
-        assert_eq!(p.degree, 2..=4);
-        assert_eq!(p.layer_width, 16);
-    }
-
-    #[test]
-    #[should_panic]
-    fn degree_must_be_positive() {
-        RandomDagParams::default().with_degree(0, 3);
     }
 }

@@ -67,15 +67,6 @@ where
     Some(current / target)
 }
 
-/// True if the graph is coarse grain (`g ≥ 1`) under the given costs.
-pub fn is_coarse_grain<C, W>(g: &TaskGraph, slowest_comp: C, slowest_comm: W) -> bool
-where
-    C: Fn(TaskId) -> f64,
-    W: Fn(EdgeId) -> f64,
-{
-    granularity(g, slowest_comp, slowest_comm) >= 1.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -95,7 +86,6 @@ mod tests {
         // comp = 3 + 5 = 8, comm = 4 → g = 2.
         let gr = granularity(&g, |t| g.work(t), |e| g.edge(e).volume);
         assert_eq!(gr, 2.0);
-        assert!(is_coarse_grain(&g, |t| g.work(t), |e| g.edge(e).volume));
     }
 
     #[test]

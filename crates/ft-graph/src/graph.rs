@@ -163,16 +163,6 @@ impl TaskGraph {
         self.tasks().filter(|&t| self.out_degree(t) == 0).collect()
     }
 
-    /// Total abstract work over all tasks.
-    pub fn total_work(&self) -> f64 {
-        self.work.iter().sum()
-    }
-
-    /// Total data volume over all edges.
-    pub fn total_volume(&self) -> f64 {
-        self.edges.iter().map(|e| e.volume).sum()
-    }
-
     /// Returns a copy of the graph with every edge volume multiplied by
     /// `factor`. Used by generators to hit a target granularity exactly.
     pub fn scale_volumes(&self, factor: f64) -> TaskGraph {
@@ -388,16 +378,9 @@ mod tests {
     }
 
     #[test]
-    fn totals() {
-        let g = diamond();
-        assert_eq!(g.total_work(), 10.0);
-        assert_eq!(g.total_volume(), 26.0);
-    }
-
-    #[test]
     fn scale_volumes_scales_every_edge() {
         let g = diamond().scale_volumes(2.0);
-        assert_eq!(g.total_volume(), 52.0);
+        assert_eq!(g.edges().iter().map(|e| e.volume).sum::<f64>(), 52.0);
         assert_eq!(g.edge(EdgeId(0)).volume, 10.0);
     }
 

@@ -13,12 +13,12 @@
 //!   successor edge lists (`Γ−(t)` / `Γ+(t)` in the paper's notation);
 //! * [`GraphBuilder`] — incremental construction with cycle detection;
 //! * structural analyses: topological orders ([`topo`]), longest-path
-//!   levels ([`levels`]), critical path ([`paths`]), exact DAG width via
+//!   levels ([`levels`]) — the bottom levels CAFT ranks tasks by — and
+//!   the exact DAG width `ω` of the paper's complexity bounds via
 //!   Dilworth's theorem ([`width()`](width::width));
 //! * the granularity measure `g(G, P)` of the paper ([`granularity`]);
 //! * random and structured workload generators matching the paper's
-//!   experimental section ([`gen`]);
-//! * Graphviz export for debugging ([`dot`]).
+//!   experimental section ([`gen`]).
 //!
 //! The crate is deliberately free of any platform notion: execution times
 //! `E(t, P)` and communication delays live in `ft-platform`. Analyses that
@@ -27,21 +27,16 @@
 
 #![warn(missing_docs)]
 
-pub mod dot;
 pub mod gen;
 pub mod granularity;
 pub mod graph;
 pub mod ids;
 pub mod levels;
-pub mod paths;
-pub mod reach;
 pub mod topo;
 pub mod width;
 
 pub use graph::{Edge, GraphBuilder, GraphError, TaskGraph};
 pub use ids::{EdgeId, TaskId};
 pub use levels::{bottom_levels, top_levels, Levels};
-pub use paths::{critical_path, critical_path_length};
-pub use reach::{ancestors, descendants, metrics, transitive_reduction, GraphMetrics};
 pub use topo::{reverse_topological_order, topological_order};
-pub use width::{layered_width, width};
+pub use width::width;

@@ -44,15 +44,6 @@ pub fn reverse_topological_order(g: &TaskGraph) -> Vec<TaskId> {
     order
 }
 
-/// Position of each task in a given order: `rank[t] = i` iff `order[i] = t`.
-pub fn order_positions(order: &[TaskId]) -> Vec<usize> {
-    let mut pos = vec![0usize; order.len()];
-    for (i, &t) in order.iter().enumerate() {
-        pos[t.index()] = i;
-    }
-    pos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -76,7 +67,10 @@ mod tests {
     fn order_respects_edges() {
         let g = sample();
         let order = topological_order(&g);
-        let pos = order_positions(&order);
+        let mut pos = vec![0usize; order.len()];
+        for (i, t) in order.iter().enumerate() {
+            pos[t.index()] = i;
+        }
         for e in g.edges() {
             assert!(pos[e.src.index()] < pos[e.dst.index()]);
         }

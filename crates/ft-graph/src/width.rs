@@ -9,11 +9,9 @@
 //!
 //! The exact computation is O(v·e) for the closure plus the matching and is
 //! intended for analysis and tests (the schedulers never need it at run
-//! time). [`layered_width`] is the cheap upper-level proxy: the largest
-//! number of tasks sharing a topological layer.
+//! time).
 
 use crate::graph::TaskGraph;
-use crate::ids::TaskId;
 use crate::topo::topological_order;
 
 /// Bitset-based transitive closure: `reach[i]` holds a bit per task j with
@@ -105,50 +103,6 @@ pub fn width(g: &TaskGraph) -> usize {
     v - matching
 }
 
-/// Width of the layered (ASAP-level) decomposition: the largest number of
-/// tasks whose longest in-path (in hops) is equal. A cheap lower bound on
-/// [`width`], exact for layered generators.
-pub fn layered_width(g: &TaskGraph) -> usize {
-    let v = g.num_tasks();
-    if v == 0 {
-        return 0;
-    }
-    let mut depth = vec![0usize; v];
-    for &t in &topological_order(g) {
-        for s in g.successors(t) {
-            depth[s.index()] = depth[s.index()].max(depth[t.index()] + 1);
-        }
-    }
-    let max_d = depth.iter().copied().max().unwrap_or(0);
-    let mut counts = vec![0usize; max_d + 1];
-    for &d in &depth {
-        counts[d] += 1;
-    }
-    counts.into_iter().max().unwrap_or(0)
-}
-
-/// Convenience: true if tasks `a` and `b` are independent (neither reaches
-/// the other). O(v + e) per query; used by tests.
-pub fn independent(g: &TaskGraph, a: TaskId, b: TaskId) -> bool {
-    fn reaches(g: &TaskGraph, from: TaskId, to: TaskId) -> bool {
-        let mut seen = vec![false; g.num_tasks()];
-        let mut stack = vec![from];
-        while let Some(t) = stack.pop() {
-            if t == to {
-                return true;
-            }
-            for s in g.successors(t) {
-                if !seen[s.index()] {
-                    seen[s.index()] = true;
-                    stack.push(s);
-                }
-            }
-        }
-        false
-    }
-    a != b && !reaches(g, a, b) && !reaches(g, b, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,7 +117,6 @@ mod tests {
         }
         let g = b.build();
         assert_eq!(width(&g), 1);
-        assert_eq!(layered_width(&g), 1);
     }
 
     #[test]
@@ -174,7 +127,6 @@ mod tests {
         }
         let g = b.build();
         assert_eq!(width(&g), 7);
-        assert_eq!(layered_width(&g), 7);
     }
 
     #[test]
@@ -193,8 +145,7 @@ mod tests {
     }
 
     #[test]
-    fn width_at_least_layered_width() {
-        // Offset chains: layered width can under-count the true antichain.
+    fn chain_beside_a_lone_task_has_width_two() {
         let mut b = GraphBuilder::new();
         let a0 = b.add_task(1.0);
         let a1 = b.add_task(1.0);
@@ -204,21 +155,7 @@ mod tests {
         let c0 = b.add_task(1.0);
         let g = b.build();
         let _ = c0;
-        assert!(width(&g) >= layered_width(&g));
         assert_eq!(width(&g), 2); // {a_i, c0}
-    }
-
-    #[test]
-    fn independence_queries() {
-        let mut b = GraphBuilder::new();
-        let a = b.add_task(1.0);
-        let x = b.add_task(1.0);
-        let y = b.add_task(1.0);
-        b.add_edge(a, x, 1.0).unwrap();
-        let g = b.build();
-        assert!(!independent(&g, a, x));
-        assert!(independent(&g, x, y));
-        assert!(!independent(&g, a, a));
     }
 
     #[test]

@@ -162,21 +162,6 @@ impl FtSchedule {
     pub fn messages_into(&self, dst: ReplicaRef) -> impl Iterator<Item = &MessageRecord> + '_ {
         self.messages.iter().filter(move |m| m.dst == dst)
     }
-
-    /// Messages sent by a given replica.
-    pub fn messages_from(&self, src: ReplicaRef) -> impl Iterator<Item = &MessageRecord> + '_ {
-        self.messages.iter().filter(move |m| m.src == src)
-    }
-
-    /// Total time spent on inter-processor communication (sum of remote
-    /// transfer durations).
-    pub fn total_comm_time(&self) -> f64 {
-        self.messages
-            .iter()
-            .filter(|m| !m.is_local())
-            .map(|m| m.finish - m.start)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -258,7 +243,6 @@ mod tests {
         let s = mk_schedule();
         assert_eq!(s.num_remote_messages(), 1);
         assert_eq!(s.num_local_messages(), 1);
-        assert_eq!(s.total_comm_time(), 2.0);
     }
 
     #[test]
@@ -274,7 +258,6 @@ mod tests {
         let s = mk_schedule();
         assert_eq!(s.messages_into(rref(1, 0)).count(), 2);
         assert_eq!(s.messages_into(rref(1, 1)).count(), 0);
-        assert_eq!(s.messages_from(rref(0, 0)).count(), 1);
     }
 
     #[test]

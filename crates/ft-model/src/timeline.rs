@@ -57,12 +57,6 @@ impl Timeline {
         None
     }
 
-    /// Total busy time (sum of interval lengths; intervals assumed
-    /// non-overlapping).
-    pub fn busy_time(&self) -> f64 {
-        self.intervals.iter().map(|(s, e, _)| e - s).sum()
-    }
-
     /// Earliest start `≥ after` at which a new interval of length `dur`
     /// fits without overlapping existing intervals (insertion policy).
     pub fn earliest_gap(&self, after: f64, dur: f64) -> f64 {
@@ -99,7 +93,6 @@ mod tests {
         tl.add(0.0, 5.0, 1);
         tl.add(5.0, 9.0, 2);
         assert_eq!(tl.first_overlap(), None);
-        assert_eq!(tl.busy_time(), 9.0);
     }
 
     #[test]

@@ -57,7 +57,7 @@ use crate::engine::run_into;
 use crate::lifetime::{draw_scenario_with, FailureKind, LifetimeDist};
 use crate::metrics::{BatchSummary, MetricSet, RunOutcome};
 use crate::policy::{EngineConfig, Policy, RecoveryPolicy};
-use crate::scratch::{EngineScratch, ScratchPool, StaticPlan};
+use crate::scratch::{checkpoint_table, EngineScratch, ScratchPool, StaticPlan};
 use ft_model::FtSchedule;
 use ft_platform::Instance;
 use ft_sim::FaultScenario;
@@ -65,9 +65,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 /// Configuration of a Monte-Carlo batch: the positional form of
 /// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo), taken by
@@ -118,218 +116,155 @@ impl MonteCarloConfig {
 /// (in parallel via rayon) and aggregates them deterministically in O(1)
 /// memory per worker: the same configuration always produces the same
 /// [`BatchSummary`], regardless of thread count (see the module docs for
-/// why the merge is bit-exact).
+/// why the merge is bit-exact). A one-cell [`ChunkedBatch`] run to its
+/// [`finish`](ChunkedBatch::finish).
 pub fn simulate_many(inst: &Instance, sched: &FtSchedule, cfg: &MonteCarloConfig) -> BatchSummary {
-    simulate_many_inner(inst, sched, cfg, &cfg.engine.policy, None)
-}
-
-/// A streaming Monte-Carlo progress snapshot, handed to the callback of
-/// [`Simulation::monte_carlo_with_progress`](crate::Simulation::monte_carlo_with_progress)
-/// after each finished run.
-#[derive(Clone, Copy, Debug)]
-pub struct Progress {
-    /// Runs finished so far, across all workers (1-based: the callback
-    /// fires after a run completes).
-    pub completed_runs: usize,
-    /// Total runs of the batch.
-    pub total_runs: usize,
-    /// Wall-clock time since the batch started.
-    pub elapsed: Duration,
-    /// Naive remaining-wall-clock estimate: elapsed scaled by the runs
-    /// still outstanding (assumes a uniform per-run cost).
-    pub eta: Duration,
-}
-
-impl Progress {
-    /// Completed fraction of the batch, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.total_runs == 0 {
-            return 1.0;
-        }
-        self.completed_runs as f64 / self.total_runs as f64
-    }
-}
-
-/// The one batch loop behind [`simulate_many`] and
-/// [`Simulation::monte_carlo`](crate::Simulation::monte_carlo). Every run
-/// dispatches `policy`; `cfg.engine.policy` only fills the summary's
-/// serializable `policy` field, while its label names `policy`. The
-/// optional `progress` callback fires once per finished run, in whatever
-/// order the rayon workers finish, and cannot influence the aggregation.
-pub(crate) fn simulate_many_inner(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    progress: Option<&(dyn Fn(Progress) + Sync)>,
-) -> BatchSummary {
-    let plan = StaticPlan::new(inst, sched, policy);
-    let pool = ScratchPool::new();
-    let done = AtomicUsize::new(0);
-    let sink = progress.map(|cb| ProgressSink {
-        cb,
-        started: Instant::now(),
-        done: &done,
-        total: cfg.runs,
-    });
-    accumulate_range(
-        inst,
-        sched,
-        cfg,
-        policy,
-        &plan,
-        &pool,
-        0..cfg.runs,
-        sink.as_ref(),
-    )
-    .finish_labeled(cfg.engine.policy, policy.label())
-}
-
-/// Shared progress state of one batch: workers bump the counter and fire
-/// the callback after each finished run.
-struct ProgressSink<'p> {
-    cb: &'p (dyn Fn(Progress) + Sync),
-    started: Instant,
-    done: &'p AtomicUsize,
-    total: usize,
-}
-
-impl ProgressSink<'_> {
-    fn fire(&self) {
-        let completed_runs = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        let elapsed = self.started.elapsed();
-        let remaining = self.total.saturating_sub(completed_runs);
-        (self.cb)(Progress {
-            completed_runs,
-            total_runs: self.total,
-            elapsed,
-            eta: elapsed.mul_f64(remaining as f64 / completed_runs as f64),
-        });
-    }
-}
-
-/// Runs `range` of the batch through the shared plan and scratch pool —
-/// the rayon fold/reduce every batch form ([`simulate_many`],
-/// [`ChunkedBatch`] chunks, [`simulate_grid`] cells) goes through. Each
-/// worker takes one warm arena from `pool` at its first run, reuses it
-/// across its whole sub-range (zero allocations per failure-free run in
-/// steady state), and the reduce returns every arena to the pool. The
-/// merge is bit-exact, so the result does not depend on how rayon split
-/// the range.
-#[allow(clippy::too_many_arguments)]
-fn accumulate_range(
-    inst: &Instance,
-    sched: &FtSchedule,
-    cfg: &MonteCarloConfig,
-    policy: &dyn Policy,
-    plan: &StaticPlan,
-    pool: &ScratchPool,
-    range: Range<usize>,
-    progress: Option<&ProgressSink<'_>>,
-) -> BatchAccumulator {
-    let m = inst.num_procs();
-    let nominal = sched.latency();
-    let (acc, scratch) = range
-        .into_par_iter()
-        .fold(
-            || (BatchAccumulator::new(nominal), None::<Box<EngineScratch>>),
-            |(mut acc, mut slot), i| {
-                let scratch = slot.get_or_insert_with(|| pool.take());
-                let scenario = scenario_of_run(cfg.seed, &cfg.lifetime, &cfg.failure, m, i);
-                run_into(
-                    inst,
-                    sched,
-                    &scenario,
-                    &cfg.engine,
-                    policy,
-                    plan,
-                    scratch,
-                    None,
-                    None,
-                );
-                acc.record(scenario.earliest_crash(), &scratch.outcome);
-                if let Some(sink) = progress {
-                    sink.fire();
-                }
-                (acc, slot)
-            },
-        )
-        .reduce(
-            || (BatchAccumulator::new(nominal), None),
-            |(a, sa), (b, sb)| {
-                if let Some(s) = sa {
-                    pool.put(s);
-                }
-                if let Some(s) = sb {
-                    pool.put(s);
-                }
-                (a.merge(b), None)
-            },
-        );
-    if let Some(s) = scratch {
-        pool.put(s);
-    }
-    acc
+    ChunkedBatch::new(inst, sched, cfg, &cfg.engine.policy).finish()
 }
 
 /// Runs a whole parameter grid — one [`MonteCarloConfig`] per cell, all
-/// over the same `(inst, sched)` — sharing one [`ScratchPool`] of warm
-/// arenas across every cell and one [`StaticPlan`] per distinct recovery
-/// policy. Setup that a per-cell [`simulate_many`] loop would redo for
-/// every cell (checkpoint-plan queries, the op template, arena warm-up)
-/// is paid once per policy / per worker for the whole sweep.
+/// over the same `(inst, sched)` — by opening every cell, in order,
+/// through one [`GridBatch`]: one [`ScratchPool`] of warm arenas serves
+/// every cell, and cells whose policies share a checkpoint table share
+/// one [`StaticPlan`].
 ///
-/// Cells execute in order; each summary is **byte-identical** to
-/// `simulate_many(inst, sched, &cells[i])` — sharing amortizes setup, it
-/// never couples cells (pinned by this module's tests and the
-/// degradation-sweep goldens that run through this path).
+/// Each summary is **byte-identical** to `simulate_many(inst, sched,
+/// &cells[i])` — sharing amortizes setup, it never couples cells (pinned
+/// by this module's tests and the degradation-sweep goldens that run
+/// through this path).
 pub fn simulate_grid(
     inst: &Instance,
     sched: &FtSchedule,
     cells: &[MonteCarloConfig],
 ) -> Vec<BatchSummary> {
-    let pool = ScratchPool::new();
-    let mut plans: Vec<(RecoveryPolicy, StaticPlan)> = Vec::new();
-    let mut out = Vec::with_capacity(cells.len());
-    for cfg in cells {
-        let idx = match plans.iter().position(|(p, _)| *p == cfg.engine.policy) {
-            Some(i) => i,
-            None => {
-                plans.push((
-                    cfg.engine.policy,
-                    StaticPlan::new(inst, sched, &cfg.engine.policy),
-                ));
-                plans.len() - 1
-            }
-        };
-        let acc = accumulate_range(
-            inst,
-            sched,
-            cfg,
-            &cfg.engine.policy,
-            &plans[idx].1,
-            &pool,
-            0..cfg.runs,
-            None,
-        );
-        out.push(acc.finish_labeled(cfg.engine.policy, cfg.engine.policy.label()));
-    }
-    out
+    let mut grid = GridBatch::new(inst, sched);
+    cells.iter().map(|cfg| grid.cell(cfg).finish()).collect()
 }
 
-/// A resumable, chunked form of [`simulate_many`]: the batch's runs
-/// are executed in caller-paced chunks, each chunk through the same
-/// rayon fold/reduce as [`simulate_many`], and folded into one held
-/// [`BatchAccumulator`]. Between chunks the caller can take a
-/// [`snapshot`](ChunkedBatch::snapshot) — a well-defined partial
-/// [`BatchSummary`] over the runs executed so far — or abandon the batch
-/// entirely (cancellation).
+/// The grid driver: opens the cells of a sweep over one `(inst, sched)`
+/// pair as [`ChunkedBatch`]es that share one [`ScratchPool`] and one
+/// [`StaticPlan`] per distinct checkpoint table. [`simulate_grid`] runs
+/// each cell to its end; a service paces each cell's chunks itself (the
+/// `ft-serve` daemon streams a delta per chunk).
+///
+/// The op template reads the policy only through the plan's per-task
+/// checkpoint table ([`Policy::checkpoint_plan`]) and its build calls no
+/// policy hook, so two policies whose tables agree bit for bit are
+/// served by the same plan: `Absorb`, `ReReplicate`, `Reschedule`,
+/// `WarmSpare` and any `AdaptiveCheckpoint` whose tasks all opt out of
+/// checkpointing share one. Every cell's summary is byte-identical to
+/// its standalone [`simulate_many`].
+///
+/// # Example
+///
+/// ```
+/// use ft_runtime::{
+///     simulate_many, EngineConfig, FailureKind, GridBatch, LifetimeDist, MonteCarloConfig,
+///     RecoveryPolicy,
+/// };
+/// use ft_algos::{caft, CommModel};
+/// use ft_graph::gen::{random_layered, RandomDagParams};
+/// use ft_platform::{random_instance, PlatformParams};
+/// use rand::{rngs::StdRng, SeedableRng};
+///
+/// let mut rng = StdRng::seed_from_u64(5);
+/// let g = random_layered(&RandomDagParams::default().with_tasks(25), &mut rng);
+/// let inst = random_instance(g, &PlatformParams::default(), 1.0, &mut rng);
+/// let sched = caft(&inst, 1, CommModel::OnePort, 5);
+/// let cell = |policy| MonteCarloConfig {
+///     runs: 40,
+///     lifetime: LifetimeDist::Exponential { mean: 2.0 * sched.latency() },
+///     failure: FailureKind::Permanent,
+///     engine: EngineConfig::with_policy(policy),
+///     seed: 9,
+/// };
+/// let cells = [cell(RecoveryPolicy::Absorb), cell(RecoveryPolicy::ReReplicate)];
+/// let mut grid = GridBatch::new(&inst, &sched);
+/// for cfg in &cells {
+///     let mut batch = grid.cell(cfg);
+///     while batch.run_chunk(16) > 0 {
+///         assert!(batch.snapshot().runs <= cfg.runs);
+///     }
+///     assert_eq!(
+///         serde_json::to_string(&batch.finish()).unwrap(),
+///         serde_json::to_string(&simulate_many(&inst, &sched, cfg)).unwrap(),
+///     );
+/// }
+/// ```
+pub struct GridBatch<'a> {
+    inst: &'a Instance,
+    sched: &'a FtSchedule,
+    pool: Arc<ScratchPool>,
+    /// The plans built so far, one per distinct checkpoint table.
+    plans: Vec<Arc<StaticPlan>>,
+}
+
+impl<'a> GridBatch<'a> {
+    /// An empty grid over `(inst, sched)`: no plan is built and no arena
+    /// allocated until the first cell opens.
+    pub fn new(inst: &'a Instance, sched: &'a FtSchedule) -> Self {
+        GridBatch {
+            inst,
+            sched,
+            pool: Arc::new(ScratchPool::new()),
+            plans: Vec::new(),
+        }
+    }
+
+    /// Opens the cell `cfg` under its built-in `cfg.engine.policy`, on
+    /// the grid's arena pool and on the plan of its checkpoint table —
+    /// built by this call if no earlier cell had that table. No runs are
+    /// executed yet.
+    pub fn cell<'c>(&mut self, cfg: &'c MonteCarloConfig) -> ChunkedBatch<'c>
+    where
+        'a: 'c,
+    {
+        let policy = &cfg.engine.policy;
+        let table = checkpoint_table(self.inst, policy);
+        let bits = |e: &Option<(f64, f64)>| e.map(|(i, o)| (i.to_bits(), o.to_bits()));
+        let same = |plan: &&Arc<StaticPlan>| plan.plans.iter().map(bits).eq(table.iter().map(bits));
+        let plan = match self.plans.iter().find(same) {
+            Some(plan) => Arc::clone(plan),
+            None => {
+                let plan = Arc::new(StaticPlan::warm(self.inst, self.sched, policy, table));
+                self.plans.push(Arc::clone(&plan));
+                plan
+            }
+        };
+        ChunkedBatch::open(
+            self.inst,
+            self.sched,
+            cfg,
+            policy,
+            plan,
+            Arc::clone(&self.pool),
+        )
+    }
+}
+
+impl std::fmt::Debug for GridBatch<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GridBatch")
+            .field("plans", &self.plans.len())
+            .finish_non_exhaustive()
+    }
+}
+
+/// A Monte-Carlo batch executed in caller-paced chunks — the one batch
+/// loop behind [`simulate_many`], [`Simulation::monte_carlo`] and every
+/// [`GridBatch`] cell. Each chunk runs through one rayon fold/reduce and
+/// is folded into one held [`BatchAccumulator`]. Between chunks the
+/// caller can take a [`snapshot`](ChunkedBatch::snapshot) — a
+/// well-defined partial [`BatchSummary`] over the runs executed so far —
+/// or abandon the batch entirely (cancellation).
 ///
 /// Because run `i`'s scenario depends only on `(cfg.seed, i)` and the
 /// accumulator merge is bit-exact (see the module docs), the final
 /// summary is **byte-identical** to a direct [`simulate_many`] call
 /// regardless of how the runs were chunked — the property `ft-serve`
 /// leans on to stream result deltas without changing the science.
+///
+/// [`Simulation::monte_carlo`]: crate::Simulation::monte_carlo
 ///
 /// # Example
 ///
@@ -371,7 +306,7 @@ pub struct ChunkedBatch<'a> {
     sched: &'a FtSchedule,
     cfg: &'a MonteCarloConfig,
     policy: &'a dyn Policy,
-    plan: StaticPlan,
+    plan: Arc<StaticPlan>,
     pool: Arc<ScratchPool>,
     acc: BatchAccumulator,
     next_run: usize,
@@ -380,8 +315,10 @@ pub struct ChunkedBatch<'a> {
 impl<'a> ChunkedBatch<'a> {
     /// Opens the batch described by `cfg` for chunked execution under an
     /// explicit [`Policy`] (pass `&cfg.engine.policy` for the built-in
-    /// path, exactly as [`simulate_many`] does). No runs are executed
-    /// yet.
+    /// path, exactly as [`simulate_many`] does). Every run dispatches
+    /// `policy`; `cfg.engine.policy` only fills the summary's
+    /// serializable `policy` field, while its label names `policy`. No
+    /// runs are executed yet.
     pub fn new(
         inst: &'a Instance,
         sched: &'a FtSchedule,
@@ -393,10 +330,10 @@ impl<'a> ChunkedBatch<'a> {
 
     /// [`ChunkedBatch::new`] over a caller-shared [`ScratchPool`]: arenas
     /// warmed by this batch's chunks are drawn from — and returned to —
-    /// `pool`, so consecutive batches (the cells of a multi-cell job)
-    /// reuse each other's warm-up instead of re-allocating per cell.
-    /// Sharing a pool never changes a summary byte: arenas carry no
-    /// run state between takes, only capacity.
+    /// `pool`, so consecutive batches reuse each other's warm-up instead
+    /// of re-allocating per batch. Sharing a pool never changes a summary
+    /// byte: arenas carry no run state between takes, only capacity.
+    /// (A [`GridBatch`] shares its pool and its plans across cells.)
     pub fn with_pool(
         inst: &'a Instance,
         sched: &'a FtSchedule,
@@ -404,12 +341,26 @@ impl<'a> ChunkedBatch<'a> {
         policy: &'a dyn Policy,
         pool: Arc<ScratchPool>,
     ) -> Self {
+        let plan = Arc::new(StaticPlan::new(inst, sched, policy));
+        Self::open(inst, sched, cfg, policy, plan, pool)
+    }
+
+    /// The batch over an already-built `plan` of `policy`'s checkpoint
+    /// table.
+    fn open(
+        inst: &'a Instance,
+        sched: &'a FtSchedule,
+        cfg: &'a MonteCarloConfig,
+        policy: &'a dyn Policy,
+        plan: Arc<StaticPlan>,
+        pool: Arc<ScratchPool>,
+    ) -> Self {
         ChunkedBatch {
             inst,
             sched,
             cfg,
             policy,
-            plan: StaticPlan::new(inst, sched, policy),
+            plan,
             pool,
             acc: BatchAccumulator::new(sched.latency()),
             next_run: 0,
@@ -421,41 +372,77 @@ impl<'a> ChunkedBatch<'a> {
         self.next_run
     }
 
-    /// Runs not yet executed.
-    pub fn remaining_runs(&self) -> usize {
-        self.cfg.runs - self.next_run
-    }
-
     /// Whether every run of the batch has been executed.
     pub fn is_done(&self) -> bool {
         self.next_run >= self.cfg.runs
     }
 
-    /// Executes the next (up to) `n` runs of the batch — rayon-parallel,
-    /// like [`simulate_many`] — and folds them into the held accumulator.
-    /// Returns the number of runs actually executed (less than `n` only
-    /// at the tail; `0` once the batch is done).
+    /// Executes the next (up to) `n` runs of the batch — rayon-parallel —
+    /// and folds them into the held accumulator. Returns the number of
+    /// runs actually executed (less than `n` only at the tail; `0` once
+    /// the batch is done).
     pub fn run_chunk(&mut self, n: usize) -> usize {
         let start = self.next_run;
         let end = self.cfg.runs.min(start.saturating_add(n));
         if start >= end {
             return 0;
         }
-        let nominal = self.sched.latency();
-        let chunk = accumulate_range(
-            self.inst,
-            self.sched,
-            self.cfg,
-            self.policy,
-            &self.plan,
-            &self.pool,
-            start..end,
-            None,
-        );
-        let held = std::mem::replace(&mut self.acc, BatchAccumulator::new(nominal));
+        let chunk = self.accumulate_range(start..end);
+        let held = std::mem::replace(&mut self.acc, BatchAccumulator::new(self.sched.latency()));
         self.acc = held.merge(chunk);
         self.next_run = end;
         end - start
+    }
+
+    /// Runs `range` of the batch through the plan and the scratch pool
+    /// in one rayon fold/reduce. Each worker takes one warm arena from
+    /// the pool at its first run, reuses it across its whole sub-range
+    /// (zero allocations per failure-free run in steady state), and the
+    /// reduce returns every arena to the pool. The merge is bit-exact, so
+    /// the result does not depend on how rayon split the range.
+    fn accumulate_range(&self, range: Range<usize>) -> BatchAccumulator {
+        let (inst, sched, cfg, policy) = (self.inst, self.sched, self.cfg, self.policy);
+        let (plan, pool) = (&*self.plan, &*self.pool);
+        let m = inst.num_procs();
+        let nominal = sched.latency();
+        let (acc, scratch) = range
+            .into_par_iter()
+            .fold(
+                || (BatchAccumulator::new(nominal), None::<Box<EngineScratch>>),
+                |(mut acc, mut slot), i| {
+                    let scratch = slot.get_or_insert_with(|| pool.take());
+                    let scenario = scenario_of_run(cfg.seed, &cfg.lifetime, &cfg.failure, m, i);
+                    run_into(
+                        inst,
+                        sched,
+                        &scenario,
+                        &cfg.engine,
+                        policy,
+                        plan,
+                        scratch,
+                        None,
+                        None,
+                    );
+                    acc.record(scenario.earliest_crash(), &scratch.outcome);
+                    (acc, slot)
+                },
+            )
+            .reduce(
+                || (BatchAccumulator::new(nominal), None),
+                |(a, sa), (b, sb)| {
+                    if let Some(s) = sa {
+                        pool.put(s);
+                    }
+                    if let Some(s) = sb {
+                        pool.put(s);
+                    }
+                    (a.merge(b), None)
+                },
+            );
+        if let Some(s) = scratch {
+            pool.put(s);
+        }
+        acc
     }
 
     /// A partial [`BatchSummary`] over the runs executed so far — the
@@ -888,35 +875,6 @@ mod tests {
     }
 
     #[test]
-    fn progress_callback_fires_without_changing_the_summary() {
-        let (inst, sched) = setup();
-        let cfg = MonteCarloConfig {
-            runs: 48,
-            lifetime: LifetimeDist::Exponential {
-                mean: sched.latency() * 2.0,
-            },
-            failure: FailureKind::Permanent,
-            engine: EngineConfig::with_policy(RecoveryPolicy::ReReplicate),
-            seed: 41,
-        };
-        let fired = AtomicUsize::new(0);
-        let progress = |p: Progress| {
-            fired.fetch_add(1, Ordering::Relaxed);
-            assert!(p.completed_runs >= 1 && p.completed_runs <= p.total_runs);
-            assert!(p.fraction() > 0.0 && p.fraction() <= 1.0);
-            assert!(p.elapsed >= Duration::ZERO);
-        };
-        let with = simulate_many_inner(&inst, &sched, &cfg, &cfg.engine.policy, Some(&progress));
-        assert_eq!(fired.load(Ordering::Relaxed), cfg.runs);
-        let without = simulate_many(&inst, &sched, &cfg);
-        assert_eq!(
-            serde_json::to_string(&with).unwrap(),
-            serde_json::to_string(&without).unwrap(),
-            "the progress channel must not influence the aggregate"
-        );
-    }
-
-    #[test]
     fn chunked_batch_matches_simulate_many_for_any_chunking() {
         let (inst, sched) = setup();
         let cfg = MonteCarloConfig {
@@ -934,7 +892,6 @@ mod tests {
             let mut chunked = ChunkedBatch::new(&inst, &sched, &cfg, &cfg.engine.policy);
             while chunked.run_chunk(n) > 0 {}
             assert!(chunked.is_done());
-            assert_eq!(chunked.remaining_runs(), 0);
             assert_eq!(
                 serde_json::to_string(&chunked.finish()).unwrap(),
                 direct,
@@ -1180,10 +1137,11 @@ mod tests {
         assert!(absorb.disturbed > 0, "test should actually inject failures");
     }
 
-    /// The grid entry point shares arenas and per-policy plans across
-    /// cells; every cell summary must still be byte-identical to an
-    /// independent `simulate_many` of that cell — including across
-    /// policy changes mid-grid (plan cache) and repeated configurations
+    /// The grid entry point shares arenas and one plan per distinct
+    /// checkpoint table across cells; every cell summary must still be
+    /// byte-identical to an independent `simulate_many` of that cell —
+    /// including across policy changes mid-grid, policies that share a
+    /// plan built under another policy, and repeated configurations
     /// (warm arenas carrying capacity from other cells).
     #[test]
     fn simulate_grid_matches_per_cell_simulate_many() {
@@ -1202,12 +1160,23 @@ mod tests {
             },
             seed,
         };
+        let overhead = inst.mean_task_cost() * 0.01;
+        // At an MTTF of half the latency some task checkpoints; at 10⁹
+        // latencies the Young/Daly interval outgrows every task, so all
+        // of them opt out and the policy's table is Absorb's.
+        let adaptive_in = RecoveryPolicy::adaptive_checkpoint(sched.latency() * 0.5, overhead);
+        let adaptive_out = RecoveryPolicy::adaptive_checkpoint(sched.latency() * 1e9, overhead);
         let cells = vec![
             cell(RecoveryPolicy::ReReplicate, 2.0, 11),
             cell(RecoveryPolicy::Absorb, 1.0, 12),
             cell(RecoveryPolicy::ReReplicate, 0.5, 13),
             cell(RecoveryPolicy::checkpoint(2.0, 0.05), 1.5, 14),
             cell(RecoveryPolicy::Reschedule, 1.0, 15),
+            cell(RecoveryPolicy::WarmSpare, 1.0, 16),
+            cell(adaptive_in, 0.5, 17),
+            cell(adaptive_out, 1.0, 18),
+            cell(RecoveryPolicy::checkpoint(f64::INFINITY, 0.05), 1.0, 19),
+            cell(RecoveryPolicy::WarmSpare, 0.5, 20),
             cell(RecoveryPolicy::ReReplicate, 2.0, 11), // repeat of cell 0
         ];
         let grid = simulate_grid(&inst, &sched, &cells);
@@ -1220,5 +1189,27 @@ mod tests {
                 "cell {i} diverged from its standalone batch"
             );
         }
+
+        // One plan per distinct checkpoint table: the no-checkpoint table
+        // (Absorb, ReReplicate, Reschedule, WarmSpare, the opted-out
+        // adaptive policy), the two fixed intervals and the opted-in
+        // adaptive policy.
+        let table = |p: &RecoveryPolicy| {
+            checkpoint_table(&inst, p)
+                .into_iter()
+                .map(|e| e.map(|(i, o)| (i.to_bits(), o.to_bits())))
+                .collect::<Vec<_>>()
+        };
+        assert!(table(&adaptive_out).iter().all(Option::is_none));
+        assert!(table(&adaptive_in).iter().any(Option::is_some));
+        let mut tables: Vec<_> = cells.iter().map(|c| table(&c.engine.policy)).collect();
+        tables.sort();
+        tables.dedup();
+        assert_eq!(tables.len(), 4);
+        let mut driver = GridBatch::new(&inst, &sched);
+        for cfg in &cells {
+            driver.cell(cfg);
+        }
+        assert_eq!(driver.plans.len(), tables.len());
     }
 }

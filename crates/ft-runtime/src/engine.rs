@@ -107,7 +107,7 @@ use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{EngineScratch, EventKey, OpTemplate, StaticPlan};
+use crate::scratch::{checkpoint_table, EngineScratch, EventKey, OpTemplate, StaticPlan};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
 use ft_model::{FtSchedule, ReplicaRef};
@@ -131,7 +131,7 @@ pub(crate) fn run_once(
     observer: Option<&mut dyn Observer>,
     profile: Option<&mut PhaseProfile>,
 ) -> RunOutcome {
-    let plan = StaticPlan::one_shot(inst, sched, policy);
+    let plan = StaticPlan::one_shot(inst, checkpoint_table(inst, policy));
     let pool = crate::scratch::global_pool();
     let mut scratch = pool.take();
     run_into(

@@ -48,9 +48,14 @@
 //!   (per-task Young/Daly intervals derived from the lifetime hazard
 //!   rate) and [`WarmSpare`](RecoveryPolicy::WarmSpare) (re-replication
 //!   that pre-stages inputs of broken tasks onto rejoined processors);
-//! * [`simulate_many`] — rayon-parallel Monte-Carlo batches streamed
-//!   through a mergeable [`BatchAccumulator`] (O(threads) memory, byte-
-//!   identical [`BatchSummary`] at any thread count);
+//! * [`ChunkedBatch`] — the one batch loop: a rayon-parallel Monte-Carlo
+//!   batch run in caller-paced chunks and streamed through a mergeable
+//!   [`BatchAccumulator`] (O(threads) memory, byte-identical
+//!   [`BatchSummary`] at any thread count or chunking).
+//!   [`simulate_many`] and [`Simulation::monte_carlo`] run one to its
+//!   end; [`GridBatch`] opens the cells of a sweep as chunked batches
+//!   that share one arena pool and one [`StaticPlan`] per distinct
+//!   checkpoint table ([`simulate_grid`] and the `ft-serve` daemon);
 //! * [`Observer`] — streaming observability (DESIGN.md §12): the engine
 //!   pushes every event, op and outcome into the observer attached with
 //!   [`Simulation::run_observed`]; a [`TraceObserver`] buffers the run
@@ -121,8 +126,8 @@ pub mod scratch;
 pub mod simulation;
 
 pub use batch::{
-    simulate_grid, simulate_many, BatchAccumulator, ChunkedBatch, ExactSum, MonteCarloConfig,
-    Progress,
+    simulate_grid, simulate_many, BatchAccumulator, ChunkedBatch, ExactSum, GridBatch,
+    MonteCarloConfig,
 };
 pub use detection::DetectionModel;
 pub use engine::{EngineTrace, OpTrace, PolicyView, TraceEvent, TraceEventKind};
@@ -145,9 +150,9 @@ pub mod prelude {
     pub use crate::{
         draw_scenario, draw_scenario_with, report, simulate_grid, simulate_many, BatchAccumulator,
         BatchSummary, CheckpointPlan, ChunkedBatch, Contention, DetectionModel, EngineConfig,
-        EngineScratch, EngineTrace, Executor, FailureKind, Histogram, LifetimeDist, MetricSet,
-        MonteCarloConfig, NoopObserver, Observer, Phase, PhaseProfile, PhaseStat, Policy,
-        PolicyEvent, PolicyView, Progress, RecoveryAction, RecoveryPolicy, RepairModel, RunOutcome,
+        EngineScratch, EngineTrace, Executor, FailureKind, GridBatch, Histogram, LifetimeDist,
+        MetricSet, MonteCarloConfig, NoopObserver, Observer, Phase, PhaseProfile, PhaseStat,
+        Policy, PolicyEvent, PolicyView, RecoveryAction, RecoveryPolicy, RepairModel, RunOutcome,
         RunReport, ScratchPool, Simulation, StaticPlan, TaskInfo, TraceEvent, TraceEventKind,
         TraceObserver,
     };

@@ -3,12 +3,13 @@
 //!
 //! A run's cost splits into three reusable pieces:
 //!
-//! * [`StaticPlan`] — everything that depends only on `(instance,
-//!   schedule, policy)`: validated per-task checkpoint plans, the
-//!   topological order, the resolved network (built by the plan's first
-//!   contended run), and — for warm plans built by [`StaticPlan::new`] —
-//!   a **pre-built op template** (the full static op graph with its
-//!   dependency wiring) that a run clones *in place*. The template is valid for every scenario with no crash at
+//! * [`StaticPlan`] — everything that depends only on the instance, the
+//!   schedule and the policy's validated per-task checkpoint plans: those
+//!   plans, the topological order, the resolved network (built by the
+//!   plan's first contended run), and — for warm plans built by
+//!   [`StaticPlan::new`] — a **pre-built op template** (the full static
+//!   op graph with its dependency wiring) that a run clones *in place*.
+//!   The template is valid for every scenario with no crash at
 //!   `t ≤ 0`: such a build takes identical branches everywhere except the
 //!   per-op crash deadlines, which are a per-processor overwrite (the
 //!   host of a computation, the sender of a transfer). Scenarios that do
@@ -88,10 +89,11 @@ impl PartialEq for EventKey {
 
 impl Eq for EventKey {}
 
-/// Everything about a run that depends only on `(instance, schedule,
-/// policy)` — validated checkpoint plans, the topological order, the
-/// resolved network and, on warm plans, the static op template —
-/// computed once and shared by every run of a batch, chunk, or grid cell.
+/// Everything about a run that depends only on the instance, the
+/// schedule and the policy's checkpoint plans — those plans, validated,
+/// the topological order, the resolved network and, on warm plans, the
+/// static op template — computed once and shared by every run of a batch
+/// and by the grid cells whose policies plan the same checkpoints.
 ///
 /// See the [module docs](self) for when the template applies and why the
 /// fast path is byte-identical to the full build.
@@ -132,42 +134,34 @@ impl StaticPlan {
     /// the static op template — for runs of `sched` on `inst` under
     /// `policy`. One template build amortizes over every subsequent run.
     pub fn new(inst: &Instance, sched: &FtSchedule, policy: &dyn Policy) -> Self {
-        let mut plan = Self::one_shot(inst, sched, policy);
+        Self::warm(inst, sched, policy, checkpoint_table(inst, policy))
+    }
+
+    /// The warm plan over `plans`, the [`checkpoint_table`] of `policy`.
+    /// The template build calls no policy hook and reads the policy only
+    /// through `plans`, so the plan serves every policy with the same
+    /// table bit for bit ([`GridBatch`](crate::GridBatch) keys its plans
+    /// on it).
+    pub(crate) fn warm(
+        inst: &Instance,
+        sched: &FtSchedule,
+        policy: &dyn Policy,
+        plans: Vec<Option<(f64, f64)>>,
+    ) -> Self {
+        let mut plan = Self::one_shot(inst, plans);
         plan.template = Some(build_template(inst, sched, policy, &plan));
         plan
     }
 
-    /// The one-shot plan: everything but the op template. Its single run
-    /// pays the full op build once anyway, so a template would only add
-    /// a second one.
-    pub(crate) fn one_shot(inst: &Instance, sched: &FtSchedule, policy: &dyn Policy) -> Self {
-        let v = inst.num_tasks();
-        // One checkpoint_plan query per task, validated here so a
-        // misbehaving plan fails loudly before any op is built.
-        let plans: Vec<Option<(f64, f64)>> = (0..v)
-            .map(|t| {
-                let info = TaskInfo::new(inst, TaskId::from_index(t));
-                policy.checkpoint_plan(&info).map(|p| {
-                    assert!(
-                        p.interval > 0.0 && !p.interval.is_nan(),
-                        "bad checkpoint interval {}",
-                        p.interval
-                    );
-                    assert!(
-                        p.overhead.is_finite() && p.overhead >= 0.0,
-                        "bad checkpoint overhead {}",
-                        p.overhead
-                    );
-                    (p.interval, p.overhead)
-                })
-            })
-            .collect();
+    /// The one-shot plan over the checkpoint table `plans`: everything
+    /// but the op template. Its single run pays the full op build once
+    /// anyway, so a template would only add a second one.
+    pub(crate) fn one_shot(inst: &Instance, plans: Vec<Option<(f64, f64)>>) -> Self {
         let topo_order = ft_graph::topological_order(&inst.graph);
-        let mut topo_position = vec![0usize; v];
+        let mut topo_position = vec![0usize; inst.num_tasks()];
         for (i, t) in topo_order.iter().enumerate() {
             topo_position[t.index()] = i;
         }
-        let _ = sched; // shape checks happen in the engine per run
         StaticPlan {
             plans,
             topo_order,
@@ -192,6 +186,30 @@ impl std::fmt::Debug for StaticPlan {
             .field("template_ops", &self.template.as_ref().map(|t| t.ops.len()))
             .finish_non_exhaustive()
     }
+}
+
+/// The per-task `(interval, overhead)` checkpoint table of `policy` on
+/// `inst`: one [`Policy::checkpoint_plan`] query per task, validated here
+/// so a misbehaving plan fails loudly before any op is built.
+pub(crate) fn checkpoint_table(inst: &Instance, policy: &dyn Policy) -> Vec<Option<(f64, f64)>> {
+    (0..inst.num_tasks())
+        .map(|t| {
+            let info = TaskInfo::new(inst, TaskId::from_index(t));
+            policy.checkpoint_plan(&info).map(|p| {
+                assert!(
+                    p.interval > 0.0 && !p.interval.is_nan(),
+                    "bad checkpoint interval {}",
+                    p.interval
+                );
+                assert!(
+                    p.overhead.is_finite() && p.overhead >= 0.0,
+                    "bad checkpoint overhead {}",
+                    p.overhead
+                );
+                (p.interval, p.overhead)
+            })
+        })
+        .collect()
 }
 
 /// The reusable per-run arena: every buffer one engine run touches, and

@@ -53,7 +53,7 @@
 //! assert_eq!(batch.runs, 200);
 //! ```
 
-use crate::batch::{simulate_many_inner, MonteCarloConfig, Progress};
+use crate::batch::{ChunkedBatch, MonteCarloConfig};
 use crate::detection::DetectionModel;
 use crate::engine::run_once;
 use crate::lifetime::{FailureKind, LifetimeDist};
@@ -189,18 +189,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// The batch configuration of a `runs`-run Monte-Carlo draw from
-    /// `lifetime` under this builder's single seed.
-    fn batch(&self, runs: usize, lifetime: LifetimeDist) -> MonteCarloConfig {
-        MonteCarloConfig {
-            runs,
-            lifetime,
-            failure: self.failure.clone(),
-            engine: self.cfg.clone(),
-            seed: self.cfg.seed,
-        }
-    }
-
     /// One pooled one-shot run under this builder's configuration.
     fn once(
         &self,
@@ -249,25 +237,17 @@ impl<'a> Simulation<'a> {
     /// and a byte-identical [`BatchSummary`] regardless of thread count.
     /// With a custom policy attached, the summary's serializable `policy`
     /// field keeps `config().policy` while its label names the policy
-    /// that ran.
+    /// that ran. A caller that wants progress while a long batch runs
+    /// paces a [`ChunkedBatch`] over the same configuration instead.
     pub fn monte_carlo(&self, runs: usize, lifetime: LifetimeDist) -> BatchSummary {
-        let cfg = self.batch(runs, lifetime);
-        simulate_many_inner(self.inst, self.sched, &cfg, self.dispatch(), None)
-    }
-
-    /// [`monte_carlo`](Simulation::monte_carlo) with a streaming progress
-    /// callback: fires once per finished run with a [`Progress`] snapshot
-    /// (runs completed, elapsed, ETA). The callback sees completions in
-    /// worker-finish order but cannot steer the aggregation, so the
-    /// summary is byte-identical to [`monte_carlo`](Simulation::monte_carlo).
-    pub fn monte_carlo_with_progress(
-        &self,
-        runs: usize,
-        lifetime: LifetimeDist,
-        progress: &(dyn Fn(Progress) + Sync),
-    ) -> BatchSummary {
-        let cfg = self.batch(runs, lifetime);
-        simulate_many_inner(self.inst, self.sched, &cfg, self.dispatch(), Some(progress))
+        let cfg = MonteCarloConfig {
+            runs,
+            lifetime,
+            failure: self.failure.clone(),
+            engine: self.cfg.clone(),
+            seed: self.cfg.seed,
+        };
+        ChunkedBatch::new(self.inst, self.sched, &cfg, self.dispatch()).finish()
     }
 }
 
@@ -382,27 +362,6 @@ mod tests {
         );
         // A run this size must attribute some time somewhere.
         assert!(profile.phases.iter().any(|s| s.calls > 0));
-    }
-
-    #[test]
-    fn monte_carlo_progress_matches_monte_carlo() {
-        let (inst, sched) = setup();
-        let sim = Simulation::of(&inst, &sched)
-            .policy(RecoveryPolicy::ReReplicate)
-            .seed(17);
-        let lifetime = LifetimeDist::Exponential {
-            mean: sched.latency() * 2.0,
-        };
-        let fired = std::sync::atomic::AtomicUsize::new(0);
-        let with = sim.monte_carlo_with_progress(32, lifetime.clone(), &|_p| {
-            fired.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        });
-        assert_eq!(fired.load(std::sync::atomic::Ordering::Relaxed), 32);
-        let plain = sim.monte_carlo(32, lifetime);
-        assert_eq!(
-            serde_json::to_string(&with).unwrap(),
-            serde_json::to_string(&plain).unwrap()
-        );
     }
 
     #[test]

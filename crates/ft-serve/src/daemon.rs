@@ -3,24 +3,26 @@
 //!
 //! Each worker loops claim → execute. Executing a job resolves its
 //! workload through the shared [`ArtifactCache`], enumerates the grid
-//! cells, and runs each cell through a
-//! [`ChunkedBatch`] in `delta_every`-run
-//! chunks: after every chunk a partial-summary [`DeltaRecord`] is
-//! appended to `results/<id>/deltas.jsonl` (flushed, so clients tail it
-//! live) and the job's cancellation tombstone is checked. The final
+//! cells, and opens each cell through one [`GridBatch`] — the grid
+//! driver behind [`simulate_grid`](ft_runtime::simulate_grid), so a
+//! job's cells share one arena pool and one static plan per distinct
+//! checkpoint table. Each cell runs in `delta_every`-run chunks: after
+//! every chunk a partial-summary [`DeltaRecord`] is appended to
+//! `results/<id>/deltas.jsonl` (flushed, so clients tail it live) and
+//! the job's cancellation tombstone is checked. The final
 //! [`FinalRecord`] is written via temp-file + rename — a `final.json`
 //! is always complete.
 //!
-//! Chunking, worker count and cache hits cannot change the result: the
-//! final summaries are byte-identical to direct
+//! Chunking, worker count, plan sharing and cache hits cannot change the
+//! result: the final summaries are byte-identical to direct
 //! [`simulate_many`](ft_runtime::simulate_many) calls (the
-//! [`ChunkedBatch`] identity, re-pinned
+//! [`ChunkedBatch`](ft_runtime::ChunkedBatch) identity, re-pinned
 //! end-to-end through the daemon by `tests/service.rs`).
 
 use crate::cache::ArtifactCache;
 use crate::job::{CellResult, DeltaRecord, FinalRecord};
 use crate::queue::{ClaimOutcome, JobQueue, JobState, ServeError};
-use ft_runtime::{ChunkedBatch, ScratchPool};
+use ft_runtime::GridBatch;
 use std::fs;
 use std::io::Write;
 use std::path::Path;
@@ -180,25 +182,16 @@ impl Daemon {
         } else {
             None
         };
+        let chunk = if spec.delta_every > 0 {
+            spec.delta_every
+        } else {
+            usize::MAX
+        };
         let mut finished = Vec::with_capacity(cells.len());
-        // One scratch-arena pool for the whole job: arenas warmed by one
-        // cell's chunks are reused by every later cell instead of being
-        // re-allocated per cell (capacity only — summaries are unchanged).
-        let pool = Arc::new(ScratchPool::new());
+        let mut grid = GridBatch::new(&resolved.inst, &resolved.sched);
         for (idx, cell) in cells.iter().enumerate() {
             let mc = cell.monte_carlo_config(&resolved.inst, &resolved.sched);
-            let mut chunked = ChunkedBatch::with_pool(
-                &resolved.inst,
-                &resolved.sched,
-                &mc,
-                &mc.engine.policy,
-                Arc::clone(&pool),
-            );
-            let chunk = if spec.delta_every > 0 {
-                spec.delta_every
-            } else {
-                usize::MAX
-            };
+            let mut chunked = grid.cell(&mc);
             while !chunked.is_done() {
                 if self.queue.cancelled(&claim.id) {
                     return Ok(JobEnd::Cancelled);

@@ -15,6 +15,18 @@ const MAX_PROCS: usize = 1_024;
 /// for, for the same reason as [`MAX_PROCS`].
 const MAX_TASK_PROCS: usize = 10_000_000;
 
+/// The most cells a job's grid may resolve to. The daemon builds the
+/// whole cell list and keeps every finished cell's summary until the
+/// job's `final.json` is written, so an axis product of 10⁹ cells would
+/// abort the daemon on a refused allocation, as for [`MAX_PROCS`].
+const MAX_CELLS: usize = 1_024;
+
+/// The most Monte-Carlo runs a job may ask for over all its cells
+/// (`grid.runs × cells`): a batch chunk lists its run indices before it
+/// runs them, and no job should hold a worker for longer than this many
+/// runs.
+const MAX_RUNS: usize = 10_000_000;
+
 /// A simulation job: one tenant's workload plus the scenario grid to
 /// sweep over it. Everything the daemon needs is in the spec — resolved
 /// workload artifacts are shared through the
@@ -91,11 +103,12 @@ impl JobSpec {
     }
 
     /// Validates the spec's cheap invariants (a tenant that follows the
-    /// job-id character rule, non-empty axes, positive run count, a
-    /// workload the CAFT build accepts, within the size limits) so
-    /// misconfigured jobs fail at submit/claim time with a message
-    /// instead of producing an empty sweep, panicking mid-build or
-    /// aborting the daemon on a refused allocation — or, for a tenant
+    /// job-id character rule, non-empty axes, positive run count, axis
+    /// values the policy roster accepts, at least one cell, a workload
+    /// the CAFT build accepts, and the cell, run and workload size
+    /// limits) so misconfigured jobs fail at submit/claim time with a
+    /// message instead of producing an empty sweep, panicking mid-build
+    /// or aborting the daemon on a refused allocation — or, for a tenant
     /// such as `../x`, auto ids that escape the queue tree.
     pub fn validate(&self) -> Result<(), String> {
         if !is_safe_name(&self.tenant) {
@@ -104,14 +117,47 @@ impl JobSpec {
                 self.tenant
             ));
         }
-        if self.grid.runs == 0 {
+        let g = &self.grid;
+        if g.runs == 0 {
             return Err("grid.runs must be positive".into());
         }
-        if self.grid.mttf_factors.is_empty()
-            || self.grid.mttr_factors.is_empty()
-            || self.grid.detections.is_empty()
-        {
+        if g.mttf_factors.is_empty() || g.mttr_factors.is_empty() || g.detections.is_empty() {
             return Err("grid axes must be non-empty".into());
+        }
+        // The values the policy roster's constructors assert on.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        for (axis, values) in [
+            ("grid.mttf_factors", &g.mttf_factors),
+            ("grid.checkpoint_intervals", &g.checkpoint_intervals),
+        ] {
+            if let Some(bad) = values.iter().find(|&&x| !positive(x)) {
+                return Err(format!("{axis} must be finite and positive, got {bad}"));
+            }
+        }
+        if !positive(g.checkpoint_overhead) {
+            return Err(format!(
+                "grid.checkpoint_overhead must be finite and positive, got {}",
+                g.checkpoint_overhead
+            ));
+        }
+        let cells = g.cell_count();
+        if cells == 0 {
+            return Err(format!(
+                "the grid resolves to 0 cells: grid.only_policy = {:?} names no policy of the roster",
+                g.only_policy.as_deref().unwrap_or_default()
+            ));
+        }
+        if cells > MAX_CELLS {
+            return Err(format!(
+                "the grid resolves to {cells} cells (mttf_factors × mttr_factors × detections × \
+                 roster), over the limit of {MAX_CELLS} cells"
+            ));
+        }
+        if g.runs.saturating_mul(cells) > MAX_RUNS {
+            return Err(format!(
+                "grid.runs × cells = {} × {cells} exceeds the limit of {MAX_RUNS} runs",
+                g.runs
+            ));
         }
         let w = &self.workload;
         if w.tasks == 0 || w.procs == 0 {
@@ -209,6 +255,7 @@ pub struct FinalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ft_experiments::DegradationConfig;
 
     #[test]
     fn example_spec_round_trips_and_validates() {
@@ -259,5 +306,86 @@ mod tests {
                 "{diag}"
             );
         }
+
+        // Axis values the policy roster's constructors assert on.
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let mut spec = JobSpec::example("t");
+            spec.grid.mttf_factors.push(bad);
+            let diag = spec.validate().unwrap_err();
+            assert!(diag.contains("grid.mttf_factors"), "{diag}");
+            let mut spec = JobSpec::example("t");
+            spec.grid.checkpoint_intervals.push(bad);
+            let diag = spec.validate().unwrap_err();
+            assert!(diag.contains("grid.checkpoint_intervals"), "{diag}");
+            let mut spec = JobSpec::example("t");
+            spec.grid.checkpoint_overhead = bad;
+            let diag = spec.validate().unwrap_err();
+            assert!(diag.contains("grid.checkpoint_overhead"), "{diag}");
+        }
+
+        // A roster filter that names nothing resolves to 0 cells.
+        let mut spec = JobSpec::example("t");
+        spec.grid.only_policy = Some("rereplicate".into());
+        let diag = spec.validate().unwrap_err();
+        assert!(
+            diag.contains("0 cells") && diag.contains("rereplicate"),
+            "{diag}"
+        );
+        spec.grid.only_policy = Some("checkpoint".into());
+        spec.grid.checkpoint_intervals.clear();
+        let diag = spec.validate().unwrap_err();
+        assert!(diag.contains("0 cells"), "{diag}");
+
+        // Cell and run caps: three 1,000-entry axes (≈ 10⁹ cells) are
+        // refused; exactly MAX_CELLS cells with the most runs per cell the
+        // run cap admits pass, and one more cell or run per cell is
+        // refused.
+        let mut spec = JobSpec::example("t");
+        spec.grid.mttf_factors = vec![2.0; 1_000];
+        spec.grid.mttr_factors = vec![None; 1_000];
+        spec.grid.detections = vec![DetectionKind::Uniform; 1_000];
+        let diag = spec.validate().unwrap_err();
+        assert!(diag.contains("cells") && diag.contains("limit"), "{diag}");
+        let mut spec = JobSpec::example("t");
+        spec.grid.only_policy = Some("absorb".into());
+        spec.grid.mttf_factors = vec![2.0; MAX_CELLS];
+        spec.grid.runs = MAX_RUNS / MAX_CELLS;
+        spec.validate().expect("a grid at both caps");
+        spec.grid.mttf_factors.push(2.0);
+        let diag = spec.validate().unwrap_err();
+        assert!(diag.contains("cells") && diag.contains("limit"), "{diag}");
+        spec.grid.mttf_factors.pop();
+        for runs in [MAX_RUNS / MAX_CELLS + 1, usize::MAX] {
+            spec.grid.runs = runs;
+            let diag = spec.validate().unwrap_err();
+            assert!(
+                diag.contains("grid.runs") && diag.contains("limit"),
+                "{diag}"
+            );
+        }
+
+        // The caps admit the example spec (12 cells × 40 runs), the
+        // benchmark's serve-stream jobs (3 cells × 64 runs, one roster
+        // entry each) and the default degradation grid as a job (35 cells
+        // × 400 runs).
+        assert_eq!(JobSpec::example("t").grid.cell_count(), 12);
+        for only in [
+            "absorb",
+            "re-replicate",
+            "warm-spare",
+            "checkpoint",
+            "adaptive-checkpoint",
+        ] {
+            let mut spec = JobSpec::example("t");
+            spec.grid.mttf_factors = vec![8.0, 4.0, 2.0];
+            spec.grid.only_policy = Some(only.into());
+            spec.grid.runs = 64;
+            spec.validate().unwrap();
+            assert_eq!(spec.grid.cell_count(), 3, "{only}");
+        }
+        let mut spec = JobSpec::example("t");
+        spec.grid = DegradationConfig::default().grid();
+        spec.validate().unwrap();
+        assert_eq!((spec.grid.cell_count(), spec.grid.runs), (35, 400));
     }
 }

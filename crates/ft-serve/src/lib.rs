@@ -19,8 +19,8 @@
 //!   grid runner showed dominates wall-clock.
 //! * [`daemon`] — a bounded worker pool executing jobs concurrently with
 //!   **per-tenant fairness** (a worker claims from the tenant with the
-//!   fewest in-flight jobs), each job's cells run through
-//!   [`ChunkedBatch`](ft_runtime::ChunkedBatch) so **streaming result
+//!   fewest in-flight jobs), each job's cells opened through one
+//!   [`GridBatch`](ft_runtime::GridBatch) and run in chunks so **streaming result
 //!   deltas** (partial [`BatchSummary`](ft_runtime::BatchSummary)
 //!   snapshots every `delta_every` runs) land in
 //!   `<root>/results/<job>/deltas.jsonl` while the job runs, then an

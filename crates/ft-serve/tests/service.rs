@@ -6,6 +6,7 @@
 //! via `simulate_many` — regardless of delta-snapshot interval, worker
 //! count, or cache hits.
 
+use ft_experiments::DetectionKind;
 use ft_serve::{
     read_deltas, read_deltas_from, read_final, request_stop, ArtifactCache, Daemon, JobQueue,
     JobSpec, JobState,
@@ -297,8 +298,11 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     // Hostile input: workloads whose build panics — fewer than ε + 1
     // processors, a zero granularity — or aborts the process: 2^20
     // processors ask for an 8 TiB delay table, an allocation the OS
-    // refuses, and no unwind guard catches the abort. They must fail at
-    // claim with a diagnostic; run, the first panic poisoned the
+    // refuses, and no unwind guard catches the abort. Grids fail the
+    // same way: a zero checkpoint overhead panics in the roster's
+    // adaptive-checkpoint constructor, three 1,000-entry axes ask for
+    // 10⁹ cells, and a misspelt `only_policy` runs nothing. They must
+    // fail at claim with a diagnostic; run, the first panic poisoned the
     // artifact cache and every later job failed with it.
     let root = temp_root("unbuildable");
     let queue = JobQueue::open(&root).unwrap();
@@ -308,10 +312,25 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     flat.workload.granularity = 0.0;
     let mut oversized = JobSpec::example("t");
     oversized.workload.procs = 1 << 20;
+    let mut free_checkpoints = JobSpec::example("t");
+    free_checkpoints.grid.checkpoint_overhead = 0.0;
+    let mut huge_grid = JobSpec::example("t");
+    huge_grid.grid.mttf_factors = vec![2.0; 1_000];
+    huge_grid.grid.mttr_factors = vec![None; 1_000];
+    huge_grid.grid.detections = vec![DetectionKind::Uniform; 1_000];
+    let mut typo = JobSpec::example("t");
+    typo.grid.only_policy = Some("rereplicate".into());
     let bad = [
-        ("bad-eps", &few_procs, "eps"),
-        ("bad-granularity", &flat, "granularity"),
-        ("bad-procs", &oversized, "procs"),
+        ("bad-eps", &few_procs, "workload.eps"),
+        ("bad-granularity", &flat, "workload.granularity"),
+        ("bad-procs", &oversized, "workload.procs"),
+        (
+            "bad-overhead",
+            &free_checkpoints,
+            "grid.checkpoint_overhead",
+        ),
+        ("bad-cells", &huge_grid, "cells"),
+        ("bad-policy", &typo, "grid.only_policy"),
     ];
     // Written straight into pending/ (submit would refuse them), ahead of
     // the valid job in claim order.
@@ -332,7 +351,7 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     for (id, _, field) in bad {
         assert_eq!(queue.state(id), Some(JobState::Failed), "{id}");
         let diag = queue.read_error(id).unwrap();
-        assert!(diag.contains(&format!("workload.{field}")), "{id}: {diag}");
+        assert!(diag.contains(field), "{id}: {diag}");
     }
     std::fs::remove_dir_all(&root).ok();
 }

@@ -31,15 +31,6 @@ impl MessageStats {
     pub fn total(&self) -> usize {
         self.remote + self.local
     }
-
-    /// Remote messages per edge, normalized by `ε + 1`: 1.0 means the
-    /// linear regime, `ε + 1` the quadratic regime.
-    pub fn replication_factor(&self, eps: usize) -> f64 {
-        if self.edges == 0 {
-            return 0.0;
-        }
-        self.total() as f64 / (self.edges as f64 * (eps + 1) as f64)
-    }
 }
 
 /// Tallies the message counts of a schedule.
@@ -78,7 +69,6 @@ mod tests {
         let s = caft(&inst, eps, CommModel::OnePort, 0);
         let stats = message_stats(&inst, &s);
         assert!(stats.total() <= stats.linear_bound);
-        assert!(stats.replication_factor(eps) <= 1.0 + 1e-9);
     }
 
     #[test]

@@ -201,16 +201,6 @@ impl FaultScenario {
         self.dead.binary_search(&p).ok().map(|i| self.times[i])
     }
 
-    /// Repair duration of the first failure epoch of `p`:
-    /// `f64::INFINITY` for a permanent crash, `None` if `p` never fails.
-    #[inline]
-    pub fn repair_of(&self, p: ProcId) -> Option<f64> {
-        self.dead
-            .binary_search(&p)
-            .ok()
-            .map(|i| self.repairs.get(i).copied().unwrap_or(f64::INFINITY))
-    }
-
     /// The first crash time of `p` as a deadline: `+∞` for processors
     /// that never fail. This is the deadline of work placed at time 0;
     /// for work placed later on a transient platform see
@@ -438,13 +428,15 @@ mod tests {
         assert_eq!(s.num_failures(), 2);
         assert_eq!(s.num_crash_epochs(), 3);
         assert_eq!(s.crash_time(ProcId(1)), Some(2.0));
-        assert_eq!(s.repair_of(ProcId(1)), Some(3.0));
-        assert_eq!(s.repair_of(ProcId(4)), Some(f64::INFINITY));
-        assert_eq!(s.repair_of(ProcId(0)), None);
         assert_eq!(
             s.epochs_of(ProcId(1)).collect::<Vec<_>>(),
             vec![(2.0, 5.0), (10.0, 11.0)]
         );
+        assert_eq!(
+            s.epochs_of(ProcId(4)).collect::<Vec<_>>(),
+            vec![(6.0, f64::INFINITY)]
+        );
+        assert_eq!(s.epochs_of(ProcId(0)).count(), 0);
         // Down strictly inside the window, up at both boundaries.
         assert!(!s.is_dead_at(ProcId(1), 2.0));
         assert!(s.is_dead_at(ProcId(1), 3.5));
@@ -495,7 +487,10 @@ mod tests {
         let mixed =
             FaultScenario::transient(&[(ProcId(0), 1.0, 2.0), (ProcId(3), 2.5, f64::INFINITY)]);
         assert!(mixed.has_transients());
-        assert_eq!(mixed.repair_of(ProcId(0)), Some(2.0));
+        assert_eq!(
+            mixed.epochs_of(ProcId(0)).collect::<Vec<_>>(),
+            vec![(1.0, 3.0)]
+        );
     }
 
     #[test]

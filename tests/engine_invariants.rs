@@ -339,7 +339,10 @@ proptest! {
     /// Invariant 5: the streaming Monte-Carlo aggregation is independent
     /// of the rayon thread count and chunking — the parallel fold/reduce
     /// equals the sequential one-accumulator path byte-for-byte, with
-    /// transient failure draws exercising the availability machine.
+    /// transient failure draws exercising the availability machine. The
+    /// same batch run as the second cell of a `simulate_grid`, after a
+    /// cell of another policy (whose plan it shares when the two
+    /// checkpoint tables agree), matches it too.
     #[test]
     fn batch_summary_is_thread_count_independent(
         w in arb_workload(),
@@ -372,11 +375,19 @@ proptest! {
             let out = one_shot.run(&scenario);
             acc.record(scenario.earliest_crash(), &out);
         }
-        let sequential = acc.finish(cfg.engine.policy);
+        let sequential = serde_json::to_string(&acc.finish(cfg.engine.policy)).unwrap();
         prop_assert_eq!(
             serde_json::to_string(&streamed).unwrap(),
-            serde_json::to_string(&sequential).unwrap(),
+            sequential.clone(),
             "streaming aggregation depends on the partitioning"
+        );
+        let mut other = cfg.clone();
+        other.engine.policy = policy((policy_ix + 1) % 6, inst.mean_task_cost());
+        let grid = simulate_grid(&inst, &sched, &[other, cfg]);
+        prop_assert_eq!(
+            serde_json::to_string(&grid[1]).unwrap(),
+            sequential,
+            "a grid cell depends on the cell before it"
         );
     }
 
