@@ -188,6 +188,65 @@ impl SweepGrid {
         .fold(1, usize::saturating_mul)
     }
 
+    /// Checks every value the grid's cells hand to a runtime constructor,
+    /// scaled as [`cells`](SweepGrid::cells) and
+    /// [`CellSpec::monte_carlo_config`] scale it against a workload of
+    /// the given mean task cost and `nominal` latency: MTTF and MTTR
+    /// factors × `nominal`, checkpoint intervals and overhead × the mean
+    /// task cost, and the delays each detection model derives from
+    /// `detection_latency`. Each must be finite and positive (a detection
+    /// delay may be 0). Finite factors can overflow once scaled, and the
+    /// constructors assert on the result, so a service calls this before
+    /// [`cells`](SweepGrid::cells) to fail such a grid with a diagnostic
+    /// that names the axis.
+    pub fn check_scaled(&self, mean_task_cost: f64, nominal: f64) -> Result<(), String> {
+        let scaled = |axis: &str, factor: f64, base: f64, unit: &str| {
+            let x = factor * base;
+            if x.is_finite() && x > 0.0 {
+                Ok(())
+            } else {
+                Err(format!(
+                    "{axis}: {factor} × the {unit} {base} = {x} is not finite and positive"
+                ))
+            }
+        };
+        let latency = "nominal latency";
+        for &f in &self.mttf_factors {
+            scaled("grid.mttf_factors", f, nominal, latency)?;
+        }
+        for &f in self.mttr_factors.iter().flatten() {
+            scaled("grid.mttr_factors", f, nominal, latency)?;
+        }
+        let cost = "mean task cost";
+        for &f in &self.checkpoint_intervals {
+            scaled("grid.checkpoint_intervals", f, mean_task_cost, cost)?;
+        }
+        scaled(
+            "grid.checkpoint_overhead",
+            self.checkpoint_overhead,
+            mean_task_cost,
+            cost,
+        )?;
+        // The delays of `DetectionKind::model`: the latency itself, a
+        // spread over [0.5, 1.5] × the latency, or gossip rounds every
+        // latency / 2.
+        let d = self.detection_latency;
+        for &kind in &self.detections {
+            let fits = match kind {
+                DetectionKind::Uniform => d.is_finite() && d >= 0.0,
+                DetectionKind::PerProcessor => d >= 0.0 && (1.5 * d).is_finite(),
+                DetectionKind::Gossip => (d / 2.0).is_finite() && d / 2.0 > 0.0,
+            };
+            if !fits {
+                return Err(format!(
+                    "grid.detection_latency = {d} gives {} detection no valid delay",
+                    kind.name()
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Resolves the grid into executable cells against a schedule of the
     /// given `nominal` latency on an instance of the given mean task
     /// cost, in the degradation sweep's order: MTTF outer, then MTTR,
@@ -448,6 +507,52 @@ mod tests {
             ..full
         };
         assert_eq!(huge.cell_count(), usize::MAX);
+    }
+
+    #[test]
+    fn check_scaled_names_the_axis_a_scaled_value_breaks() {
+        let ok = SweepGrid {
+            mttr_factors: vec![None, Some(0.25)],
+            detections: vec![
+                DetectionKind::Uniform,
+                DetectionKind::PerProcessor,
+                DetectionKind::Gossip,
+            ],
+            ..SweepGrid::default()
+        };
+        ok.check_scaled(2.0, 100.0).unwrap();
+        let bad = |edit: fn(&mut SweepGrid), axis: &str| {
+            let mut grid = ok.clone();
+            edit(&mut grid);
+            let diag = grid.check_scaled(2.0, 100.0).unwrap_err();
+            assert!(diag.contains(axis), "{diag}");
+        };
+        bad(|g| g.mttf_factors = vec![1e308], "grid.mttf_factors");
+        bad(|g| g.mttr_factors = vec![Some(1e308)], "grid.mttr_factors");
+        bad(|g| g.mttr_factors = vec![Some(-1.0)], "grid.mttr_factors");
+        bad(
+            |g| g.checkpoint_intervals = vec![1e308],
+            "grid.checkpoint_intervals",
+        );
+        bad(
+            |g| g.checkpoint_overhead = 1e308,
+            "grid.checkpoint_overhead",
+        );
+        bad(|g| g.detection_latency = -1.0, "grid.detection_latency");
+        bad(|g| g.detection_latency = f64::NAN, "grid.detection_latency");
+        bad(|g| g.detection_latency = 1.7e308, "grid.detection_latency");
+        bad(|g| g.detection_latency = 0.0, "grid.detection_latency");
+        // Instant detection is legal where no model divides it.
+        let mut instant = ok.clone();
+        instant.detections = vec![DetectionKind::Uniform, DetectionKind::PerProcessor];
+        instant.detection_latency = 0.0;
+        instant.check_scaled(2.0, 100.0).unwrap();
+        // A grid that passes runs without tripping a constructor.
+        let (inst, sched) = quick().workload().build();
+        for mut cell in ok.cells(inst.mean_task_cost(), sched.latency()) {
+            cell.runs = 2;
+            cell.run(&inst, &sched);
+        }
     }
 
     #[test]

@@ -126,7 +126,7 @@ pub fn simulate_many(inst: &Instance, sched: &FtSchedule, cfg: &MonteCarloConfig
 /// over the same `(inst, sched)` — by opening every cell, in order,
 /// through one [`GridBatch`]: one [`ScratchPool`] of warm arenas serves
 /// every cell, and cells whose policies share a checkpoint table share
-/// one [`StaticPlan`].
+/// one [`StaticPlan`], dropped after the last of them.
 ///
 /// Each summary is **byte-identical** to `simulate_many(inst, sched,
 /// &cells[i])` — sharing amortizes setup, it never couples cells (pinned
@@ -137,8 +137,8 @@ pub fn simulate_grid(
     sched: &FtSchedule,
     cells: &[MonteCarloConfig],
 ) -> Vec<BatchSummary> {
-    let mut grid = GridBatch::new(inst, sched);
-    cells.iter().map(|cfg| grid.cell(cfg).finish()).collect()
+    let mut grid = GridBatch::new(inst, sched, cells);
+    (0..cells.len()).map(|i| grid.cell(i).finish()).collect()
 }
 
 /// The grid driver: opens the cells of a sweep over one `(inst, sched)`
@@ -146,6 +146,12 @@ pub fn simulate_grid(
 /// [`StaticPlan`] per distinct checkpoint table. [`simulate_grid`] runs
 /// each cell to its end; a service paces each cell's chunks itself (the
 /// `ft-serve` daemon streams a delta per chunk).
+///
+/// The grid knows its whole cell list, so it holds a table's plan only
+/// from the first of that table's cells to the last: the last cell's
+/// batch takes the grid's handle, and the plan is dropped with that
+/// batch. Cells opened in order whose tables do not interleave
+/// therefore hold one plan at a time.
 ///
 /// The op template reads the policy only through the plan's per-task
 /// checkpoint table ([`Policy::checkpoint_plan`]) and its build calls no
@@ -179,9 +185,9 @@ pub fn simulate_grid(
 ///     seed: 9,
 /// };
 /// let cells = [cell(RecoveryPolicy::Absorb), cell(RecoveryPolicy::ReReplicate)];
-/// let mut grid = GridBatch::new(&inst, &sched);
-/// for cfg in &cells {
-///     let mut batch = grid.cell(cfg);
+/// let mut grid = GridBatch::new(&inst, &sched, &cells);
+/// for (i, cfg) in cells.iter().enumerate() {
+///     let mut batch = grid.cell(i);
 ///     while batch.run_chunk(16) > 0 {
 ///         assert!(batch.snapshot().runs <= cfg.runs);
 ///     }
@@ -194,43 +200,78 @@ pub fn simulate_grid(
 pub struct GridBatch<'a> {
     inst: &'a Instance,
     sched: &'a FtSchedule,
+    cells: &'a [MonteCarloConfig],
     pool: Arc<ScratchPool>,
-    /// The plans built so far, one per distinct checkpoint table.
-    plans: Vec<Arc<StaticPlan>>,
+    /// Per cell, the index of its checkpoint table among the grid's
+    /// distinct tables.
+    table: Vec<usize>,
+    /// Per distinct table, the last cell that uses it.
+    last: Vec<usize>,
+    /// Per distinct table, its plan while a later cell still needs it.
+    plans: Vec<Option<Arc<StaticPlan>>>,
 }
 
 impl<'a> GridBatch<'a> {
-    /// An empty grid over `(inst, sched)`: no plan is built and no arena
-    /// allocated until the first cell opens.
-    pub fn new(inst: &'a Instance, sched: &'a FtSchedule) -> Self {
+    /// The grid of `cells` over `(inst, sched)`. It groups the cells by
+    /// checkpoint table, compared bit for bit; no plan is built and no
+    /// arena allocated until the first cell opens.
+    pub fn new(inst: &'a Instance, sched: &'a FtSchedule, cells: &'a [MonteCarloConfig]) -> Self {
+        let bits = |t: Vec<Option<(f64, f64)>>| -> Vec<Option<(u64, u64)>> {
+            t.into_iter()
+                .map(|e| e.map(|(i, o)| (i.to_bits(), o.to_bits())))
+                .collect()
+        };
+        let mut distinct = Vec::new();
+        let mut last = Vec::new();
+        let table = cells
+            .iter()
+            .enumerate()
+            .map(|(i, cfg)| {
+                let t = bits(checkpoint_table(inst, &cfg.engine.policy));
+                let k = distinct.iter().position(|d| *d == t).unwrap_or_else(|| {
+                    distinct.push(t);
+                    last.push(0);
+                    distinct.len() - 1
+                });
+                last[k] = i;
+                k
+            })
+            .collect();
         GridBatch {
             inst,
             sched,
+            cells,
             pool: Arc::new(ScratchPool::new()),
-            plans: Vec::new(),
+            table,
+            plans: vec![None; last.len()],
+            last,
         }
     }
 
-    /// Opens the cell `cfg` under its built-in `cfg.engine.policy`, on
-    /// the grid's arena pool and on the plan of its checkpoint table —
-    /// built by this call if no earlier cell had that table. No runs are
-    /// executed yet.
-    pub fn cell<'c>(&mut self, cfg: &'c MonteCarloConfig) -> ChunkedBatch<'c>
-    where
-        'a: 'c,
-    {
+    /// Opens cell `i` under its built-in `cfg.engine.policy`, on the
+    /// grid's arena pool and on the plan of its checkpoint table — built
+    /// by this call if no earlier cell had that table (or if the cell
+    /// reopens a table whose last cell already ran). No runs are executed
+    /// yet.
+    ///
+    /// # Panics
+    /// Panics if `i` is not a cell index of the grid.
+    pub fn cell(&mut self, i: usize) -> ChunkedBatch<'a> {
+        let cfg = &self.cells[i];
         let policy = &cfg.engine.policy;
-        let table = checkpoint_table(self.inst, policy);
-        let bits = |e: &Option<(f64, f64)>| e.map(|(i, o)| (i.to_bits(), o.to_bits()));
-        let same = |plan: &&Arc<StaticPlan>| plan.plans.iter().map(bits).eq(table.iter().map(bits));
-        let plan = match self.plans.iter().find(same) {
-            Some(plan) => Arc::clone(plan),
-            None => {
-                let plan = Arc::new(StaticPlan::warm(self.inst, self.sched, policy, table));
-                self.plans.push(Arc::clone(&plan));
-                plan
-            }
+        let k = self.table[i];
+        let plan = match self.plans[k].take() {
+            Some(plan) => plan,
+            None => Arc::new(StaticPlan::warm(
+                self.inst,
+                self.sched,
+                policy,
+                checkpoint_table(self.inst, policy),
+            )),
         };
+        if i < self.last[k] {
+            self.plans[k] = Some(Arc::clone(&plan));
+        }
         ChunkedBatch::open(
             self.inst,
             self.sched,
@@ -245,7 +286,8 @@ impl<'a> GridBatch<'a> {
 impl std::fmt::Debug for GridBatch<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GridBatch")
-            .field("plans", &self.plans.len())
+            .field("cells", &self.cells.len())
+            .field("tables", &self.last.len())
             .finish_non_exhaustive()
     }
 }
@@ -1202,14 +1244,33 @@ mod tests {
         };
         assert!(table(&adaptive_out).iter().all(Option::is_none));
         assert!(table(&adaptive_in).iter().any(Option::is_some));
-        let mut tables: Vec<_> = cells.iter().map(|c| table(&c.engine.policy)).collect();
-        tables.sort();
-        tables.dedup();
-        assert_eq!(tables.len(), 4);
-        let mut driver = GridBatch::new(&inst, &sched);
-        for cfg in &cells {
-            driver.cell(cfg);
+        let tables: Vec<_> = cells.iter().map(|c| table(&c.engine.policy)).collect();
+        let mut distinct = tables.clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct.len(), 4);
+
+        // Cells share their table's plan, and no plan outlives the last
+        // cell of its table: opening and finishing cell i drops every plan
+        // whose last cell is at most i.
+        let last = |j: usize| (j..cells.len()).rfind(|&k| tables[k] == tables[j]).unwrap();
+        let mut batches = GridBatch::new(&inst, &sched, &cells);
+        let mut opened: Vec<std::sync::Weak<StaticPlan>> = Vec::new();
+        for i in 0..cells.len() {
+            let batch = batches.cell(i);
+            opened.push(Arc::downgrade(&batch.plan));
+            batch.finish();
+            for (j, plan) in opened.iter().enumerate() {
+                assert_eq!(
+                    plan.upgrade().is_some(),
+                    last(j) > i,
+                    "after cell {i}: the plan of cell {j}, whose table's last cell is {}",
+                    last(j)
+                );
+                for (k, other) in opened.iter().enumerate() {
+                    assert_eq!(plan.ptr_eq(other), tables[j] == tables[k], "cells {j}, {k}");
+                }
+            }
         }
-        assert_eq!(driver.plans.len(), tables.len());
     }
 }

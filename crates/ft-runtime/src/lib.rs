@@ -55,7 +55,8 @@
 //!   [`simulate_many`] and [`Simulation::monte_carlo`] run one to its
 //!   end; [`GridBatch`] opens the cells of a sweep as chunked batches
 //!   that share one arena pool and one [`StaticPlan`] per distinct
-//!   checkpoint table ([`simulate_grid`] and the `ft-serve` daemon);
+//!   checkpoint table, dropped after that table's last cell
+//!   ([`simulate_grid`] and the `ft-serve` daemon);
 //! * [`Observer`] — streaming observability (DESIGN.md §12): the engine
 //!   pushes every event, op and outcome into the observer attached with
 //!   [`Simulation::run_observed`]; a [`TraceObserver`] buffers the run

@@ -2,11 +2,15 @@
 //! artifact cache, streaming deltas as cells execute.
 //!
 //! Each worker loops claim → execute. Executing a job resolves its
-//! workload through the shared [`ArtifactCache`], enumerates the grid
-//! cells, and opens each cell through one [`GridBatch`] — the grid
-//! driver behind [`simulate_grid`](ft_runtime::simulate_grid), so a
-//! job's cells share one arena pool and one static plan per distinct
-//! checkpoint table. Each cell runs in `delta_every`-run chunks: after
+//! workload through the shared [`ArtifactCache`], checks the grid's
+//! values scaled against it
+//! ([`SweepGrid::check_scaled`](ft_experiments::SweepGrid::check_scaled)),
+//! enumerates the grid cells, and opens each cell through one
+//! [`GridBatch`] — the grid loop behind
+//! [`simulate_grid`](ft_runtime::simulate_grid), so a job's cells share
+//! one arena pool and one static plan per distinct checkpoint table,
+//! dropped after that table's last cell. Each cell runs in
+//! `delta_every`-run chunks: after
 //! every chunk a partial-summary [`DeltaRecord`] is appended to
 //! `results/<id>/deltas.jsonl` (flushed, so clients tail it live) and
 //! the job's cancellation tombstone is checked. The final
@@ -172,9 +176,11 @@ impl Daemon {
             return Ok(JobEnd::Cancelled);
         }
         let resolved = self.cache.resolve(&spec.workload);
-        let cells = spec
-            .grid
-            .cells(resolved.inst.mean_task_cost(), resolved.sched.latency());
+        let (cost, nominal) = (resolved.inst.mean_task_cost(), resolved.sched.latency());
+        spec.grid
+            .check_scaled(cost, nominal)
+            .map_err(ServeError::Message)?;
+        let cells = spec.grid.cells(cost, nominal);
         let results_dir = self.queue.results_dir(&claim.id);
         fs::create_dir_all(&results_dir)?;
         let mut deltas = if spec.delta_every > 0 {
@@ -188,10 +194,13 @@ impl Daemon {
             usize::MAX
         };
         let mut finished = Vec::with_capacity(cells.len());
-        let mut grid = GridBatch::new(&resolved.inst, &resolved.sched);
+        let configs: Vec<_> = cells
+            .iter()
+            .map(|cell| cell.monte_carlo_config(&resolved.inst, &resolved.sched))
+            .collect();
+        let mut grid = GridBatch::new(&resolved.inst, &resolved.sched, &configs);
         for (idx, cell) in cells.iter().enumerate() {
-            let mc = cell.monte_carlo_config(&resolved.inst, &resolved.sched);
-            let mut chunked = grid.cell(&mc);
+            let mut chunked = grid.cell(idx);
             while !chunked.is_done() {
                 if self.queue.cancelled(&claim.id) {
                     return Ok(JobEnd::Cancelled);
@@ -203,7 +212,7 @@ impl Daemon {
                         cell: idx,
                         label: cell.label(),
                         completed_runs: chunked.completed_runs(),
-                        total_runs: mc.runs,
+                        total_runs: configs[idx].runs,
                         summary: chunked.snapshot(),
                     };
                     let line = serde_json::to_string(&record)

@@ -9,23 +9,23 @@ use serde::{Deserialize, Serialize};
 /// allocates `procs²` delay and routing tables, and a failed allocation
 /// aborts the daemon (no unwind guard catches it), so an oversized
 /// workload must fail at validation, before anything is built.
-const MAX_PROCS: usize = 1_024;
+pub(crate) const MAX_PROCS: usize = 1_024;
 
 /// The largest `tasks × procs` execution matrix a job's workload may ask
 /// for, for the same reason as [`MAX_PROCS`].
-const MAX_TASK_PROCS: usize = 10_000_000;
+pub(crate) const MAX_TASK_PROCS: usize = 10_000_000;
 
 /// The most cells a job's grid may resolve to. The daemon builds the
 /// whole cell list and keeps every finished cell's summary until the
 /// job's `final.json` is written, so an axis product of 10⁹ cells would
 /// abort the daemon on a refused allocation, as for [`MAX_PROCS`].
-const MAX_CELLS: usize = 1_024;
+pub(crate) const MAX_CELLS: usize = 1_024;
 
 /// The most Monte-Carlo runs a job may ask for over all its cells
 /// (`grid.runs × cells`): a batch chunk lists its run indices before it
 /// runs them, and no job should hold a worker for longer than this many
 /// runs.
-const MAX_RUNS: usize = 10_000_000;
+pub(crate) const MAX_RUNS: usize = 10_000_000;
 
 /// A simulation job: one tenant's workload plus the scenario grid to
 /// sweep over it. Everything the daemon needs is in the spec — resolved
@@ -134,10 +134,21 @@ impl JobSpec {
                 return Err(format!("{axis} must be finite and positive, got {bad}"));
             }
         }
+        if let Some(bad) = g.mttr_factors.iter().flatten().find(|&&x| !positive(x)) {
+            return Err(format!(
+                "grid.mttr_factors must be finite and positive, got {bad}"
+            ));
+        }
         if !positive(g.checkpoint_overhead) {
             return Err(format!(
                 "grid.checkpoint_overhead must be finite and positive, got {}",
                 g.checkpoint_overhead
+            ));
+        }
+        if !(g.detection_latency.is_finite() && g.detection_latency >= 0.0) {
+            return Err(format!(
+                "grid.detection_latency must be finite and non-negative, got {}",
+                g.detection_latency
             ));
         }
         let cells = g.cell_count();
@@ -177,10 +188,8 @@ impl JobSpec {
         }
         if w.eps >= w.procs {
             return Err(format!(
-                "workload.eps = {} needs at least eps + 1 = {} processors, got procs = {}",
-                w.eps,
-                w.eps + 1,
-                w.procs
+                "workload.eps = {} needs more than eps processors, got procs = {}",
+                w.eps, w.procs
             ));
         }
         if !(w.granularity.is_finite() && w.granularity > 0.0) {
@@ -282,6 +291,9 @@ mod tests {
         let mut spec = JobSpec::example("t");
         spec.workload.eps = spec.workload.procs;
         assert!(spec.validate().is_err(), "ε + 1 > m");
+        spec.workload.eps = usize::MAX;
+        let diag = spec.validate().unwrap_err();
+        assert!(diag.contains("workload.eps"), "{diag}");
         for g in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let mut spec = JobSpec::example("t");
             spec.workload.granularity = g;
@@ -321,7 +333,23 @@ mod tests {
             spec.grid.checkpoint_overhead = bad;
             let diag = spec.validate().unwrap_err();
             assert!(diag.contains("grid.checkpoint_overhead"), "{diag}");
+            let mut spec = JobSpec::example("t");
+            spec.grid.mttr_factors.push(Some(bad));
+            let diag = spec.validate().unwrap_err();
+            assert!(diag.contains("grid.mttr_factors"), "{diag}");
         }
+        // The repair and detection constructors assert on these too.
+        for bad in [-1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut spec = JobSpec::example("t");
+            spec.grid.detection_latency = bad;
+            let diag = spec.validate().unwrap_err();
+            assert!(diag.contains("grid.detection_latency"), "{diag}");
+        }
+        let mut spec = JobSpec::example("t");
+        spec.grid.mttr_factors = vec![None, Some(0.25)];
+        spec.grid.detection_latency = 0.0;
+        spec.validate()
+            .expect("transient failures, instant detection");
 
         // A roster filter that names nothing resolves to 0 cells.
         let mut spec = JobSpec::example("t");

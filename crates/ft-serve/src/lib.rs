@@ -11,7 +11,8 @@
 //!   has). Jobs are JSON [`JobSpec`]s in `<root>/queue/pending/`,
 //!   claimed by atomic rename into `running/`, finished into `done/` or
 //!   `failed/`; a daemon killed mid-job leaves the file in `running/`
-//!   and a restart re-queues it exactly once.
+//!   and a restart re-queues it exactly once. An in-memory claim index
+//!   parses each queued spec once on first sight, not on every claim.
 //! * [`cache`] — a keyed, LRU-bounded **artifact cache**: instances
 //!   (graph + platform, ε-independent) and CAFT schedules are cached
 //!   under content-derived keys of the [`WorkloadSpec`](ft_experiments::WorkloadSpec), so a repeat

@@ -20,6 +20,35 @@
 //! <root>/stop                       daemon stop sentinel
 //! ```
 //!
+//! ## The claim index
+//!
+//! A claim picks one pending job, so it must know every pending job's
+//! tenant and submission time, and every running job's tenant. Reading
+//! them from disk on each claim made a claim O(backlog) parses and a
+//! drain O(n²). So each [`JobQueue`] (and every clone of it: a daemon's
+//! workers share one) keeps a claim index in memory: id → (mtime,
+//! tenant) of every spec listed in `pending/` or `running/`. Only these
+//! two facts are cached; the spec itself stays on disk.
+//!
+//! * **First sight.** The first claim that lists an id stats and reads
+//!   its spec once. A pending spec must also validate; one that does not
+//!   fails into `failed/` with its diagnostic in that same claim.
+//! * **Refresh and pruning.** Every claim still lists `pending/` and
+//!   `running/` once (one `readdir` each, no `stat`). The listing is the
+//!   source of truth: it is how the daemon sees submissions and
+//!   cancellations made by other processes, and an id that neither
+//!   directory lists any more (done, failed, or taken away) is pruned
+//!   from the index.
+//! * **Order.** The fairness order is computed from the index: the
+//!   tenant with the fewest running jobs first, then the oldest mtime,
+//!   then the id.
+//! * **After the rename.** The claimed spec is read back from
+//!   `running/` and validated once more before it is returned, so a file
+//!   edited in place after first sight fails into `failed/` and never
+//!   runs unvalidated.
+//!
+//! A drain of n jobs therefore reads 2n spec files, not ≈ n²/2.
+//!
 //! A job a killed daemon left in `running/` is re-queued by
 //! [`recover`](JobQueue::recover) **at most once** (recover itself
 //! records the crash in the attempts counter *before* re-queueing, so
@@ -39,6 +68,7 @@ use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::SystemTime;
 
 /// The largest job spec a claim reads, in bytes: about 2,000× the
@@ -132,10 +162,45 @@ pub struct ClaimOutcome {
 }
 
 /// Handle on the queue tree under one service root. Cheap to clone
-/// per worker; all state is on disk.
+/// per worker. Every job's state is on disk; the handle adds only the
+/// claim index (see the module docs), which all clones share.
 #[derive(Clone, Debug)]
 pub struct JobQueue {
     root: PathBuf,
+    index: Arc<Mutex<ClaimIndex>>,
+}
+
+/// What claims learned of the specs listed in `pending/` and `running/`.
+#[derive(Debug, Default)]
+struct ClaimIndex {
+    entries: HashMap<String, Indexed>,
+    /// Bumped by every listing; an entry the last listing did not stamp
+    /// is pruned.
+    generation: u64,
+    /// Spec files read by claims.
+    #[cfg(test)]
+    spec_reads: usize,
+}
+
+impl ClaimIndex {
+    /// Counts a spec file read by a claim; tests gate a drain's reads.
+    fn count_read(&mut self) {
+        #[cfg(test)]
+        {
+            self.spec_reads += 1;
+        }
+    }
+}
+
+/// One indexed spec.
+#[derive(Debug)]
+struct Indexed {
+    mtime: SystemTime,
+    /// `None` for a running spec that did not parse: it counts toward no
+    /// tenant's load, as before the index.
+    tenant: Option<String>,
+    /// The generation of the last listing that showed the id.
+    listed: u64,
 }
 
 impl JobQueue {
@@ -155,7 +220,10 @@ impl JobQueue {
         ] {
             fs::create_dir_all(root.join(dir))?;
         }
-        Ok(JobQueue { root })
+        Ok(JobQueue {
+            root,
+            index: Arc::default(),
+        })
     }
 
     /// The service root this queue lives under.
@@ -251,67 +319,143 @@ impl JobQueue {
     /// validate is routed to `failed/` with a diagnostic and skipped;
     /// a pending file that vanishes mid-scan (claimed or failed by a
     /// concurrent worker) is simply skipped — racing workers can never
-    /// error each other out of the loop. Returns `None` when nothing
-    /// is pending.
+    /// error each other out of the loop. Each spec is parsed once on
+    /// first sight and once after its rename (the claim index, see the
+    /// module docs). Returns `None` when nothing is pending.
     pub fn claim(&self) -> Result<Option<ClaimOutcome>, ServeError> {
+        // Every update leaves the index valid: an entry is inserted whole,
+        // and the next listing re-stamps every listed id. So the guard of
+        // a claim that panicked is taken over, not propagated.
+        let mut index = self.index.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            let pending = self.sorted_entries(JobState::Pending)?;
+            index.generation += 1;
+            let pending = self.refresh(&mut index, JobState::Pending)?;
+            let running = self.refresh(&mut index, JobState::Running)?;
+            let generation = index.generation;
+            index.entries.retain(|_, e| e.listed == generation);
             if pending.is_empty() {
                 return Ok(None);
             }
-            let mut in_flight: HashMap<String, usize> = HashMap::new();
-            for id in self.sorted_entries(JobState::Running)? {
-                if let Ok(spec) = self.read_spec(JobState::Running, &id) {
-                    *in_flight.entry(spec.tenant).or_default() += 1;
+            let mut in_flight: HashMap<&str, usize> = HashMap::new();
+            for id in &running {
+                if let Some(tenant) = index.entries[id].tenant.as_deref() {
+                    *in_flight.entry(tenant).or_default() += 1;
                 }
             }
-            // Candidates in submission order, annotated with their
-            // tenant's in-flight load; unreadable specs fail out here.
-            let mut candidates: Vec<(usize, String)> = Vec::new();
-            for id in pending {
-                match self.read_spec(JobState::Pending, &id).and_then(|spec| {
-                    spec.validate()
-                        .map_err(|e| err(format!("invalid spec: {e}")))
-                        .map(|()| spec)
-                }) {
-                    Ok(spec) => {
-                        let load = in_flight.get(&spec.tenant).copied().unwrap_or(0);
-                        candidates.push((load, id));
-                    }
-                    // The listing is a snapshot: a concurrent worker may
-                    // have claimed (or failed) the file between readdir
-                    // and read — not an error, just not ours to handle.
-                    Err(e) if is_not_found(&e) => continue,
-                    Err(e) => {
-                        // Malformed submission: out of the poll loop's way,
-                        // diagnostic preserved next to the raw file. Another
-                        // worker racing the same broken file may win the
-                        // rename; losing that race is fine too.
-                        match self.fail(&id, JobState::Pending, &e.to_string()) {
-                            Ok(()) => {}
-                            Err(e) if is_not_found(&e) => {}
-                            Err(e) => return Err(e),
-                        }
-                    }
-                }
-            }
-            candidates.sort_by_key(|a| a.0);
-            for (_, id) in candidates {
+            let mut candidates: Vec<(usize, SystemTime, &str)> = pending
+                .iter()
+                .map(|id| {
+                    let entry = &index.entries[id];
+                    let tenant = entry.tenant.as_deref().unwrap_or_default();
+                    let load = in_flight.get(tenant).copied().unwrap_or(0);
+                    (load, entry.mtime, id.as_str())
+                })
+                .collect();
+            candidates.sort_unstable();
+            for (_, _, id) in candidates {
                 match fs::rename(
-                    self.job_file(JobState::Pending, &id),
-                    self.job_file(JobState::Running, &id),
+                    self.job_file(JobState::Pending, id),
+                    self.job_file(JobState::Running, id),
                 ) {
-                    Ok(()) => {
-                        let attempts = self.crash_count(&id) + 1;
-                        let spec = self.read_spec(JobState::Running, &id)?;
-                        return Ok(Some(ClaimOutcome { id, spec, attempts }));
-                    }
+                    Ok(()) => match self.read_valid(&mut index, JobState::Running, id) {
+                        Ok((_, spec)) => {
+                            let attempts = self.crash_count(id) + 1;
+                            let id = id.to_string();
+                            return Ok(Some(ClaimOutcome { id, spec, attempts }));
+                        }
+                        // Edited in place since first sight: it fails
+                        // out as a malformed submission would.
+                        Err(e) => self.fail_out(id, JobState::Running, &e)?,
+                    },
                     // Raced by another worker (or the client cancelled the
-                    // pending file away): rescan.
+                    // pending file away): try the next candidate, then
+                    // rescan.
                     Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                     Err(e) => return Err(e.into()),
                 }
             }
+        }
+    }
+
+    /// Lists `state`'s directory into the claim index and returns the
+    /// listed ids that are indexed. An id listed for the first time is
+    /// read once: a running spec for its tenant, a pending spec also
+    /// validated. A pending spec that fails either goes to `failed/` with
+    /// its diagnostic and is not returned.
+    fn refresh(&self, index: &mut ClaimIndex, state: JobState) -> Result<Vec<String>, ServeError> {
+        let mut ids = Vec::new();
+        for entry in fs::read_dir(self.queue_dir(state.dir_name()))? {
+            let name = entry?.file_name();
+            let Some(id) = name.to_str().and_then(|n| n.strip_suffix(".json")) else {
+                continue; // error.txt diagnostics and stray files
+            };
+            let generation = index.generation;
+            if let Some(entry) = index.entries.get_mut(id) {
+                entry.listed = generation;
+                ids.push(id.to_string());
+                continue;
+            }
+            let read = if state == JobState::Pending {
+                self.read_valid(index, state, id)
+            } else {
+                self.read_counted(index, state, id)
+            };
+            let (mtime, tenant) = match read {
+                Ok((mtime, spec)) => (mtime, Some(spec.tenant)),
+                // The listing is a snapshot: a concurrent worker may
+                // have claimed (or failed) the file between readdir
+                // and read — not an error, just not ours to handle.
+                Err(e) if is_not_found(&e) => continue,
+                Err(_) if state == JobState::Running => (SystemTime::UNIX_EPOCH, None),
+                Err(e) => {
+                    self.fail_out(id, state, &e)?;
+                    continue;
+                }
+            };
+            let indexed = Indexed {
+                mtime,
+                tenant,
+                listed: generation,
+            };
+            index.entries.insert(id.to_string(), indexed);
+            ids.push(id.to_string());
+        }
+        Ok(ids)
+    }
+
+    /// Reads a spec for a claim, counting the read.
+    fn read_counted(
+        &self,
+        index: &mut ClaimIndex,
+        state: JobState,
+        id: &str,
+    ) -> Result<(SystemTime, JobSpec), ServeError> {
+        index.count_read();
+        self.read_spec_file(state, id)
+    }
+
+    /// [`read_counted`](JobQueue::read_counted), then
+    /// [`JobSpec::validate`].
+    fn read_valid(
+        &self,
+        index: &mut ClaimIndex,
+        state: JobState,
+        id: &str,
+    ) -> Result<(SystemTime, JobSpec), ServeError> {
+        let (mtime, spec) = self.read_counted(index, state, id)?;
+        spec.validate()
+            .map_err(|e| err(format!("invalid spec: {e}")))?;
+        Ok((mtime, spec))
+    }
+
+    /// Moves a spec that failed to read or validate into `failed/` with
+    /// its diagnostic: out of the poll loop's way, next to the raw file.
+    /// Another worker racing the same broken file may win the rename;
+    /// losing that race is fine too.
+    fn fail_out(&self, id: &str, from: JobState, e: &ServeError) -> Result<(), ServeError> {
+        match self.fail(id, from, &e.to_string()) {
+            Err(e) if !is_not_found(&e) => Err(e),
+            _ => Ok(()),
         }
     }
 
@@ -429,13 +573,25 @@ impl JobQueue {
     /// Reads a job's spec out of the given state directory. A spec file
     /// over 1 MiB is an error, found without reading it whole.
     pub fn read_spec(&self, state: JobState, id: &str) -> Result<JobSpec, ServeError> {
+        self.read_spec_file(state, id).map(|(_, spec)| spec)
+    }
+
+    /// [`read_spec`](JobQueue::read_spec) and the file's mtime.
+    fn read_spec_file(
+        &self,
+        state: JobState,
+        id: &str,
+    ) -> Result<(SystemTime, JobSpec), ServeError> {
         let path = self.job_file(state, id);
+        let file = fs::File::open(&path)?;
+        let mtime = file
+            .metadata()
+            .and_then(|m| m.modified())
+            .unwrap_or(SystemTime::UNIX_EPOCH);
         // The head start reads a typical spec in one call, so the capped
         // read costs no more syscalls than `fs::read_to_string`.
         let mut bytes = Vec::with_capacity(8 << 10);
-        fs::File::open(&path)?
-            .take(MAX_SPEC_BYTES + 1)
-            .read_to_end(&mut bytes)?;
+        file.take(MAX_SPEC_BYTES + 1).read_to_end(&mut bytes)?;
         if bytes.len() as u64 > MAX_SPEC_BYTES {
             return Err(err(format!(
                 "{} exceeds the {MAX_SPEC_BYTES}-byte spec size limit",
@@ -444,7 +600,8 @@ impl JobQueue {
         }
         let parse_err = |e: &dyn fmt::Display| err(format!("parsing {}: {e}", path.display()));
         let text = String::from_utf8(bytes).map_err(|e| parse_err(&e))?;
-        serde_json::from_str(&text).map_err(|e| parse_err(&e))
+        let spec = serde_json::from_str(&text).map_err(|e| parse_err(&e))?;
+        Ok((mtime, spec))
     }
 
     /// The diagnostic of a failed job, if recorded.
@@ -486,6 +643,8 @@ fn validate_id(id: &str) -> Result<(), ServeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{MAX_CELLS, MAX_PROCS, MAX_RUNS, MAX_TASK_PROCS};
+    use proptest::prelude::*;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     static NEXT: AtomicU32 = AtomicU32::new(0);
@@ -674,6 +833,58 @@ mod tests {
     }
 
     #[test]
+    fn a_drain_reads_each_spec_at_most_twice() {
+        // The claim index parses a spec on first sight and once more
+        // after its rename; re-reading every queued spec on every claim
+        // read ≈ n²/2 files for a drain of n. Half the claimed jobs stay
+        // running, so their tenants' load comes from the index too.
+        for n in [1, 240] {
+            let root = temp_root();
+            let q = JobQueue::open(&root).unwrap();
+            for k in 0..n {
+                q.submit(None, &JobSpec::example(&format!("t{}", k % 3)))
+                    .unwrap();
+            }
+            let mut claimed = 0;
+            while let Some(claim) = q.claim().unwrap() {
+                if claimed % 2 == 0 {
+                    q.mark_done(&claim.id).unwrap();
+                }
+                claimed += 1;
+            }
+            assert_eq!(claimed, n);
+            let reads = q.index.lock().unwrap().spec_reads;
+            assert!(reads <= 2 * n, "a drain of {n} jobs read {reads} specs");
+            fs::remove_dir_all(&root).ok();
+        }
+    }
+
+    #[test]
+    fn a_spec_edited_after_first_sight_fails_after_its_rename() {
+        let root = temp_root();
+        let q = JobQueue::open(&root).unwrap();
+        let first = q.submit(Some("a"), &JobSpec::example("t")).unwrap();
+        let second = q.submit(Some("b"), &JobSpec::example("t")).unwrap();
+        // The first claim indexes both specs and takes the first.
+        assert_eq!(q.claim().unwrap().unwrap().id, first);
+        let mut invalid = JobSpec::example("t");
+        invalid.grid.runs = 0;
+        fs::write(
+            q.job_file(JobState::Pending, &second),
+            serde_json::to_string(&invalid).unwrap(),
+        )
+        .unwrap();
+        assert!(q.claim().unwrap().is_none(), "nothing valid to claim");
+        assert_eq!(q.state(&second), Some(JobState::Failed));
+        assert!(q.read_error(&second).unwrap().contains("grid.runs"));
+        // Failed and done ids leave the index at the next listing.
+        q.mark_done(&first).unwrap();
+        assert!(q.claim().unwrap().is_none());
+        assert!(q.index.lock().unwrap().entries.is_empty());
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
     fn recover_requeues_exactly_once() {
         let root = temp_root();
         let q = JobQueue::open(&root).unwrap();
@@ -696,5 +907,172 @@ mod tests {
         );
         assert!(q.read_error(&id).unwrap().contains("not re-queueing"));
         fs::remove_dir_all(&root).ok();
+    }
+
+    /// SplitMix64: the hostile-file draws of one proptest case.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// `json` with the value after the `nth` `"key":` — the first element
+    /// if the value is an array — replaced by `value`.
+    fn with_value(json: &str, key: &str, nth: usize, value: &str) -> String {
+        let pat = format!("\"{key}\":");
+        let at = json.match_indices(&pat).nth(nth).unwrap().0 + pat.len();
+        let start = at + usize::from(json[at..].starts_with('['));
+        let end = start + json[start..].find([',', '}', ']']).unwrap();
+        format!("{}{value}{}", &json[..start], &json[end..])
+    }
+
+    /// One spec file for `pending/`, and whether a claim must admit it
+    /// (`Some(true)`), must reject it (`Some(false)`), or may do either.
+    fn spec_file(draws: &mut Draws) -> (Vec<u8>, Option<bool>) {
+        let tenant = format!("t{}", draws.below(3));
+        let example = JobSpec::example(&tenant);
+        let json = serde_json::to_string(&example).unwrap();
+        let encode = |spec: &JobSpec| serde_json::to_string(spec).unwrap().into_bytes();
+        match draws.below(7) {
+            0 => (json.into_bytes(), Some(true)),
+            1 => {
+                let cut = draws.below(json.len());
+                (json.as_bytes()[..cut].to_vec(), Some(false))
+            }
+            2 => {
+                let mut bytes = json.into_bytes();
+                for _ in 0..1 + draws.below(4) {
+                    let at = draws.below(bytes.len());
+                    bytes[at] ^= 1 + draws.below(255) as u8;
+                }
+                (bytes, None)
+            }
+            3 => {
+                let depth = [129, 200, 5_000, 100_000][draws.below(4)];
+                let (open, close) = [("[", "]"), ("{\"a\":", "}")][draws.below(2)];
+                let nest = format!("{}1{}", open.repeat(depth), close.repeat(depth));
+                let body = with_value(&json, "grid", 0, &nest);
+                (body.into_bytes(), Some(false))
+            }
+            4 => {
+                const FIELDS: [(&str, usize); 13] = [
+                    ("tasks", 0),
+                    ("procs", 0),
+                    ("eps", 0),
+                    ("granularity", 0),
+                    ("seed", 0),
+                    ("mttf_factors", 0),
+                    ("mttr_factors", 0),
+                    ("checkpoint_intervals", 0),
+                    ("checkpoint_overhead", 0),
+                    ("runs", 0),
+                    ("detection_latency", 0),
+                    ("seed", 1),
+                    ("delta_every", 0),
+                ];
+                const EXTREMES: [&str; 10] = [
+                    "-1",
+                    "0",
+                    "-0",
+                    "1e308",
+                    "1e400",
+                    "-1e400",
+                    "18446744073709551616",
+                    "-9223372036854775809",
+                    "\"7\"",
+                    "\"1e400\"",
+                ];
+                let (key, nth) = FIELDS[draws.below(FIELDS.len())];
+                let value = EXTREMES[draws.below(EXTREMES.len())];
+                (with_value(&json, key, nth, value).into_bytes(), None)
+            }
+            5 => {
+                // Each axis at its limit, then just past it.
+                let past = draws.below(2) == 1;
+                let mut spec = example;
+                match draws.below(4) {
+                    0 => {
+                        spec.grid.only_policy = Some("absorb".into());
+                        spec.grid.mttf_factors = vec![2.0; MAX_CELLS + usize::from(past)];
+                    }
+                    1 => {
+                        spec.grid.only_policy = Some("absorb".into());
+                        spec.grid.mttf_factors = vec![2.0; MAX_CELLS];
+                        spec.grid.runs = MAX_RUNS / MAX_CELLS + usize::from(past);
+                    }
+                    2 => spec.workload.procs = MAX_PROCS + usize::from(past),
+                    _ => {
+                        spec.workload.procs = MAX_PROCS;
+                        spec.workload.tasks = MAX_TASK_PROCS / MAX_PROCS + usize::from(past);
+                    }
+                }
+                (encode(&spec), Some(!past))
+            }
+            _ => {
+                let bytes = (0..draws.below(512)).map(|_| draws.next() as u8).collect();
+                (bytes, None)
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Hostile files arrive in `pending/` between claims. Every claim
+        /// returns without a panic or an error; every claimed spec
+        /// validates; every file a claim rejects is in `failed/` with its
+        /// diagnostic.
+        #[test]
+        fn claims_admit_only_valid_specs(rounds in 1usize..6, seed in any::<u64>()) {
+            let root = temp_root();
+            let q = JobQueue::open(&root).unwrap();
+            let mut draws = Draws(seed);
+            let mut dropped = Vec::new();
+            let mut claimed = Vec::new();
+            for round in 0..=rounds {
+                // The last round only drains.
+                for k in 0..if round < rounds { 1 + draws.below(4) } else { 0 } {
+                    let id = format!("r{round}-{k}");
+                    let (body, admit) = spec_file(&mut draws);
+                    fs::write(q.job_file(JobState::Pending, &id), body).unwrap();
+                    dropped.push((id, admit));
+                }
+                loop {
+                    let claim = q.claim();
+                    prop_assert!(claim.is_ok(), "claim failed: {:?}", claim.err());
+                    let Some(claim) = claim.unwrap() else { break };
+                    prop_assert!(claim.spec.validate().is_ok(), "{} claimed invalid", claim.id);
+                    claimed.push(claim.id);
+                    if round < rounds {
+                        break;
+                    }
+                }
+            }
+            for (id, admit) in &dropped {
+                let is_claimed = claimed.contains(id);
+                match q.state(id) {
+                    Some(JobState::Running) => prop_assert!(is_claimed, "{id} running unclaimed"),
+                    Some(JobState::Failed) => {
+                        let diag = q.read_error(id).unwrap_or_default();
+                        prop_assert!(!diag.trim().is_empty(), "{id} failed without a diagnostic");
+                    }
+                    other => prop_assert!(false, "{id} ended {other:?}"),
+                }
+                if let Some(admit) = admit {
+                    prop_assert_eq!(is_claimed, *admit, "{}", id);
+                }
+            }
+            fs::remove_dir_all(&root).ok();
+        }
     }
 }

@@ -320,6 +320,18 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     huge_grid.grid.detections = vec![DetectionKind::Uniform; 1_000];
     let mut typo = JobSpec::example("t");
     typo.grid.only_policy = Some("rereplicate".into());
+    // Finite factors that validate but overflow once scaled by the
+    // workload's mean task cost or nominal latency: they fail after the
+    // workload resolves, with a diagnostic, not a panic.
+    let mut costly_checkpoints = JobSpec::example("t");
+    costly_checkpoints.grid.checkpoint_overhead = 1e308;
+    let mut endless_mttf = JobSpec::example("t");
+    endless_mttf.grid.mttf_factors = vec![1e308];
+    let mut endless_mttr = JobSpec::example("t");
+    endless_mttr.grid.mttr_factors = vec![Some(1e308)];
+    let mut instant_gossip = JobSpec::example("t");
+    instant_gossip.grid.detections = vec![DetectionKind::Gossip];
+    instant_gossip.grid.detection_latency = 0.0;
     let bad = [
         ("bad-eps", &few_procs, "workload.eps"),
         ("bad-granularity", &flat, "workload.granularity"),
@@ -331,6 +343,14 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
         ),
         ("bad-cells", &huge_grid, "cells"),
         ("bad-policy", &typo, "grid.only_policy"),
+        (
+            "bad-overhead-scaled",
+            &costly_checkpoints,
+            "grid.checkpoint_overhead",
+        ),
+        ("bad-mttf-scaled", &endless_mttf, "grid.mttf_factors"),
+        ("bad-mttr-scaled", &endless_mttr, "grid.mttr_factors"),
+        ("bad-gossip", &instant_gossip, "grid.detection_latency"),
     ];
     // Written straight into pending/ (submit would refuse them), ahead of
     // the valid job in claim order.
@@ -351,7 +371,10 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
     for (id, _, field) in bad {
         assert_eq!(queue.state(id), Some(JobState::Failed), "{id}");
         let diag = queue.read_error(id).unwrap();
-        assert!(diag.contains(field), "{id}: {diag}");
+        assert!(
+            diag.contains(field) && !diag.contains("panicked"),
+            "{id}: {diag}"
+        );
     }
     std::fs::remove_dir_all(&root).ok();
 }
