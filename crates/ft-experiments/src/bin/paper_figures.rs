@@ -178,18 +178,19 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned();
     if let Some(p) = &only_policy {
-        let known = [
-            "absorb",
-            "re-replicate",
-            "reschedule",
-            "warm-spare",
-            "checkpoint",
-            "adaptive-checkpoint",
-        ];
-        if !known.contains(&p.as_str()) {
+        // A name is known iff it keeps a cell of the sweep's roster, the
+        // rule `JobSpec::validate` applies to `grid.only_policy`.
+        let sweep = |only_policy| DegradationConfig {
+            only_policy,
+            ..DegradationConfig::default()
+        };
+        if sweep(Some(p.clone())).grid().cell_count() == 0 {
+            let roster = sweep(None).grid().roster(1.0, 1.0);
+            let mut names: Vec<&str> = roster.iter().map(|r| r.name()).collect();
+            names.dedup();
             eprintln!(
                 "unknown policy '{p}' — expected one of {}",
-                known.join(", ")
+                names.join(", ")
             );
             std::process::exit(2);
         }

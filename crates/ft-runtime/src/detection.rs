@@ -223,14 +223,43 @@ impl DetectionModel {
         scenario: &FaultScenario,
         salt: u64,
     ) -> Vec<f64> {
+        let mut when = vec![f64::INFINITY; m];
+        self.write_instants(p, t, scenario, salt, &mut when);
+        when
+    }
+
+    /// [`instants_at`](DetectionModel::instants_at) written in place:
+    /// entry `q` of `when`, one entry per processor of the platform, is
+    /// the instant at which `q` learns of the event. The engine fills its
+    /// per-run knowledge table row by row through this, allocating
+    /// nothing.
+    pub(crate) fn write_instants(
+        &self,
+        p: ProcId,
+        t: f64,
+        scenario: &FaultScenario,
+        salt: u64,
+        when: &mut [f64],
+    ) {
         match self {
-            DetectionModel::Uniform(d) => vec![t + d; m],
-            DetectionModel::PerProcessor(delays) => delays.iter().map(|d| t + d).collect(),
+            DetectionModel::Uniform(d) => when.fill(t + d),
+            DetectionModel::PerProcessor(delays) => {
+                for (w, d) in when.iter_mut().zip(delays) {
+                    *w = t + d;
+                }
+            }
             DetectionModel::Gossip {
                 period,
                 fanout,
                 seed,
-            } => gossip_instants(m, p, t, scenario, *period, *fanout, *seed, salt),
+            } => {
+                // Per-event stream: independent across crashes, epochs and
+                // rejoins (processor indices fit in 32 bits, so `(p, salt)`
+                // packs injectively; salt 0 reproduces the pre-transient
+                // per-crash stream exactly).
+                let rng = StdRng::seed_from_u64(seed ^ splitmix(p.index() as u64 | (salt << 32)));
+                gossip(when, p.index(), t, scenario, *period, *fanout, rng);
+            }
         }
     }
 }
@@ -249,27 +278,26 @@ fn gossip_round_cap(m: usize) -> usize {
 }
 
 /// Seeded push-gossip propagation of one availability event (crash or
-/// rejoin) of `p` at `t`; see [`DetectionModel::Gossip`] for the model
-/// and [`DetectionModel::instants_at`] for the salt convention.
-#[allow(clippy::too_many_arguments)]
-fn gossip_instants(
-    m: usize,
-    p: ProcId,
+/// rejoin) of `p` at `t`, written into `when`, one entry per processor;
+/// see [`DetectionModel::Gossip`] for the model and
+/// [`DetectionModel::instants_at`] for the salt convention behind `rng`.
+///
+/// The row is its own informed set: a finite entry marks an informed
+/// processor. A processor reached during a round holds `NEG_INFINITY`
+/// until the round ends, so it forwards only from the next round on.
+/// When no live processor notices the event, every entry stays
+/// `INFINITY`, `p`'s own included: the event is never known.
+fn gossip(
+    when: &mut [f64],
+    p: usize,
     t: f64,
     scenario: &FaultScenario,
     period: f64,
     fanout: usize,
-    seed: u64,
-    salt: u64,
-) -> Vec<f64> {
-    let mut when = vec![f64::INFINITY; m];
-    if m == 0 {
-        return when;
-    }
-    // Per-event stream: independent across crashes, epochs and rejoins
-    // (processor indices fit in 32 bits, so `(p, salt)` packs injectively;
-    // salt 0 reproduces the pre-transient per-crash stream exactly).
-    let mut rng = StdRng::seed_from_u64(seed ^ splitmix(p.index() as u64 | (salt << 32)));
+    mut rng: StdRng,
+) {
+    let m = when.len();
+    when.fill(f64::INFINITY);
     // A processor can forward at instant τ iff it is not inside a down
     // window at τ (finishing work at a crash instant still counts, and a
     // transient processor forwards again from its reboot instant on).
@@ -277,48 +305,40 @@ fn gossip_instants(
 
     // Round 1: one live processor notices the missed heartbeat.
     let first = t + period;
-    let monitors: Vec<usize> = (0..m)
-        .filter(|&q| q != p.index() && alive_at(q, first))
-        .collect();
-    let Some(&observer) = monitors.get(rng.gen_range(0..monitors.len().max(1))) else {
-        return when; // nobody left to notice
+    let monitor = |q: &usize| *q != p && alive_at(*q, first);
+    let monitors = (0..m).filter(monitor).count();
+    let pick = rng.gen_range(0..monitors.max(1));
+    let Some(observer) = (0..m).filter(monitor).nth(pick) else {
+        return; // nobody left to notice
     };
     when[observer] = first;
-    let mut informed = vec![false; m];
-    informed[observer] = true;
-    informed[p.index()] = true; // p "knows" trivially and never forwards
+    // p's own entry is irrelevant to eligibility; it reads as the
+    // event's instant, marks p informed, and p never forwards.
+    when[p] = t;
 
     for round in 2..=gossip_round_cap(m) {
-        if informed.iter().all(|&i| i) {
+        if when.iter().all(|w| w.is_finite()) {
             break;
         }
         let now = t + round as f64 * period;
-        let mut newly: Vec<usize> = Vec::new();
         for q in 0..m {
             // Dead processors absorb the rumor but never forward it; the
             // crashed processor p does not gossip about its own death.
-            if !informed[q] || q == p.index() || !alive_at(q, now) {
+            if !when[q].is_finite() || q == p || !alive_at(q, now) {
                 continue;
             }
             for _ in 0..fanout {
                 let target = rng.gen_range(0..m - 1);
                 let target = if target >= q { target + 1 } else { target };
-                if !informed[target] {
-                    newly.push(target);
+                if when[target] == f64::INFINITY {
+                    when[target] = f64::NEG_INFINITY;
                 }
             }
         }
-        newly.sort_unstable();
-        newly.dedup();
-        for q in newly {
-            informed[q] = true;
-            when[q] = now;
+        for w in when.iter_mut().filter(|w| **w == f64::NEG_INFINITY) {
+            *w = now;
         }
     }
-    // The crashed processor's own entry is irrelevant to eligibility (it
-    // is dead); report it as its crash time for completeness.
-    when[p.index()] = t;
-    when
 }
 
 /// SplitMix64 finalizer — decorrelates per-crash gossip streams.
@@ -332,6 +352,81 @@ fn splitmix(mut z: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The buffered reference form of [`gossip`]: explicit monitor,
+    /// informed and newly-informed buffers, its own output vector, and
+    /// the crashed processor's entry written last. The in-place rows
+    /// must match it bit for bit.
+    #[allow(clippy::too_many_arguments)]
+    fn gossip_instants(
+        m: usize,
+        p: ProcId,
+        t: f64,
+        scenario: &FaultScenario,
+        period: f64,
+        fanout: usize,
+        seed: u64,
+        salt: u64,
+    ) -> Vec<f64> {
+        let mut when = vec![f64::INFINITY; m];
+        if m == 0 {
+            return when;
+        }
+        // Per-event stream: independent across crashes, epochs and rejoins
+        // (processor indices fit in 32 bits, so `(p, salt)` packs injectively;
+        // salt 0 reproduces the pre-transient per-crash stream exactly).
+        let mut rng = StdRng::seed_from_u64(seed ^ splitmix(p.index() as u64 | (salt << 32)));
+        // A processor can forward at instant τ iff it is not inside a down
+        // window at τ (finishing work at a crash instant still counts, and a
+        // transient processor forwards again from its reboot instant on).
+        let alive_at = |q: usize, tau: f64| !scenario.is_dead_at(ProcId::from_index(q), tau);
+
+        // Round 1: one live processor notices the missed heartbeat.
+        let first = t + period;
+        let monitors: Vec<usize> = (0..m)
+            .filter(|&q| q != p.index() && alive_at(q, first))
+            .collect();
+        let Some(&observer) = monitors.get(rng.gen_range(0..monitors.len().max(1))) else {
+            return when; // nobody left to notice
+        };
+        when[observer] = first;
+        let mut informed = vec![false; m];
+        informed[observer] = true;
+        informed[p.index()] = true; // p "knows" trivially and never forwards
+
+        for round in 2..=gossip_round_cap(m) {
+            if informed.iter().all(|&i| i) {
+                break;
+            }
+            let now = t + round as f64 * period;
+            let mut newly: Vec<usize> = Vec::new();
+            for q in 0..m {
+                // Dead processors absorb the rumor but never forward it; the
+                // crashed processor p does not gossip about its own death.
+                if !informed[q] || q == p.index() || !alive_at(q, now) {
+                    continue;
+                }
+                for _ in 0..fanout {
+                    let target = rng.gen_range(0..m - 1);
+                    let target = if target >= q { target + 1 } else { target };
+                    if !informed[target] {
+                        newly.push(target);
+                    }
+                }
+            }
+            newly.sort_unstable();
+            newly.dedup();
+            for q in newly {
+                informed[q] = true;
+                when[q] = now;
+            }
+        }
+        // The crashed processor's own entry is irrelevant to eligibility (it
+        // is dead); report it as its crash time for completeness.
+        when[p.index()] = t;
+        when
+    }
 
     #[test]
     fn names_and_labels_are_stable() {
@@ -427,6 +522,10 @@ mod tests {
                 .fold(f64::INFINITY, f64::min);
             assert_eq!(earliest, 3.0);
             assert!(when[1] >= 3.0 || when[1].is_infinite());
+            // Without processors 3 and 4 nobody is left to notice: every
+            // entry stays infinite, processor 0's own included.
+            let nobody = model.instants(3, ProcId(0), 1.0, &sc);
+            assert_eq!(nobody, [f64::INFINITY; 3]);
         }
     }
 
@@ -465,5 +564,86 @@ mod tests {
             .validate(4)
         });
         assert!(zero_fanout.is_err());
+    }
+
+    /// A scenario on `m` processors with up to two failure epochs each
+    /// (reboots only when `transient`), and its availability events as
+    /// `(proc, instant, salt)` under the engine's salt convention.
+    fn arb_scenario(
+        m: usize,
+        transient: bool,
+        rng: &mut StdRng,
+    ) -> (FaultScenario, Vec<(ProcId, f64, u64)>) {
+        let mut epochs = Vec::new();
+        for q in 0..m {
+            let mut up = 0.0f64;
+            for _ in 0..2 {
+                if rng.gen_bool(0.4) {
+                    break;
+                }
+                let crash = up + rng.gen_range(0.0..10.0);
+                let repair = match transient && rng.gen_bool(0.7) {
+                    true => rng.gen_range(0.1..5.0),
+                    false => f64::INFINITY,
+                };
+                epochs.push((ProcId::from_index(q), crash, repair));
+                up = crash + repair;
+                if up.is_infinite() {
+                    break;
+                }
+            }
+        }
+        let scenario = FaultScenario::transient(&epochs);
+        let mut events = Vec::new();
+        for q in (0..m).map(ProcId::from_index) {
+            for (k, (crash, up)) in scenario.epochs_of(q).enumerate() {
+                events.push((q, crash, 2 * k as u64));
+                if up.is_finite() {
+                    events.push((q, up, 2 * k as u64 + 1));
+                }
+            }
+        }
+        (scenario, events)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The in-place gossip rows are the buffered reference's bit for
+        /// bit — same observer, same rounds, same RNG draws — for every
+        /// availability event of permanent and transient scenarios,
+        /// whatever the row held before.
+        #[test]
+        fn in_place_gossip_matches_the_buffered_reference(
+            m in 1usize..=32,
+            fanout in 1usize..=4,
+            period in 0.05f64..4.0,
+            seed in any::<u64>(),
+            salt_base in 0u64..4,
+            transient in any::<bool>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (scenario, mut events) = arb_scenario(m, transient, &mut rng);
+            // An event the scenario does not list still has a stream.
+            events.push((ProcId::from_index(m - 1), rng.gen_range(0.0..20.0), salt_base));
+            let model = DetectionModel::Gossip { period, fanout, seed };
+            let mut row = vec![7.0; m];
+            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for (p, t, salt) in events {
+                let want = gossip_instants(m, p, t, &scenario, period, fanout, seed, salt);
+                model.write_instants(p, t, &scenario, salt, &mut row);
+                prop_assert_eq!(bits(&row), bits(&want));
+                prop_assert_eq!(bits(&model.instants_at(m, p, t, &scenario, salt)), bits(&want));
+            }
+            // Every other processor is down for good from t = 0, so no live
+            // processor notices: the whole row stays infinite.
+            let others: Vec<ProcId> = (0..m - 1).map(ProcId::from_index).collect();
+            let alone = FaultScenario::procs(&others);
+            let (p, t) = (ProcId::from_index(m - 1), rng.gen_range(0.0..20.0));
+            model.write_instants(p, t, &alone, salt_base, &mut row);
+            let want = gossip_instants(m, p, t, &alone, period, fanout, seed, salt_base);
+            prop_assert_eq!(bits(&row), bits(&want));
+            prop_assert!(row.iter().all(|w| *w == f64::INFINITY));
+        }
     }
 }

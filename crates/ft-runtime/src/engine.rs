@@ -107,7 +107,9 @@ use crate::observe::{Observer, PhaseProfile};
 #[cfg(doc)]
 use crate::policy::{CheckpointPlan, RecoveryPolicy};
 use crate::policy::{EngineConfig, Policy, PolicyEvent, RecoveryAction};
-use crate::scratch::{checkpoint_table, EngineScratch, EventKey, OpTemplate, StaticPlan};
+use crate::scratch::{
+    checkpoint_table, AvailEvent, EngineScratch, EventKey, OpTemplate, StaticPlan,
+};
 use ft_algos::{caft_on_subdag, CaftOptions, SubDagSpec};
 use ft_graph::{EdgeId, TaskId};
 use ft_model::{FtSchedule, ReplicaRef};
@@ -660,40 +662,34 @@ impl<'a> Engine<'a> {
         arena.queue.clear();
         reset_nested(&mut arena.recovery_exec, v);
         reset_flat(&mut arena.known_dead, m, false);
-        reset_flat(&mut arena.believed_instant, m, f64::NEG_INFINITY);
-        reset_flat(&mut arena.believed_epoch, m, 0);
-        reset_nested(&mut arena.epochs, m);
-        for (p, e) in arena.epochs.iter_mut().enumerate() {
-            e.extend(scenario.epochs_of(ProcId::from_index(p)));
-        }
-        reset_nested(&mut arena.crash_detect, m);
-        reset_nested(&mut arena.rejoin_detect, m);
-        for (p, eps) in arena.epochs.iter().enumerate() {
-            let pid = ProcId::from_index(p);
-            for (k, &(crash, up)) in eps.iter().enumerate() {
-                // Salts in temporal order: 2k for the epoch-k crash (0 for
-                // the first crash — the historical gossip stream), 2k + 1
-                // for its rejoin.
-                arena.crash_detect[p].push(cfg.detection.instants_at(
-                    m,
-                    pid,
-                    crash,
-                    scenario,
-                    2 * k as u64,
-                ));
-                arena.rejoin_detect[p].push(if up.is_finite() {
-                    cfg.detection
-                        .instants_at(m, pid, up, scenario, 2 * k as u64 + 1)
-                } else {
-                    Vec::new()
-                });
+        reset_flat(&mut arena.believed, m, None);
+        arena.events.clear();
+        for proc in 0..m {
+            for (epoch, (crash, up)) in scenario.epochs_of(ProcId::from_index(proc)).enumerate() {
+                for (rejoin, at) in [(false, crash), (true, up)] {
+                    if at.is_finite() {
+                        arena.events.push(AvailEvent {
+                            rejoin,
+                            epoch,
+                            proc,
+                            at,
+                            seen: false,
+                        });
+                    }
+                }
             }
         }
-        reset_nested(&mut arena.crash_seen, m);
-        reset_nested(&mut arena.rejoin_seen, m);
-        for (p, e) in arena.epochs.iter().enumerate() {
-            arena.crash_seen[p].resize(e.len(), false);
-            arena.rejoin_seen[p].resize(e.len(), false);
+        arena
+            .events
+            .sort_unstable_by_key(|e| (e.rejoin, e.epoch, e.proc));
+        reset_flat(&mut arena.knows, arena.events.len() * m, f64::INFINITY);
+        for (e, row) in arena.events.iter().zip(arena.knows.chunks_exact_mut(m)) {
+            // Salts in temporal order: 2k for the epoch-k crash (0 for the
+            // first crash — the historical gossip stream), 2k + 1 for its
+            // reboot.
+            let salt = 2 * e.epoch as u64 + e.rejoin as u64;
+            let p = ProcId::from_index(e.proc);
+            cfg.detection.write_instants(p, e.at, scenario, salt, row);
         }
         reset_flat(&mut arena.unrecoverable, v, false);
         reset_flat(&mut arena.deferred, v, false);
@@ -972,27 +968,34 @@ impl<'a> Engine<'a> {
     }
 
     /// Queues the initial completions and the availability events: one
-    /// event per crash (and, for transient epochs, per rejoin) per
-    /// **distinct** observer knowledge instant (the affected processor's
-    /// own entry excluded), so the recovery policy fires when the event
-    /// first enters the coordinator view and again whenever knowledge of
-    /// it reaches more survivors (a single event under
+    /// knowledge event per crash (and per finite reboot) per **distinct**
+    /// observer knowledge instant (the affected processor's own entry
+    /// excluded), so the recovery policy fires when the event first
+    /// enters the coordinator view and again whenever knowledge of it
+    /// reaches more survivors (a single event under
     /// [`DetectionModel::Uniform`]). An event with no *other* observer —
     /// the single-processor platform — falls back to the processor's own
     /// instant, so every timeout-model crash (and rejoin) still enters
     /// the coordinator view exactly as in the pre-redesign engine; only a
-    /// gossip rumor with nobody to start it is never detected.
+    /// gossip rumor with nobody to start it is never detected. Each
+    /// event's instants are sorted and deduplicated in one reused arena
+    /// buffer.
     fn seed_events(&mut self) {
         let m = self.inst.num_procs();
-        for p in 0..m {
-            for k in 0..self.arena.epochs[p].len() {
-                let id = (k * m + p) as u32;
-                for w in Self::event_instants(&self.arena.crash_detect[p][k], p) {
-                    self.arena.queue.push(Reverse(EventKey(w, 1, id)));
-                }
-                for w in Self::event_instants(&self.arena.rejoin_detect[p][k], p) {
-                    self.arena.queue.push(Reverse(EventKey(w, 2, id)));
-                }
+        let arena = &mut self.arena;
+        for (e, event) in arena.events.iter().enumerate() {
+            let row = &arena.knows[e * m..][..m];
+            let instants = &mut arena.instants;
+            instants.clear();
+            let others = row.iter().enumerate().filter(|&(q, _)| q != event.proc);
+            instants.extend(others.map(|(_, &w)| w).filter(|w| w.is_finite()));
+            if instants.is_empty() && row[event.proc].is_finite() {
+                instants.push(row[event.proc]);
+            }
+            instants.sort_unstable_by(f64::total_cmp);
+            instants.dedup();
+            for &w in instants.iter() {
+                arena.queue.push(Reverse(EventKey(w, 1, e as u32)));
             }
         }
         let n = self.arena.ops.len() as u32;
@@ -1000,35 +1003,11 @@ impl<'a> Engine<'a> {
         self.settle();
     }
 
-    /// The distinct finite knowledge instants of one availability event
-    /// of processor `p` over the given per-observer instants, with the
-    /// own-instant fallback when no other observer ever learns.
-    fn event_instants(detect: &[f64], p: usize) -> Vec<f64> {
-        let mut instants: Vec<f64> = detect
-            .iter()
-            .enumerate()
-            .filter(|&(q, w)| q != p && w.is_finite())
-            .map(|(_, &w)| w)
-            .collect();
-        if instants.is_empty() {
-            instants = detect
-                .iter()
-                .enumerate()
-                .filter(|&(q, w)| q == p && w.is_finite())
-                .map(|(_, &w)| w)
-                .collect();
-        }
-        instants.sort_by(f64::total_cmp);
-        instants.dedup();
-        instants
-    }
-
     /// The main event loop. With an observer attached, every processed
     /// event is streamed to it ([`Observer::on_event`]) before its
     /// handler runs; `None` is the unobserved fast path (one predictable
     /// branch per event).
     fn run(&mut self, mut observer: Option<&mut dyn Observer>) {
-        let m = self.inst.num_procs();
         loop {
             let popped = phase!(self, QueuePop, self.arena.queue.pop());
             let Some(Reverse(EventKey(time, kind, id))) = popped else {
@@ -1041,8 +1020,8 @@ impl<'a> Engine<'a> {
                     // slot, not an event: nothing completes.
                     0 if self.arena.ops[id as usize].state == OpState::Cancelled => None,
                     0 => Some(TraceEventKind::Completion),
-                    1 => Some(TraceEventKind::Detection),
-                    _ => Some(TraceEventKind::Rejoin),
+                    _ if self.arena.events[id as usize].rejoin => Some(TraceEventKind::Rejoin),
+                    _ => Some(TraceEventKind::Detection),
                 };
                 if let Some(kind) = kind {
                     obs.on_event(&TraceEvent { time, kind });
@@ -1050,8 +1029,7 @@ impl<'a> Engine<'a> {
             }
             match kind {
                 0 => self.complete(id, time),
-                1 => self.on_detection(ProcId::from_index(id as usize % m), id as usize / m, time),
-                _ => self.on_rejoin(ProcId::from_index(id as usize % m), id as usize / m, time),
+                _ => self.on_knowledge(id, time),
             }
         }
     }
@@ -1363,82 +1341,60 @@ impl<'a> Engine<'a> {
 
     // --- failure detection & recovery -----------------------------------
 
-    /// Processes one detection event of the epoch-`k` crash of `p`: the
-    /// first event per crash (its earliest survivor detection instant)
-    /// brings the crash into the coordinator view; later events mark
-    /// knowledge of it reaching more survivors, widening the
-    /// repair-eligible set, and give the policy another chance at tasks
-    /// it could not repair before.
-    fn on_detection(&mut self, p: ProcId, k: usize, time: f64) {
-        let first = phase!(self, DetectionFanout, {
-            let pi = p.index();
-            let first = !self.arena.crash_seen[pi][k];
-            if first {
-                self.arena.crash_seen[pi][k] = true;
-                self.arena.outcome.detections += 1;
-                // The belief follows the latest *physical* event: a crash
-                // detected only after its own repair was already reported
-                // (slow detector, fast reboot) must not re-kill the view.
-                let crash = self.arena.epochs[pi][k].0;
-                self.arena.outcome.detection_lag += time - crash;
-                if crash >= self.arena.believed_instant[pi] {
-                    self.arena.believed_instant[pi] = crash;
-                    self.arena.believed_epoch[pi] = k;
-                    self.arena.known_dead[pi] = true;
+    /// Processes one knowledge event of availability event `e` at
+    /// `time`. The first per event (its earliest observer instant) brings
+    /// the crash or reboot into the coordinator view: a rebooted
+    /// processor is believed up again and may host repair work —
+    /// survivors learn a processor is back *before* work is placed on it.
+    /// Every event, first or later, then hands the policy another chance:
+    /// a crash's later events widen the repair-eligible set, and each
+    /// event of a reboot lets deferred and unrepairable tasks be retried
+    /// on the grown platform.
+    fn on_knowledge(&mut self, e: u32, time: f64) {
+        let (event, idle) = phase!(self, DetectionFanout, {
+            let event = self.arena.events[e as usize];
+            let p = event.proc;
+            if !event.seen {
+                self.arena.events[e as usize].seen = true;
+                let outcome = &mut self.arena.outcome;
+                if event.rejoin {
+                    outcome.rejoins += 1;
+                } else {
+                    outcome.detections += 1;
+                    outcome.detection_lag += time - event.at;
+                }
+                // The belief follows the latest *physical* event, and a
+                // crash wins a physical-time tie: a crash detected only
+                // after its own repair was reported (slow detector, fast
+                // reboot) must not re-kill the view, and a crash at the
+                // exact reboot instant (`crash_{k+1} = up_k`, allowed by
+                // the scenario) supersedes the reboot whichever knowledge
+                // event is processed first.
+                let believed = self.arena.believed[p]
+                    .map_or(f64::NEG_INFINITY, |b| self.arena.events[b as usize].at);
+                if event.at > believed || (!event.rejoin && event.at == believed) {
+                    self.arena.believed[p] = Some(e);
+                    self.arena.known_dead[p] = !event.rejoin;
                 }
             }
-            first
+            // A reboot while every task is believed safe leaves nothing
+            // to repair: no policy action, no replan churn.
+            let idle =
+                event.rejoin && (0..self.inst.num_tasks()).all(|t| self.task_believed_safe(t));
+            (event, idle)
         });
-        let event = PolicyEvent {
-            proc: p,
-            epoch: k,
-            time,
-            first,
-        };
-        self.policy_hook(time, |policy, view, actions| {
-            policy.on_crash(view, &event, actions)
-        });
-    }
-
-    /// Processes one rejoin-knowledge event of the epoch-`k` reboot of
-    /// `p`: the first event per reboot brings the rejoin into the
-    /// coordinator view (the processor is believed up again and may host
-    /// repair work — survivors learn a processor is back *before* work is
-    /// placed on it); every event, first or later, is a rejuvenation
-    /// chance for the policy: deferred and previously unrepairable tasks
-    /// are retried on the grown platform.
-    fn on_rejoin(&mut self, p: ProcId, k: usize, time: f64) {
-        let (first, all_safe) = phase!(self, DetectionFanout, {
-            let pi = p.index();
-            let first = !self.arena.rejoin_seen[pi][k];
-            if first {
-                self.arena.rejoin_seen[pi][k] = true;
-                self.arena.outcome.rejoins += 1;
-                let up = self.arena.epochs[pi][k].1;
-                // Strictly-later only: a crash at the exact reboot instant
-                // (`crash_{k+1} = up_k`, allowed by the scenario) supersedes
-                // the rejoin whichever knowledge event is processed first —
-                // crashes win physical-time ties (compare the `>=` in
-                // `on_detection`).
-                if up > self.arena.believed_instant[pi] {
-                    self.arena.believed_instant[pi] = up;
-                    self.arena.known_dead[pi] = false;
-                }
-            }
-            let all_safe = (0..self.inst.num_tasks()).all(|t| self.task_believed_safe(t));
-            (first, all_safe)
-        });
-        if all_safe {
-            return; // nothing broken: no policy action, no replan churn
+        if idle {
+            return;
         }
-        let event = PolicyEvent {
-            proc: p,
-            epoch: k,
+        let hook_event = PolicyEvent {
+            proc: ProcId::from_index(event.proc),
+            epoch: event.epoch,
             time,
-            first,
+            first: !event.seen,
         };
-        self.policy_hook(time, |policy, view, actions| {
-            policy.on_rejoin(view, &event, actions)
+        self.policy_hook(time, |policy, view, actions| match event.rejoin {
+            true => policy.on_rejoin(view, &hook_event, actions),
+            false => policy.on_crash(view, &hook_event, actions),
         });
     }
 
@@ -1544,13 +1500,11 @@ impl<'a> Engine<'a> {
     /// the coordinator view (`known_dead` false again).
     fn repair_eligible(&self, q: usize, now: f64) -> bool {
         let arena = &self.arena;
+        let m = self.inst.num_procs();
         !arena.known_dead[q]
-            && arena
-                .known_dead
-                .iter()
-                .enumerate()
-                .filter(|&(_, &dead)| dead)
-                .all(|(p, _)| arena.crash_detect[p][arena.believed_epoch[p]][q] <= now)
+            && (0..m)
+                .filter(|&p| arena.known_dead[p])
+                .all(|p| arena.believed[p].is_some_and(|e| arena.knows[e as usize * m + q] <= now))
     }
 
     /// The repair-eligible processors at `now`, in index order: the only
@@ -2769,6 +2723,67 @@ mod tests {
             );
         }
         assert!(!out.completed(), "the platform is gone for good");
+    }
+
+    #[test]
+    fn same_instant_knowledge_is_crashes_then_epoch_then_processor() {
+        // Three availability events become known at one instant under
+        // uniform detection: processor 0's epoch-1 crash, processor 1's
+        // epoch-0 crash and processor 2's reboot. The hooks must see the
+        // crashes before the rejoin, and the crashes by epoch before
+        // processor — processor 1's epoch 0 ahead of processor 0's
+        // epoch 1.
+        use std::sync::Mutex;
+        #[derive(Default)]
+        struct Recorder(Mutex<Vec<(&'static str, PolicyEvent)>>);
+        impl Recorder {
+            fn log(&self, kind: &'static str, e: &PolicyEvent) {
+                self.0.lock().unwrap().push((kind, *e));
+            }
+        }
+        impl Policy for Recorder {
+            fn on_crash(&self, _: &PolicyView<'_>, e: &PolicyEvent, _: &mut Vec<RecoveryAction>) {
+                self.log("crash", e);
+            }
+            fn on_rejoin(&self, _: &PolicyView<'_>, e: &PolicyEvent, _: &mut Vec<RecoveryAction>) {
+                self.log("rejoin", e);
+            }
+        }
+
+        let mut rng = StdRng::seed_from_u64(4);
+        let g = random_layered(&RandomDagParams::default().with_tasks(30), &mut rng);
+        let params = PlatformParams::default().with_procs(3);
+        let inst = ft_platform::random_instance(g, &params, 1.0, &mut rng);
+        let sched = caft(&inst, 0, CommModel::OnePort, 4);
+        // A power-of-two time unit keeps every instant below exact.
+        let u = (sched.latency() / 16.0).log2().floor().exp2();
+        let scenario = FaultScenario::transient(&[
+            (ProcId(0), u, u),
+            (ProcId(0), 8.0 * u, f64::INFINITY),
+            (ProcId(1), 8.0 * u, f64::INFINITY),
+            (ProcId(2), 4.0 * u, 4.0 * u),
+        ]);
+        let cfg = EngineConfig {
+            detection: DetectionModel::uniform(0.5 * u),
+            ..EngineConfig::default()
+        };
+        let recorder = Recorder::default();
+        run_once(&inst, &sched, &scenario, &cfg, &recorder, None, None);
+        let log = recorder.0.into_inner().unwrap();
+        let at_once: Vec<_> = log
+            .iter()
+            .filter(|(_, e)| e.time == 8.5 * u)
+            .map(|(kind, e)| (*kind, e.proc.index(), e.epoch, e.first))
+            .collect();
+        assert_eq!(
+            at_once,
+            [
+                ("crash", 1, 0, true),
+                ("crash", 0, 1, true),
+                ("rejoin", 2, 0, true),
+            ],
+            "full log: {log:?}"
+        );
     }
 
     #[test]

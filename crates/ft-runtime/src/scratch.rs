@@ -17,13 +17,14 @@
 //!   and one-shot plans, which carry no template, take the full build,
 //!   byte-for-byte, written over the arena's recycled ops in place.
 //! * [`EngineScratch`] — every per-run buffer the engine touches, kept
-//!   across runs: the op arena, the event queue, belief and detection
-//!   state, propagation scratch, and the run's [`RunOutcome`],
-//!   whose per-task vectors are the run's first-finish/recovered
-//!   buffers. A run owns the arena whole — moved in, each buffer reset in
-//!   place, moved back. After one warm-up run on a failure-free
-//!   scenario, a run through a warm scratch performs **zero** heap
-//!   allocations (pinned by `tests/alloc_discipline.rs`).
+//!   across runs: the op arena, the event queue, belief state, the
+//!   run's availability-event table, propagation scratch, and the run's
+//!   [`RunOutcome`], whose per-task vectors are the run's
+//!   first-finish/recovered buffers. A run owns the arena whole — moved
+//!   in, each buffer reset in place, moved back. Once warm, a run
+//!   performs **zero** heap allocations when it is failure-free, and
+//!   under `Absorb` when processors crash and reboot, whatever the
+//!   detection model (pinned by `tests/alloc_discipline.rs`).
 //! * [`ScratchPool`] — a mutex-guarded stack of warm arenas, shared by
 //!   the rayon workers of [`simulate_many`](crate::simulate_many) /
 //!   [`ChunkedBatch`](crate::ChunkedBatch) chunks and across the cells
@@ -59,10 +60,10 @@ pub(crate) type EventQueue = BinaryHeap<Reverse<EventKey>>;
 /// One event key `(time, kind, id)`, ordered lexicographically:
 /// `f64::total_cmp` on the time, then kind, then id. Every key pushed by
 /// the engine is distinct — an op id enters at most once (the
-/// `Pending → Scheduled` transition guards the push), and
-/// availability-event instants are deduplicated per `(proc, epoch)` with
-/// the id encoding the pair — so pop order is the unique ascending key
-/// order regardless of heap implementation details.
+/// `Pending → Scheduled` transition guards the push), and each
+/// availability event, whose id is its index in the run's event table,
+/// enters once per distinct knowledge instant — so pop order is the
+/// unique ascending key order regardless of heap implementation details.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct EventKey(pub(crate) f64, pub(crate) u8, pub(crate) u32);
 
@@ -88,6 +89,23 @@ impl PartialEq for EventKey {
 }
 
 impl Eq for EventKey {}
+
+/// One availability event of a run: the crash that opens a failure
+/// epoch, or the finite reboot that closes it.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct AvailEvent {
+    /// True for the reboot, false for the crash.
+    pub(crate) rejoin: bool,
+    /// The failure epoch, 0 for the processor's first crash.
+    pub(crate) epoch: usize,
+    /// The processor the event is about.
+    pub(crate) proc: usize,
+    /// Physical instant of the crash or reboot.
+    pub(crate) at: f64,
+    /// A knowledge event of it was processed: it is in the coordinator
+    /// view.
+    pub(crate) seen: bool,
+}
 
 /// Everything about a run that depends only on the instance, the
 /// schedule and the policy's checkpoint plans — those plans, validated,
@@ -225,9 +243,9 @@ pub struct EngineScratch {
     /// appended as it is spawned.
     pub(crate) ops: Vec<Op>,
     /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
-    /// crash detection, 2 = rejoin knowledge (`id` = `epoch · m + proc`).
-    /// Completions at a given instant precede detections, which precede
-    /// rejoins.
+    /// knowledge of an availability event (`id` = its index in
+    /// `events`). Completions at a given instant precede knowledge
+    /// events, which follow the order of `events`.
     pub(crate) queue: EventQueue,
     /// Static exec op per (task, copy); `None` when pruned at build time.
     pub(crate) static_exec: Vec<Vec<Option<u32>>>,
@@ -237,30 +255,27 @@ pub struct EngineScratch {
     /// availability event is a crash). Flips back to `false` when a
     /// rejoin enters the coordinator view.
     pub(crate) known_dead: Vec<bool>,
-    /// Physical instant of the latest availability event (crash or
-    /// reboot) brought into the coordinator view per processor; the
-    /// belief follows the event with the latest *physical* time, so
-    /// out-of-order knowledge (a slow crash detection arriving after the
-    /// fast rejoin news) cannot roll the state backwards.
-    pub(crate) believed_instant: Vec<f64>,
-    /// The failure epoch behind the current belief of `p` (meaningful
-    /// while `known_dead[p]`; indexes `crash_detect[p]`).
-    pub(crate) believed_epoch: Vec<usize>,
-    /// Failure epochs `(crash, reboot)` per processor, from the scenario.
-    pub(crate) epochs: Vec<Vec<(f64, f64)>>,
-    /// `crash_detect[p][k][q]`: the instant at which processor `q` learns
-    /// of the epoch-`k` crash of processor `p` (`INFINITY` = never);
-    /// precomputed from the [`DetectionModel`](crate::DetectionModel) at
-    /// the start of the run.
-    pub(crate) crash_detect: Vec<Vec<Vec<f64>>>,
-    /// `rejoin_detect[p][k][q]`: when `q` learns that `p` rebooted from
-    /// its epoch-`k` crash (empty for permanent epochs). Rejoin knowledge
-    /// propagates through the same detection model as crash knowledge.
-    pub(crate) rejoin_detect: Vec<Vec<Vec<f64>>>,
-    /// First-event-processed flags per `(proc, epoch)` crash.
-    pub(crate) crash_seen: Vec<Vec<bool>>,
-    /// First-event-processed flags per `(proc, epoch)` rejoin.
-    pub(crate) rejoin_seen: Vec<Vec<bool>>,
+    /// The availability event of `p` with the latest *physical* instant
+    /// among those in the coordinator view (an index into `events`). The
+    /// belief follows it, so out-of-order knowledge (a slow crash
+    /// detection arriving after the fast rejoin news) cannot roll the
+    /// state backwards; while `known_dead[p]` it is the crash whose
+    /// knowledge decides repair eligibility.
+    pub(crate) believed: Vec<Option<u32>>,
+    /// The run's availability events, from the scenario: each failure
+    /// epoch's crash and each finite reboot, ordered crashes first, then
+    /// by epoch, then by processor. An event's index is its heap id, so
+    /// knowledge events landing at one instant are processed in this
+    /// order.
+    pub(crate) events: Vec<AvailEvent>,
+    /// `knows[e · m + q]`: the instant at which processor `q` learns of
+    /// event `e` (`INFINITY` = never), one row per event, written in
+    /// place by the [`DetectionModel`](crate::DetectionModel) at the
+    /// start of the run.
+    pub(crate) knows: Vec<f64>,
+    /// One event's distinct knowledge instants while `seed_events`
+    /// queues them.
+    pub(crate) instants: Vec<f64>,
     /// Per-task flag: a recovery pass found the task's data gone on
     /// every survivor (deduplicated across detections).
     pub(crate) unrecoverable: Vec<bool>,
@@ -544,11 +559,11 @@ mod tests {
 
     /// Every key of the test set, listed in the contract's pop order:
     /// time by `total_cmp` (`-0.0` before `0.0`), then kind — completion
-    /// (0) before detection (1) before rejoin (2) — then id.
+    /// (0) before knowledge (1) — then id.
     fn keys_in_pop_order() -> Vec<EventKey> {
         let mut keys = Vec::new();
         for time in [-1.5, -0.0, 0.0, 0.25, 1.0, 7.0] {
-            for kind in 0..3 {
+            for kind in 0..2 {
                 for id in [0, 3, 11] {
                     keys.push(EventKey(time, kind, id));
                 }

@@ -1,7 +1,8 @@
 //! Allocation-discipline pin for the zero-alloc event core (DESIGN.md
 //! §15): after warm-up, the steady-state hot loop — a warm
-//! [`Executor`] running failure-free scenarios — performs **zero** heap
-//! allocations per run, and batch chunks through a warm
+//! [`Executor`] running failure-free scenarios, or `Absorb` scenarios
+//! with crashes and reboots under any detection model — performs
+//! **zero** heap allocations per run, and batch chunks through a warm
 //! [`ChunkedBatch`] allocate sublinearly in the number of runs (the
 //! only allocations left are the rayon driver's per-chunk bookkeeping).
 //! A one-shot [`Simulation::run`] allocates a constant number of times,
@@ -19,8 +20,8 @@ use ft_graph::gen::{random_layered, RandomDagParams};
 use ft_graph::topological_order;
 use ft_platform::{random_instance, Instance, PlatformParams, ProcId, Topology};
 use ft_runtime::{
-    ChunkedBatch, Contention, EngineConfig, Executor, FailureKind, LifetimeDist, MonteCarloConfig,
-    RecoveryPolicy, Simulation,
+    ChunkedBatch, Contention, DetectionModel, EngineConfig, Executor, FailureKind, LifetimeDist,
+    MonteCarloConfig, RecoveryPolicy, Simulation,
 };
 use ft_sim::FaultScenario;
 use rand::rngs::StdRng;
@@ -99,6 +100,59 @@ fn steady_state_hot_loop_does_not_allocate() {
         during, 0,
         "steady-state contended runs allocated {during} times over 100 runs"
     );
+
+    // Part 1c: runs that crash and reboot. Every availability event and
+    // what each processor knows of it live in the arena's event table,
+    // written in place by the detection model, so a warm Absorb run
+    // allocates nothing under any detection model, contended or not.
+    let nominal = sched.latency();
+    let m = inst.num_procs();
+    let scenarios = [
+        FaultScenario::timed(&[(ProcId(2), 0.4 * nominal)]),
+        FaultScenario::timed(&[(ProcId(2), 0.3 * nominal), (ProcId(5), 0.6 * nominal)]),
+        FaultScenario::transient(&[
+            (ProcId(2), 0.3 * nominal, 0.2 * nominal),
+            (ProcId(5), 0.6 * nominal, f64::INFINITY),
+        ]),
+    ];
+    let detections = [
+        DetectionModel::uniform(1.0),
+        DetectionModel::per_processor_spread(m, 1.0),
+        DetectionModel::Gossip {
+            period: 0.5,
+            fanout: 2,
+            seed: 3,
+        },
+    ];
+    for detection in detections {
+        for contention in [Contention::Ideal, Contention::FairShare] {
+            let crashy_cfg = EngineConfig {
+                detection: detection.clone(),
+                contention,
+                ..EngineConfig::with_policy(RecoveryPolicy::Absorb)
+            };
+            let mut exec = Executor::new(&inst, &sched, &crashy_cfg);
+            for _ in 0..3 {
+                for scenario in &scenarios {
+                    exec.run(scenario);
+                }
+            }
+            for (i, scenario) in scenarios.iter().enumerate() {
+                let before = allocation_count();
+                for _ in 0..100 {
+                    exec.run(scenario);
+                }
+                let during = allocation_count() - before;
+                assert_eq!(
+                    during,
+                    0,
+                    "warm Absorb runs ({} detection, {contention:?}) on scenario {i} \
+                     allocated {during} times over 100 runs",
+                    detection.name()
+                );
+            }
+        }
+    }
 
     // Part 2: batch chunks through warm pooled arenas. The engine side
     // is allocation-free per run, so chunk cost must not scale with run

@@ -295,12 +295,16 @@ pub fn read_deltas_from(
         Err(e) => return Err(e.into()),
     };
     file.seek(SeekFrom::Start(offset))?;
-    let mut text = String::new();
-    file.read_to_string(&mut text)?;
-    let Some(consumed) = text.rfind('\n').map(|i| i + 1) else {
+    // Bytes, not a string: a line cut by a racing write may end inside a
+    // multi-byte character, and only the complete lines are decoded.
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let Some(consumed) = bytes.iter().rposition(|&b| b == b'\n').map(|i| i + 1) else {
         return Ok((Vec::new(), offset));
     };
-    let records = text[..consumed]
+    let text = std::str::from_utf8(&bytes[..consumed])
+        .map_err(|e| ServeError::Message(format!("reading {}: {e}", path.display())))?;
+    let records = text
         .lines()
         .filter(|l| !l.trim().is_empty())
         .map(|l| {

@@ -168,6 +168,48 @@ fn incremental_delta_reads_reconstruct_the_full_stream() {
 }
 
 #[test]
+fn delta_tail_reads_survive_a_line_cut_inside_a_character() {
+    // A reader racing the daemon's append can see a line cut at any
+    // byte. Cell labels carry `τ`, two bytes in UTF-8, so the cut can
+    // fall between them: the complete line before it still parses, and
+    // the cut line is returned whole once the rest of it lands.
+    let root = temp_root("tail-utf8");
+    let queue = JobQueue::open(&root).unwrap();
+    let mut spec = JobSpec::example("tail-utf8");
+    spec.delta_every = 1;
+    let id = queue.submit(None, &spec).unwrap();
+    Daemon::new(&root).unwrap().run_until_idle().unwrap();
+    let full = read_deltas(&root, &id).unwrap();
+    let bytes = std::fs::read(root.join("results").join(&id).join("deltas.jsonl")).unwrap();
+    let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+    let tau = "τ".as_bytes();
+    let has_tau = |line: &&[u8]| line.windows(2).any(|w| w == tau);
+    let k = 1 + lines[1..]
+        .iter()
+        .position(has_tau)
+        .expect("a checkpoint cell's delta");
+    let cut = 1 + lines[k].windows(2).position(|w| w == tau).unwrap();
+
+    let path = root.join("results/cut/deltas.jsonl");
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(&path, [lines[0], &lines[k][..cut]].concat()).unwrap();
+    let (first, offset) = read_deltas_from(&root, "cut", 0).unwrap();
+    assert_eq!(offset, lines[0].len() as u64);
+    let json = |records: &[ft_serve::DeltaRecord]| serde_json::to_string(records).unwrap();
+    assert_eq!(json(&first), json(&full[..1]));
+
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&path)
+        .unwrap();
+    std::io::Write::write_all(&mut file, &lines[k][cut..]).unwrap();
+    let (second, end) = read_deltas_from(&root, "cut", offset).unwrap();
+    assert_eq!(end, (lines[0].len() + lines[k].len()) as u64);
+    assert_eq!(json(&second), json(&full[k..k + 1]));
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
 fn killed_daemon_job_is_recovered_and_completes() {
     let root = temp_root("recover");
     let queue = JobQueue::open(&root).unwrap();
@@ -358,6 +400,13 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
         let json = serde_json::to_string(spec).unwrap();
         std::fs::write(root.join(format!("queue/pending/{id}.json")), json).unwrap();
     }
+    // A workload seed written as an integral float past `u64::MAX` is a
+    // parse error, not a seed saturated to `u64::MAX`.
+    let mut huge_seed = JobSpec::example("t");
+    huge_seed.workload.seed = 987_654_321;
+    let json = serde_json::to_string(&huge_seed).unwrap();
+    let json = json.replace("987654321", "1e300");
+    std::fs::write(root.join("queue/pending/bad-seed.json"), json).unwrap();
     let good = queue
         .submit(Some("good"), &JobSpec::example("fine"))
         .unwrap();
@@ -376,6 +425,12 @@ fn unbuildable_workloads_fail_out_while_the_queue_keeps_draining() {
             "{id}: {diag}"
         );
     }
+    assert_eq!(queue.state("bad-seed"), Some(JobState::Failed));
+    let diag = queue.read_error("bad-seed").unwrap();
+    assert!(
+        diag.contains("parsing") && diag.contains("1e300") && diag.contains("u64"),
+        "bad-seed: {diag}"
+    );
     std::fs::remove_dir_all(&root).ok();
 }
 

@@ -109,6 +109,18 @@ pub fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, Error> {
 
 // --- primitive impls -----------------------------------------------------
 
+/// `f` when it is integral and inside `[lo, hi)`, the range of the 64-bit
+/// integer type an integer field is read through; an error naming `f`
+/// and the field's type `ty` otherwise. No saturating cast: `1e300` is
+/// not a `u64`.
+fn integral(f: f64, lo: f64, hi: f64, ty: &str) -> Result<f64, Error> {
+    if f.fract() == 0.0 && f >= lo && f < hi {
+        Ok(f)
+    } else {
+        Err(Error::msg(format!("{f:?} is not a {ty}")))
+    }
+}
+
 macro_rules! impl_serde_uint {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
@@ -121,7 +133,9 @@ macro_rules! impl_serde_uint {
                 let u = match *v {
                     Value::UInt(u) => u,
                     Value::Int(i) if i >= 0 => i as u64,
-                    Value::Float(f) if f >= 0.0 && f.fract() == 0.0 => f as u64,
+                    // `u64::MAX as f64` rounds up to 2^64, the first float
+                    // past `u64::MAX`.
+                    Value::Float(f) => integral(f, 0.0, u64::MAX as f64, stringify!($t))? as u64,
                     ref other => return Err(mismatch("unsigned integer", other)),
                 };
                 <$t>::try_from(u).map_err(|_| Error::msg(format!(
@@ -146,7 +160,12 @@ macro_rules! impl_serde_int {
                 let i = match *v {
                     Value::Int(i) => i,
                     Value::UInt(u) if u <= i64::MAX as u64 => u as i64,
-                    Value::Float(f) if f.fract() == 0.0 => f as i64,
+                    // `i64::MIN` is -2^63, and 2^63 the first float past
+                    // `i64::MAX`.
+                    Value::Float(f) => {
+                        let lo = i64::MIN as f64;
+                        integral(f, lo, -lo, stringify!($t))? as i64
+                    }
                     ref other => return Err(mismatch("integer", other)),
                 };
                 <$t>::try_from(i).map_err(|_| Error::msg(format!(
@@ -400,6 +419,46 @@ mod tests {
     fn numeric_coercions() {
         assert_eq!(f64::from_value(&Value::UInt(3)).unwrap(), 3.0);
         assert_eq!(u64::from_value(&Value::Float(4.0)).unwrap(), 4);
+        assert_eq!(u64::from_value(&Value::Float(-0.0)).unwrap(), 0);
+        assert_eq!(i64::from_value(&Value::Float(-0.0)).unwrap(), 0);
         assert!(u8::from_value(&Value::UInt(900)).is_err());
+    }
+
+    #[test]
+    fn integral_floats_outside_the_type_are_errors_not_saturated() {
+        let two_pow_64 = 18446744073709551616.0;
+        for (f, ty, err) in [
+            (1e308, "u64", u64::from_value(&Value::Float(1e308)).err()),
+            (
+                1e308,
+                "usize",
+                usize::from_value(&Value::Float(1e308)).err(),
+            ),
+            (
+                two_pow_64,
+                "u64",
+                u64::from_value(&Value::Float(two_pow_64)).err(),
+            ),
+            (-1e300, "i64", i64::from_value(&Value::Float(-1e300)).err()),
+            (-1e300, "u64", u64::from_value(&Value::Float(-1e300)).err()),
+            (1e308, "i64", i64::from_value(&Value::Float(1e308)).err()),
+            (4.5, "u64", u64::from_value(&Value::Float(4.5)).err()),
+        ] {
+            let err = err
+                .unwrap_or_else(|| panic!("{f:?} read as a {ty}"))
+                .to_string();
+            assert!(err.contains(&format!("{f:?}")) && err.contains(ty), "{err}");
+        }
+        // The range ends themselves: the largest float below 2^64, and
+        // i64::MIN, which is a power of two.
+        let below = 18446744073709549568.0;
+        assert_eq!(
+            u64::from_value(&Value::Float(below)).unwrap(),
+            18446744073709549568
+        );
+        let min = -9223372036854775808.0;
+        assert_eq!(i64::from_value(&Value::Float(min)).unwrap(), i64::MIN);
+        // A narrower type still reports its own range.
+        assert!(u8::from_value(&Value::Float(900.0)).is_err());
     }
 }
