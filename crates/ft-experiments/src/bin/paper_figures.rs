@@ -28,7 +28,8 @@
 //! paper-figures degradation --metrics-json metrics.json
 //!                                   # per-cell mergeable metric histograms
 //!                                   # (latency / slowdown / work lost &
-//!                                   # saved / detection lag + counters)
+//!                                   # saved / detection lag + counters;
+//!                                   # `storm` cells add the link counters)
 //! paper-figures validate --quick    # evaluate every committed
 //!                                   # VALIDATION_<family>.json (exit 1 on
 //!                                   # any FAILED claim or missing record)
@@ -40,7 +41,11 @@
 //!                                   # load + bless records under a
 //!                                   # different directory
 //! ```
+//!
+//! A command line that [`ft_experiments::cli`] misreads exits with code
+//! 2 before anything runs.
 
+use ft_experiments::cli::{or_exit, positive, Args, Flags};
 use ft_experiments::degradation::{
     render_degradation, run_degradation, DegradationConfig, DetectionKind,
 };
@@ -48,13 +53,33 @@ use ft_experiments::figures::{by_id, figure_configs};
 use ft_experiments::messages::run_messages;
 use ft_experiments::resilience_exp::run_resilience;
 use ft_experiments::runner::{run_figure, FigureResult};
+use ft_experiments::stats::metrics_record;
 use ft_experiments::table::{render_figure, render_messages, render_resilience};
 use ft_experiments::validate::{
     self, bless, committed_dir, load_family, render, save_family, validate_family, FAMILIES,
 };
 use ft_experiments::{render_isoclines, render_storm, run_grid, run_storm};
+use serde::Value;
 
-#[derive(serde::Serialize)]
+const FLAGS: Flags = Flags(
+    &["--quick", "--transient", "--bless"],
+    &[
+        "--graphs",
+        "--json",
+        "--metrics-json",
+        "--policy",
+        "--detection",
+        "--ck-interval",
+        "--ck-overhead",
+        "--mttr",
+        "--family",
+        "--out",
+        "--records",
+    ],
+    1,
+);
+
+#[derive(Default, serde::Serialize)]
 struct Dump {
     figures: Vec<FigureResult>,
     messages: Vec<ft_experiments::messages::MessageRow>,
@@ -74,38 +99,16 @@ struct Dump {
 /// record set — the full-resolution lane keeps its records under
 /// `validation/full/` so the quick (tier-1) and full (weekly) lanes
 /// never overwrite each other's targets.
-fn run_validate(args: &[String], quick: bool) {
-    let family_filter: Option<String> = args
-        .iter()
-        .position(|a| a == "--family")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(f) = &family_filter {
-        if !FAMILIES.contains(&f.as_str()) {
-            eprintln!(
-                "unknown validation family '{f}' — expected one of {}",
-                FAMILIES.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
-    let do_bless = args.iter().any(|a| a == "--bless");
-    let out_dir: Option<String> = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+fn run_validate(args: &Args, quick: bool, family_filter: Option<&str>) {
+    let do_bless = args.has("--bless");
+    let out_dir = args.value("--out").map(std::path::Path::new);
     let dir = args
-        .iter()
-        .position(|a| a == "--records")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(committed_dir);
+        .value("--records")
+        .map_or_else(committed_dir, std::path::PathBuf::from);
     let mut all_passed = true;
     for fam in FAMILIES
         .iter()
-        .filter(|f| family_filter.as_deref().is_none_or(|ff| ff == **f))
+        .filter(|f| family_filter.is_none_or(|ff| ff == **f))
     {
         let committed = load_family(&dir, fam);
         match &committed {
@@ -140,8 +143,7 @@ fn run_validate(args: &[String], quick: bool) {
             save_family(&dir, &record).expect("writable validation directory");
             eprintln!("blessed {}", validate::family_path(&dir, fam).display());
         }
-        if let Some(out) = &out_dir {
-            let out = std::path::Path::new(out);
+        if let Some(out) = out_dir {
             save_family(out, &record).expect("writable --out directory");
             eprintln!("wrote {}", validate::family_path(out, fam).display());
         }
@@ -154,201 +156,126 @@ fn run_validate(args: &[String], quick: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let what = args.first().cloned().unwrap_or_else(|| "all".to_string());
-    let quick = args.iter().any(|a| a == "--quick");
-    let graphs: Option<usize> = args
-        .iter()
-        .position(|a| a == "--graphs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok());
-    let json_path: Option<String> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let metrics_path: Option<String> = args
-        .iter()
-        .position(|a| a == "--metrics-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let only_policy: Option<String> = args
-        .iter()
-        .position(|a| a == "--policy")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    if let Some(p) = &only_policy {
-        // A name is known iff it keeps a cell of the sweep's roster, the
-        // rule `JobSpec::validate` applies to `grid.only_policy`.
-        let sweep = |only_policy| DegradationConfig {
-            only_policy,
-            ..DegradationConfig::default()
-        };
-        if sweep(Some(p.clone())).grid().cell_count() == 0 {
-            let roster = sweep(None).grid().roster(1.0, 1.0);
-            let mut names: Vec<&str> = roster.iter().map(|r| r.name()).collect();
-            names.dedup();
-            eprintln!(
-                "unknown policy '{p}' — expected one of {}",
-                names.join(", ")
-            );
-            std::process::exit(2);
-        }
-    }
-    let detection: Option<DetectionKind> = args.iter().position(|a| a == "--detection").map(|i| {
-        let raw = args.get(i + 1).map(String::as_str).unwrap_or("");
-        DetectionKind::parse(raw).unwrap_or_else(|| {
-            eprintln!("unknown detection model '{raw}' — expected uniform, per-proc or gossip");
-            std::process::exit(2);
-        })
-    });
-    let parse_positive = |flag: &str, s: Option<&String>, allow_zero: bool| -> f64 {
-        let raw = s.unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        });
-        match raw.parse::<f64>() {
-            Ok(v) if v.is_finite() && (v > 0.0 || (allow_zero && v == 0.0)) => v,
-            _ => {
-                let bound = if allow_zero { "≥ 0" } else { "> 0" };
-                eprintln!("bad {flag} value '{raw}' — expected a finite number {bound}");
-                std::process::exit(2);
-            }
-        }
-    };
-    let ck_intervals: Vec<f64> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--ck-interval")
-        .map(|(i, _)| parse_positive("--ck-interval", args.get(i + 1), false))
-        .collect();
-    let ck_overhead: Option<f64> = args
-        .iter()
-        .position(|a| a == "--ck-overhead")
-        .map(|i| parse_positive("--ck-overhead", args.get(i + 1), true));
-    let mttr: Option<f64> = args
-        .iter()
-        .position(|a| a == "--mttr")
-        .map(|i| parse_positive("--mttr", args.get(i + 1), false));
-    let transient = mttr.is_some() || args.iter().any(|a| a == "--transient");
+    or_exit(
+        "paper-figures",
+        FLAGS.parse(std::env::args().skip(1)).and_then(|a| run(&a)),
+    );
+}
 
-    let tune = |mut cfg: ft_experiments::FigureConfig| {
-        if quick {
-            cfg = cfg.quick(10);
-        }
-        if let Some(g) = graphs {
-            cfg.graphs_per_point = g;
-        }
-        cfg
+fn run(args: &Args) -> Result<(), String> {
+    let what = args.positional(0).unwrap_or("all");
+    let quick = args.has("--quick");
+    let graphs = args.parse("--graphs", "a positive integer", |v| {
+        v.parse().ok().filter(|&g: &usize| g > 0)
+    })?;
+    // A name is known iff it names a policy of the sweep's roster, the
+    // rule `JobSpec::validate` applies to `grid.only_policy`.
+    let d = DegradationConfig::default();
+    let roster = d.grid().roster(1.0, 1.0);
+    let mut names: Vec<&str> = roster.iter().map(|r| r.name()).collect();
+    names.dedup();
+    let only_policy = args.parse("--policy", &format!("one of {}", names.join(", ")), |p| {
+        names.contains(&p).then(|| p.to_string())
+    })?;
+    let models = "uniform, per-proc or gossip";
+    let detection = args.parse("--detection", models, DetectionKind::parse)?;
+    let ck_intervals = args.parse_all("--ck-interval", "a finite number > 0", positive(false))?;
+    let ck_overhead = args.parse("--ck-overhead", "a finite number ≥ 0", positive(true))?;
+    let mttr = args.parse("--mttr", "a finite number > 0", positive(false))?;
+    let family = args.parse(
+        "--family",
+        &format!("one of {}", FAMILIES.join(", ")),
+        |f| FAMILIES.iter().copied().find(|&fam| fam == f),
+    )?;
+    let figures = match what {
+        "all" => figure_configs(),
+        "messages" | "resilience" | "degradation" | "storm" | "validate" => Vec::new(),
+        id => vec![by_id(id).ok_or_else(|| {
+            format!(
+                "unknown experiment '{id}' — expected fig1..fig6, messages, \
+                 resilience, degradation, storm, validate or all"
+            )
+        })?],
     };
 
-    let mut dump = Dump {
-        figures: Vec::new(),
-        messages: Vec::new(),
-        resilience: Vec::new(),
-        degradation: Vec::new(),
-        storm: Vec::new(),
-    };
-    let msg_graphs = if quick { 5 } else { 20 };
-    let res_graphs = if quick { 2 } else { 10 };
-    let mut deg_cfg = DegradationConfig {
+    let deg_cfg = DegradationConfig {
         runs: if quick { 60 } else { 400 },
         only_policy,
-        ..DegradationConfig::default()
-    };
-    if !ck_intervals.is_empty() {
-        deg_cfg.checkpoint_intervals = ck_intervals;
-    }
-    if let Some(ov) = ck_overhead {
-        deg_cfg.checkpoint_overhead = ov;
-    }
-    if let Some(kind) = detection {
-        deg_cfg.detection = kind;
-    }
-    if transient {
-        deg_cfg.mttr_factor = Some(mttr.unwrap_or(0.25));
-    }
-
-    match what.as_str() {
-        "all" => {
-            for cfg in figure_configs() {
-                let res = run_figure(&tune(cfg));
-                println!("{}", render_figure(&res));
-                dump.figures.push(res);
-            }
-            dump.messages = run_messages(msg_graphs, 0x5EED);
-            println!("{}", render_messages(&dump.messages));
-            dump.resilience = run_resilience(res_graphs, 0x5EED);
-            println!("{}", render_resilience(&dump.resilience));
-            dump.degradation = run_degradation(&deg_cfg);
-            println!("{}", render_degradation(&deg_cfg, &dump.degradation));
-        }
-        "messages" => {
-            dump.messages = run_messages(msg_graphs, 0x5EED);
-            println!("{}", render_messages(&dump.messages));
-        }
-        "resilience" => {
-            dump.resilience = run_resilience(res_graphs, 0x5EED);
-            println!("{}", render_resilience(&dump.resilience));
-        }
-        "degradation" => {
-            dump.degradation = run_degradation(&deg_cfg);
-            println!("{}", render_degradation(&deg_cfg, &dump.degradation));
-        }
-        "storm" => {
-            let storm_cfg = ft_experiments::validate::storm_config(quick);
-            dump.storm = run_storm(&storm_cfg);
-            println!("{}", render_storm(&storm_cfg, &dump.storm));
-        }
-        "validate" => {
-            run_validate(&args, quick);
-        }
-        id => match by_id(id) {
-            Some(cfg) => {
-                let res = run_figure(&tune(cfg));
-                println!("{}", render_figure(&res));
-                dump.figures.push(res);
-            }
-            None => {
-                eprintln!(
-                    "unknown experiment '{id}' — expected fig1..fig6, messages, \
-                     resilience, degradation, storm, validate or all"
-                );
-                std::process::exit(2);
-            }
+        detection: detection.unwrap_or(d.detection),
+        checkpoint_overhead: ck_overhead.unwrap_or(d.checkpoint_overhead),
+        mttr_factor: mttr.or(args.has("--transient").then_some(0.25)),
+        checkpoint_intervals: if ck_intervals.is_empty() {
+            d.checkpoint_intervals
+        } else {
+            ck_intervals
         },
+        ..d
+    };
+    let all = what == "all";
+    let mut dump = Dump::default();
+    for cfg in figures {
+        let mut cfg = if quick { cfg.quick(10) } else { cfg };
+        cfg.graphs_per_point = graphs.unwrap_or(cfg.graphs_per_point);
+        let res = run_figure(&cfg);
+        println!("{}", render_figure(&res));
+        dump.figures.push(res);
+    }
+    if all || what == "messages" {
+        dump.messages = run_messages(if quick { 5 } else { 20 }, 0x5EED);
+        println!("{}", render_messages(&dump.messages));
+    }
+    if all || what == "resilience" {
+        dump.resilience = run_resilience(if quick { 2 } else { 10 }, 0x5EED);
+        println!("{}", render_resilience(&dump.resilience));
+    }
+    if all || what == "degradation" {
+        dump.degradation = run_degradation(&deg_cfg);
+        println!("{}", render_degradation(&deg_cfg, &dump.degradation));
+    }
+    if what == "storm" {
+        let storm_cfg = ft_experiments::validate::storm_config(quick);
+        dump.storm = run_storm(&storm_cfg);
+        println!("{}", render_storm(&storm_cfg, &dump.storm));
+    }
+    if what == "validate" {
+        run_validate(args, quick, family);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.value("--json") {
         let txt = serde_json::to_string_pretty(&dump).expect("serializable results");
-        std::fs::write(&path, txt).expect("writable json path");
+        std::fs::write(path, txt).expect("writable json path");
         eprintln!("wrote {path}");
     }
 
     // The observability dump: one record per Monte-Carlo cell with the
     // mergeable metric histograms (byte-identical at any thread count).
-    if let Some(path) = metrics_path {
-        use serde::{Serialize, Value};
-        if dump.degradation.is_empty() {
-            eprintln!("--metrics-json: no Monte-Carlo cells were run (use `degradation` or `all`)");
+    if let Some(path) = args.value("--metrics-json") {
+        if dump.degradation.is_empty() && dump.storm.is_empty() {
+            eprintln!(
+                "--metrics-json: no Monte-Carlo cells were run (use `degradation`, `storm` or `all`)"
+            );
         }
         let records: Vec<Value> = dump
             .degradation
             .iter()
             .map(|row| {
-                Value::Map(vec![
-                    (
-                        "policy".to_string(),
-                        Value::Str(row.summary.policy_label.clone()),
-                    ),
-                    ("mttf_factor".to_string(), Value::Float(row.mttf_factor)),
-                    ("runs".to_string(), Value::UInt(row.summary.runs as u64)),
-                    ("metrics".to_string(), row.summary.metrics.to_value()),
-                ])
+                metrics_record(
+                    &row.summary,
+                    vec![("mttf_factor", Value::Float(row.mttf_factor))],
+                )
             })
+            .chain(dump.storm.iter().map(|row| {
+                let burst = Value::UInt(row.burst as u64);
+                let contention = Value::Str(row.contention.name().to_string());
+                metrics_record(
+                    &row.summary,
+                    vec![("burst", burst), ("contention", contention)],
+                )
+            }))
             .collect();
         let txt = serde_json::to_string_pretty(&Value::Seq(records)).expect("serializable metrics");
-        std::fs::write(&path, txt).expect("writable metrics path");
+        std::fs::write(path, txt).expect("writable metrics path");
         eprintln!("wrote {path}");
     }
+    Ok(())
 }

@@ -148,7 +148,7 @@ pub fn run_grid(cfg: &GridConfig) -> GridResult {
             (
                 p,
                 (0..cfg.granularities.len())
-                    .map(|_| PointAcc::new())
+                    .map(|_| PointAcc::default())
                     .collect(),
             )
         })

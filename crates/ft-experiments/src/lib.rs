@@ -29,11 +29,15 @@
 //! degradation-vs-failure-rate sweep over `ft-runtime`'s recovery
 //! policies).
 //!
+//! [`cli`] is the command-line reader of `paper-figures`, `ft-serve`
+//! and the examples.
+//!
 //! Everything is deterministic: each data point derives its RNG seed from
 //! `(figure seed, point index, graph index)`.
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod config;
 pub mod degradation;
 pub mod figures;

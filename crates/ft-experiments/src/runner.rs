@@ -1,6 +1,7 @@
 //! The experiment executor: one call = one figure of the paper.
 
 use crate::config::FigureConfig;
+use crate::grid::{run_grid, GridConfig, PlatformSetting};
 use crate::stats::Accumulator;
 use ft_algos::{caft, ftbar, ftsa, heft, CommModel};
 use ft_graph::gen::{random_layered, RandomDagParams};
@@ -57,6 +58,7 @@ pub struct FigureResult {
     pub points: Vec<PointResult>,
 }
 
+#[derive(Default)]
 struct AlgoAcc {
     zero: Accumulator,
     upper: Accumulator,
@@ -67,17 +69,6 @@ struct AlgoAcc {
 }
 
 impl AlgoAcc {
-    fn new() -> Self {
-        AlgoAcc {
-            zero: Accumulator::new(),
-            upper: Accumulator::new(),
-            crash: Accumulator::new(),
-            ov_zero: Accumulator::new(),
-            ov_crash: Accumulator::new(),
-            msgs: Accumulator::new(),
-        }
-    }
-
     fn finish(&self) -> AlgoPoint {
         AlgoPoint {
             zero_crash: self.zero.mean(),
@@ -144,6 +135,7 @@ impl SharedDraw {
 /// Accumulates every series of one sweep point (one granularity at one
 /// (m, ε) setting) across graph draws; [`PointAcc::finish`] yields the
 /// [`PointResult`] means.
+#[derive(Default)]
 pub(crate) struct PointAcc {
     ff_caft: Accumulator,
     ff_ftbar: Accumulator,
@@ -154,17 +146,6 @@ pub(crate) struct PointAcc {
 }
 
 impl PointAcc {
-    pub fn new() -> Self {
-        PointAcc {
-            ff_caft: Accumulator::new(),
-            ff_ftbar: Accumulator::new(),
-            caft: AlgoAcc::new(),
-            ftsa: AlgoAcc::new(),
-            ftbar: AlgoAcc::new(),
-            strict_ok: Accumulator::new(),
-        }
-    }
-
     /// Evaluates one ε-cell on a shared draw: schedules the three
     /// algorithms, replays the crash pattern, records every series.
     pub fn record(&mut self, draw: &SharedDraw, eps: usize, crashes: usize) {
@@ -226,21 +207,22 @@ impl PointAcc {
     }
 }
 
-/// Runs every series of one figure.
+/// Runs every series of one figure: the grid of its one platform
+/// setting.
 pub fn run_figure(cfg: &FigureConfig) -> FigureResult {
-    let mut points = Vec::with_capacity(cfg.granularities.len());
-    for (pi, &gran) in cfg.granularities.iter().enumerate() {
-        let mut acc = PointAcc::new();
-        for gi in 0..cfg.graphs_per_point {
-            let seed = derive_seed(cfg.seed, pi, gi);
-            let draw = SharedDraw::new(cfg.procs, gran, seed);
-            acc.record(&draw, cfg.eps, cfg.crashes);
-        }
-        points.push(acc.finish(gran));
-    }
+    let grid = run_grid(&GridConfig {
+        platforms: vec![PlatformSetting {
+            procs: cfg.procs,
+            eps: cfg.eps,
+            crashes: cfg.crashes,
+        }],
+        granularities: cfg.granularities.clone(),
+        graphs_per_point: cfg.graphs_per_point,
+        seed: cfg.seed,
+    });
     FigureResult {
         config: cfg.clone(),
-        points,
+        points: grid.cells.into_iter().map(|c| c.point).collect(),
     }
 }
 

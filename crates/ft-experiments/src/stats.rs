@@ -1,15 +1,39 @@
-//! Small streaming statistics.
+//! Small streaming statistics, and the record of one Monte-Carlo cell
+//! in a metrics dump.
 
-use serde::{Deserialize, Serialize};
+use ft_runtime::BatchSummary;
+use serde::{Deserialize, Serialize, Value};
+
+/// One record of a `--metrics-json` dump: the cell's policy label, the
+/// `cell` fields that place it in its sweep, its run count and its
+/// mergeable metric histograms.
+pub fn metrics_record(summary: &BatchSummary, cell: Vec<(&str, Value)>) -> Value {
+    let mut fields = vec![("policy", Value::Str(summary.policy_label.clone()))];
+    fields.extend(cell);
+    fields.push(("runs", Value::UInt(summary.runs as u64)));
+    fields.push(("metrics", summary.metrics.to_value()));
+    Value::Map(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
+}
 
 /// Streaming mean / min / max (the mean updated incrementally, as in
 /// Welford's method).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Accumulator {
     n: usize,
     mean: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Accumulator {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Accumulator {

@@ -326,9 +326,9 @@ impl<'a> PolicyView<'a> {
     /// at build time, or sits on the deferred-retry list) and is not
     /// believed safe — the selection the built-in `ReReplicate` family
     /// repairs, in task-index order.
-    pub fn crash_lost_tasks(&self, p: ProcId) -> Vec<TaskId> {
+    pub fn crash_lost_tasks(&self, p: ProcId) -> impl Iterator<Item = TaskId> + '_ {
         self.engine
-            .lost_tasks_where(|op| op.proc as usize == p.index() && op.state != OpState::Done)
+            .lost_tasks_where(move |op| op.proc as usize == p.index() && op.state != OpState::Done)
     }
 
     /// Every task that suffered a loss anywhere — a failed, cancelled or
@@ -336,9 +336,9 @@ impl<'a> PolicyView<'a> {
     /// deferral — and is not believed safe: the rejuvenation selection
     /// the built-ins repair at rejoin-knowledge events, in task-index
     /// order.
-    pub fn lost_tasks(&self) -> Vec<TaskId> {
+    pub fn lost_tasks(&self) -> impl Iterator<Item = TaskId> + '_ {
         let known_dead = &self.engine.arena.known_dead;
-        self.engine.lost_tasks_where(|op| {
+        self.engine.lost_tasks_where(move |op| {
             matches!(
                 op.state,
                 OpState::Failed | OpState::GhostDone | OpState::Cancelled
@@ -1570,24 +1570,25 @@ impl<'a> Engine<'a> {
     /// lost set), lost a replica at build time (its static host crashed
     /// pre-start, or it starved statically), or has a replica matching
     /// `lost`.
-    fn lost_tasks_where(&self, lost: impl Fn(&Op) -> bool) -> Vec<TaskId> {
+    fn lost_tasks_where<'s>(
+        &'s self,
+        lost: impl Fn(&Op) -> bool + 's,
+    ) -> impl Iterator<Item = TaskId> + 's {
         let arena = &self.arena;
-        let replica_lost = |&id: &u32| lost(&arena.ops[id as usize]);
-        // A plain loop on purpose: this scan runs at every knowledge event,
-        // and as a filter/map/collect chain it made warm repair-heavy runs
-        // measurably slower.
-        let mut tasks = Vec::new();
-        for t in 0..self.inst.num_tasks() {
-            if (arena.deferred[t]
-                || arena.static_exec[t].iter().any(|o| o.is_none())
-                || arena.static_exec[t].iter().flatten().any(replica_lost)
-                || arena.recovery_exec[t].iter().any(replica_lost))
-                && !self.task_believed_safe(t)
-            {
-                tasks.push(TaskId::from_index(t));
-            }
-        }
-        tasks
+        // The scan runs at every knowledge event: it is lazy, so it
+        // allocates nothing, and its predicate is one boolean expression
+        // (a filter/map/collect chain of the whole selection once made
+        // warm repair-heavy runs measurably slower).
+        (0..self.inst.num_tasks())
+            .filter(move |&t| {
+                let replica_lost = |&id: &u32| lost(&arena.ops[id as usize]);
+                (arena.deferred[t]
+                    || arena.static_exec[t].iter().any(|o| o.is_none())
+                    || arena.static_exec[t].iter().flatten().any(replica_lost)
+                    || arena.recovery_exec[t].iter().any(replica_lost))
+                    && !self.task_believed_safe(t)
+            })
+            .map(TaskId::from_index)
     }
 
     /// The copy of edge `e`'s data that reaches `q` first (ties to the
@@ -1754,14 +1755,11 @@ impl<'a> Engine<'a> {
             return;
         };
         // Pick the host minimizing the estimated finish.
-        let mut best: Option<(f64, ProcId, Vec<DataCopy>)> = None;
+        let mut best: Option<(f64, ProcId)> = None;
         for &q in &candidates {
             let mut start = now;
-            let mut picks = Vec::with_capacity(in_edges.len());
             for (&e, copies) in in_edges.iter().zip(&edge_sources) {
-                let (pick, arrival) = self.nearest_copy(copies, e, q);
-                start = start.max(arrival);
-                picks.push(pick);
+                start = start.max(self.nearest_copy(copies, e, q).1);
             }
             let w = inst.exec_time(t, q) * (1.0 - frac);
             // The wall clock adds the task's checkpoint writes, and for a
@@ -1775,16 +1773,17 @@ impl<'a> Engine<'a> {
                 }
                 None => start + w,
             };
-            if best.as_ref().is_none_or(|(b, bp, _)| {
-                est.total_cmp(b).then_with(|| q.cmp(bp)) == std::cmp::Ordering::Less
+            if best.is_none_or(|(b, bp)| {
+                est.total_cmp(&b).then_with(|| q.cmp(&bp)) == std::cmp::Ordering::Less
             }) {
-                best = Some((est, q, picks));
+                best = Some((est, q));
             }
         }
-        let (est, q, picks) = best.expect("candidate list non-empty");
+        let (est, q) = best.expect("candidate list non-empty");
 
         // Materialize: the replacement computation, then one
-        // contention-free transfer per remote input.
+        // contention-free transfer per remote input, from the same
+        // nearest copies the estimate used.
         let full = inst.exec_time(t, q);
         let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
         op.task = Some(t);
@@ -1793,7 +1792,8 @@ impl<'a> Engine<'a> {
         op.est_finish = est;
         self.apply_checkpointing(&mut op);
         let ex = self.push_recovery_exec(op);
-        for (&e, src) in in_edges.iter().zip(picks) {
+        for (&e, copies) in in_edges.iter().zip(&edge_sources) {
+            let (src, _) = self.nearest_copy(copies, e, q);
             if src.1 == q {
                 self.feed(src, ex);
                 continue;

@@ -70,7 +70,7 @@
 //!         event: &PolicyEvent,
 //!         actions: &mut Vec<RecoveryAction>,
 //!     ) {
-//!         for (i, t) in view.crash_lost_tasks(event.proc).into_iter().enumerate() {
+//!         for (i, t) in view.crash_lost_tasks(event.proc).enumerate() {
 //!             actions.push(if i < self.budget {
 //!                 RecoveryAction::SpawnReplica(t)
 //!             } else {
@@ -534,13 +534,12 @@ impl Policy for RecoveryPolicy {
                 }
             }
             RecoveryPolicy::WarmSpare => {
-                let lost = view.lost_tasks();
-                for &t in &lost {
+                for t in view.lost_tasks() {
                     actions.push(RecoveryAction::SpawnReplica(t));
                 }
                 // Whatever the spawns above could not fix starts its next
                 // repair attempt from warm data on the rejoined host.
-                for &t in &lost {
+                for t in view.lost_tasks() {
                     actions.push(RecoveryAction::PreStage {
                         task: t,
                         on: event.proc,

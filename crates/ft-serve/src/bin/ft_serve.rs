@@ -1,28 +1,24 @@
 //! `ft-serve` — the sweep-service CLI: daemon and thin file-protocol
 //! clients.
 //!
-//! ```text
-//! ft-serve run --root DIR [--workers N] [--poll-ms MS] [--once]
-//! ft-serve submit --root DIR (--spec FILE | --example TENANT) [--id ID]
-//! ft-serve status --root DIR [ID]
-//! ft-serve watch --root DIR ID [--timeout-s S]
-//! ft-serve cancel --root DIR ID
-//! ft-serve stop --root DIR
-//! ft-serve verify --root DIR ID [--expect-cache-hit]
-//! ft-serve example-spec [--tenant T] [--runs N] [--delta-every N]
-//! ```
+//! `ft-serve help` prints each subcommand's flags (`USAGE`). A command
+//! line that [`ft_experiments::cli`] misreads fails before the queue is
+//! touched.
 //!
 //! Every client subcommand speaks the directory protocol (DESIGN.md
 //! §14) — no daemon connection needed; `submit` against a root whose
 //! daemon starts later just works.
 
+use ft_experiments::cli::{Args, Flags};
 use ft_serve::{
     read_deltas, read_deltas_from, read_final, request_stop, Daemon, JobQueue, JobSpec, JobState,
-    ServeError,
 };
+use std::error::Error;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+type Outcome = Result<ExitCode, Box<dyn Error>>;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -69,71 +65,24 @@ const USAGE: &str = "ft-serve — persistent multi-tenant sweep daemon over a fi
   verify       --root DIR ID [--expect-cache-hit]
   example-spec [--tenant T] [--runs N] [--delta-every N]";
 
-/// Minimal flag cursor over the subcommand's arguments.
-struct Flags<'a> {
-    args: &'a [String],
+/// The `--root DIR` of every subcommand but `example-spec`.
+fn root(args: &Args) -> Result<PathBuf, Box<dyn Error>> {
+    Ok(args.value("--root").ok_or("--root DIR is required")?.into())
 }
 
-impl<'a> Flags<'a> {
-    fn value(&self, flag: &str) -> Option<&'a str> {
-        self.args
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.args.get(i + 1))
-            .map(String::as_str)
-    }
-
-    fn present(&self, flag: &str) -> bool {
-        self.args.iter().any(|a| a == flag)
-    }
-
-    fn positional(&self) -> Option<&'a str> {
-        let mut skip = false;
-        for a in self.args {
-            if skip {
-                skip = false;
-                continue;
-            }
-            if let Some(stripped) = a.strip_prefix("--") {
-                // Flags that take a value consume the next argument.
-                skip = !matches!(stripped, "once" | "expect-cache-hit");
-                continue;
-            }
-            return Some(a);
-        }
-        None
-    }
-
-    fn root(&self) -> Result<PathBuf, ServeError> {
-        self.value("--root")
-            .map(PathBuf::from)
-            .ok_or_else(|| ServeError::Message("--root DIR is required".into()))
-    }
-
-    fn parsed<T: std::str::FromStr>(&self, flag: &str, default: T) -> Result<T, ServeError> {
-        match self.value(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ServeError::Message(format!("{flag}: cannot parse {v:?}"))),
-        }
-    }
-}
-
-fn cmd_run(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let root = flags.root()?;
-    let workers = flags.parsed("--workers", 2usize)?;
-    let poll_ms = flags.parsed("--poll-ms", 50u64)?;
+fn cmd_run(args: &[String]) -> Outcome {
+    let args = &Flags(&["--once"], &["--root", "--workers", "--poll-ms"], 0).parse(args)?;
+    let root = root(args)?;
+    let workers = args.number("--workers")?.unwrap_or(2usize);
+    let poll_ms = args.number("--poll-ms")?.unwrap_or(50u64);
     let daemon = Daemon::new(&root)?
         .with_workers(workers)
         .with_poll(Duration::from_millis(poll_ms));
     eprintln!(
-        "ft-serve: daemon over {} ({} workers, poll {poll_ms} ms)",
-        root.display(),
-        workers
+        "ft-serve: daemon over {} ({workers} workers, poll {poll_ms} ms)",
+        root.display()
     );
-    if flags.present("--once") {
+    if args.has("--once") {
         daemon.run_until_idle()?;
     } else {
         daemon.run()?;
@@ -146,45 +95,37 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, ServeError> {
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_submit(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let queue = JobQueue::open(flags.root()?)?;
-    let spec = match (flags.value("--spec"), flags.value("--example")) {
+fn cmd_submit(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--root", "--spec", "--example", "--id"], 0).parse(args)?;
+    let spec = match (args.value("--spec"), args.value("--example")) {
         (Some(path), None) => {
-            let text = std::fs::read_to_string(path)?;
-            serde_json::from_str(&text)
-                .map_err(|e| ServeError::Message(format!("parsing {path}: {e}")))?
+            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+            serde_json::from_str(&text).map_err(|e| format!("parsing {path}: {e}"))?
         }
         (None, Some(tenant)) => JobSpec::example(tenant),
-        _ => {
-            return Err(ServeError::Message(
-                "submit needs exactly one of --spec FILE or --example TENANT".into(),
-            ))
-        }
+        _ => return Err("submit needs exactly one of --spec FILE or --example TENANT".into()),
     };
-    let id = queue.submit(flags.value("--id"), &spec)?;
+    let queue = JobQueue::open(root(args)?)?;
+    let id = queue.submit(args.value("--id"), &spec)?;
     println!("{id}");
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_status(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let queue = JobQueue::open(flags.root()?)?;
-    match flags.positional() {
-        Some(id) => match queue.state(id) {
-            None => Err(ServeError::Message(format!("unknown job {id:?}"))),
-            Some(state) => {
-                print_job_line(&queue, id, state);
-                Ok(ExitCode::SUCCESS)
-            }
-        },
+fn cmd_status(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--root"], 1).parse(args)?;
+    let queue = JobQueue::open(root(args)?)?;
+    match args.positional(0) {
+        Some(id) => {
+            let state = queue.state(id).ok_or(format!("unknown job {id:?}"))?;
+            print_job_line(&queue, id, state);
+        }
         None => {
             for (id, state) in queue.jobs()? {
                 print_job_line(&queue, &id, state);
             }
-            Ok(ExitCode::SUCCESS)
         }
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn print_job_line(queue: &JobQueue, id: &str, state: JobState) {
@@ -193,31 +134,26 @@ fn print_job_line(queue: &JobQueue, id: &str, state: JobState) {
             .read_error(id)
             .map(|e| format!("  ({})", e.trim()))
             .unwrap_or_default(),
-        JobState::Running => {
-            let root = queue.root().to_path_buf();
-            match read_deltas(&root, id) {
-                Ok(deltas) if !deltas.is_empty() => {
-                    let last = &deltas[deltas.len() - 1];
-                    format!(
-                        "  (cell {} · {}/{} runs)",
-                        last.cell, last.completed_runs, last.total_runs
-                    )
-                }
-                _ => String::new(),
+        JobState::Running => match read_deltas(queue.root(), id) {
+            Ok(deltas) if !deltas.is_empty() => {
+                let last = &deltas[deltas.len() - 1];
+                format!(
+                    "  (cell {} · {}/{} runs)",
+                    last.cell, last.completed_runs, last.total_runs
+                )
             }
-        }
+            _ => String::new(),
+        },
         _ => String::new(),
     };
     println!("{id:<24} {:<8}{extra}", format!("{state:?}").to_lowercase());
 }
 
-fn cmd_watch(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let root = flags.root()?;
-    let id = flags
-        .positional()
-        .ok_or_else(|| ServeError::Message("watch needs a job id".into()))?;
-    let timeout = Duration::from_secs(flags.parsed("--timeout-s", 600u64)?);
+fn cmd_watch(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--root", "--timeout-s"], 1).parse(args)?;
+    let root = root(args)?;
+    let id = args.positional(0).ok_or("watch needs a job id")?;
+    let timeout = Duration::from_secs(args.number("--timeout-s")?.unwrap_or(600));
     let queue = JobQueue::open(&root)?;
     let started = Instant::now();
     // Tail the delta stream by byte offset: each poll seeks past what was
@@ -241,19 +177,12 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, ServeError> {
         match queue.state(id) {
             Some(JobState::Done) => {
                 let rec = read_final(&root, id)?;
+                let hit = |h| if h { "hit" } else { "miss" };
                 println!(
                     "{id}: done — {} cells (cache: instance {}, schedule {})",
                     rec.cells.len(),
-                    if rec.cache.instance_hit {
-                        "hit"
-                    } else {
-                        "miss"
-                    },
-                    if rec.cache.schedule_hit {
-                        "hit"
-                    } else {
-                        "miss"
-                    },
+                    hit(rec.cache.instance_hit),
+                    hit(rec.cache.schedule_hit),
                 );
                 return Ok(ExitCode::SUCCESS);
             }
@@ -263,32 +192,27 @@ fn cmd_watch(args: &[String]) -> Result<ExitCode, ServeError> {
                 return Ok(ExitCode::from(2));
             }
             Some(_) => {}
-            None => return Err(ServeError::Message(format!("unknown job {id:?}"))),
+            None => return Err(format!("unknown job {id:?}").into()),
         }
         if started.elapsed() > timeout {
-            return Err(ServeError::Message(format!(
-                "timed out after {}s waiting on {id}",
-                timeout.as_secs()
-            )));
+            return Err(format!("timed out after {}s waiting on {id}", timeout.as_secs()).into());
         }
         std::thread::sleep(Duration::from_millis(50));
     }
 }
 
-fn cmd_cancel(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let queue = JobQueue::open(flags.root()?)?;
-    let id = flags
-        .positional()
-        .ok_or_else(|| ServeError::Message("cancel needs a job id".into()))?;
+fn cmd_cancel(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--root"], 1).parse(args)?;
+    let queue = JobQueue::open(root(args)?)?;
+    let id = args.positional(0).ok_or("cancel needs a job id")?;
     queue.cancel(id)?;
     eprintln!("{id}: cancellation requested");
     Ok(ExitCode::SUCCESS)
 }
 
-fn cmd_stop(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let root = flags.root()?;
+fn cmd_stop(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--root"], 0).parse(args)?;
+    let root = root(args)?;
     request_stop(&root)?;
     eprintln!("stop sentinel dropped at {}", root.join("stop").display());
     Ok(ExitCode::SUCCESS)
@@ -298,27 +222,23 @@ fn cmd_stop(args: &[String]) -> Result<ExitCode, ServeError> {
 /// byte-compares against the daemon's final record — the end-to-end
 /// "service adds zero science" check, also used by the CI acceptance
 /// drill (with `--expect-cache-hit` for the warm tenant).
-fn cmd_verify(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let root = flags.root()?;
-    let id = flags
-        .positional()
-        .ok_or_else(|| ServeError::Message("verify needs a job id".into()))?;
+fn cmd_verify(args: &[String]) -> Outcome {
+    let args = &Flags(&["--expect-cache-hit"], &["--root"], 1).parse(args)?;
+    let root = root(args)?;
+    let id = args.positional(0).ok_or("verify needs a job id")?;
     let queue = JobQueue::open(&root)?;
     if queue.state(id) != Some(JobState::Done) {
-        return Err(ServeError::Message(format!("job {id:?} is not done")));
+        return Err(format!("job {id:?} is not done").into());
     }
     let spec = queue.read_spec(JobState::Done, id)?;
     let record = read_final(&root, id)?;
-    if flags.present("--expect-cache-hit") && !record.cache.schedule_hit {
+    if args.has("--expect-cache-hit") && !record.cache.schedule_hit {
         eprintln!("{id}: FAILED — expected a schedule-cache hit, job resolved cold");
         return Ok(ExitCode::from(2));
     }
     let direct = spec.direct_cell_results();
-    let served =
-        serde_json::to_string(&record.cells).map_err(|e| ServeError::Message(e.to_string()))?;
-    let reference =
-        serde_json::to_string(&direct).map_err(|e| ServeError::Message(e.to_string()))?;
+    let served = serde_json::to_string(&record.cells)?;
+    let reference = serde_json::to_string(&direct)?;
     if served == reference {
         println!(
             "{id}: OK — {} cells byte-identical to direct simulate_many",
@@ -331,14 +251,13 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, ServeError> {
     }
 }
 
-fn cmd_example_spec(args: &[String]) -> Result<ExitCode, ServeError> {
-    let flags = Flags { args };
-    let mut spec = JobSpec::example(flags.value("--tenant").unwrap_or("example"));
-    spec.grid.runs = flags.parsed("--runs", spec.grid.runs)?;
-    spec.delta_every = flags.parsed("--delta-every", spec.delta_every)?;
-    println!(
-        "{}",
-        serde_json::to_string_pretty(&spec).map_err(|e| ServeError::Message(e.to_string()))?
-    );
+/// Prints the example job spec, after the checks `submit` applies.
+fn cmd_example_spec(args: &[String]) -> Outcome {
+    let args = &Flags(&[], &["--tenant", "--runs", "--delta-every"], 0).parse(args)?;
+    let mut spec = JobSpec::example(args.value("--tenant").unwrap_or("example"));
+    spec.grid.runs = args.number("--runs")?.unwrap_or(spec.grid.runs);
+    spec.delta_every = args.number("--delta-every")?.unwrap_or(spec.delta_every);
+    spec.validate()?;
+    println!("{}", serde_json::to_string_pretty(&spec)?);
     Ok(ExitCode::SUCCESS)
 }

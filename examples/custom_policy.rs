@@ -75,13 +75,12 @@ impl Policy for SelectiveInsurance {
         event: &PolicyEvent,
         actions: &mut Vec<RecoveryAction>,
     ) {
-        let lost = view.lost_tasks();
-        for &t in &lost {
+        for t in view.lost_tasks() {
             actions.push(RecoveryAction::ResumeFromCheckpoint(t));
         }
         // Whatever the spawns could not fix gets warm data on the
         // rebooted host for its next repair attempt.
-        for &t in &lost {
+        for t in view.lost_tasks() {
             actions.push(RecoveryAction::PreStage {
                 task: t,
                 on: event.proc,

@@ -25,70 +25,36 @@
 //! processor*, then runs the Monte-Carlo sweep with transient draws —
 //! the rejuvenation regime the permanent model cannot express.
 
+use ftsched::experiments::cli::{or_exit, positive, Flags};
+use ftsched::experiments::stats::metrics_record;
+use ftsched::experiments::DetectionKind;
 use ftsched::prelude::*;
 use ftsched::sim::replay;
 use rand::{rngs::StdRng, SeedableRng};
 
-/// The detection model selected on the command line, scaled to a
-/// reference delay of 1 time unit on `m` processors.
-fn detection_from_args(m: usize) -> DetectionModel {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let raw = args
-        .iter()
-        .position(|a| a == "--detection")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-        .unwrap_or("uniform");
-    match raw {
-        "uniform" => DetectionModel::uniform(1.0),
-        // Heartbeat spread around the same 1.0 mean as the uniform model.
-        "per-proc" | "per-processor" => DetectionModel::per_processor_spread(m, 1.0),
-        "gossip" => DetectionModel::Gossip {
-            period: 0.5,
-            fanout: 2,
-            seed: 7,
-        },
-        other => {
-            eprintln!("unknown detection model '{other}' — expected uniform, per-proc or gossip");
-            std::process::exit(2);
-        }
-    }
-}
+const FLAGS: Flags = Flags(
+    &["--transient"],
+    &["--detection", "--metrics-json", "--mttr"],
+    0,
+);
 
-/// The `--metrics-json <path>` flag: where to dump the per-policy
-/// Monte-Carlo metric histograms, if anywhere.
-fn metrics_json_from_args() -> Option<String> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    args.iter()
-        .position(|a| a == "--metrics-json")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// The `--transient` / `--mttr` axis: `Some(mttr_factor)` when enabled.
-fn transient_from_args() -> Option<f64> {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mttr = args
-        .iter()
-        .position(|a| a == "--mttr")
-        .and_then(|i| args.get(i + 1))
-        .map(|s| {
-            s.parse::<f64>()
-                .ok()
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .unwrap_or_else(|| {
-                    eprintln!("bad --mttr value '{s}' — expected a finite factor > 0");
-                    std::process::exit(2);
-                })
-        });
-    if mttr.is_some() || args.iter().any(|a| a == "--transient") {
-        Some(mttr.unwrap_or(0.25))
-    } else {
-        None
-    }
+/// The command line: the detection model, where to dump the per-policy
+/// Monte-Carlo metric histograms, and the MTTR factor (of nominal) when
+/// `--transient` or `--mttr` is given.
+fn read_args() -> Result<(DetectionKind, Option<String>, Option<f64>), String> {
+    let args = FLAGS.parse(std::env::args().skip(1))?;
+    let models = "uniform, per-proc or gossip";
+    let detection = args.parse("--detection", models, DetectionKind::parse)?;
+    let mttr = args.parse("--mttr", "a finite factor > 0", positive(false))?;
+    Ok((
+        detection.unwrap_or(DetectionKind::Uniform),
+        args.value("--metrics-json").map(String::from),
+        mttr.or(args.has("--transient").then_some(0.25)),
+    ))
 }
 
 fn main() {
+    let (detection, metrics_path, mttr_factor) = or_exit("online_recovery", read_args());
     // A paper-style workload: 60 tasks, 10 heterogeneous processors.
     let mut rng = StdRng::seed_from_u64(42);
     let graph = random_layered(&RandomDagParams::default().with_tasks(60), &mut rng);
@@ -96,8 +62,8 @@ fn main() {
     let sched = caft(&inst, 1, CommModel::OnePort, 42);
     assert!(validate_schedule(&inst, &sched).is_empty());
     let nominal = sched.latency();
-    let detection = detection_from_args(inst.num_procs());
-    let mttr_factor = transient_from_args();
+    // A reference delay of 1 time unit (gossip: period 0.5, seed 7).
+    let detection = detection.model(inst.num_procs(), 1.0, 7);
     let failure = match mttr_factor {
         None => FailureKind::Permanent,
         Some(f) => FailureKind::transient(
@@ -237,21 +203,8 @@ fn main() {
         assert_eq!(warm.completed, rerep.completed);
         assert_eq!(warm.recovery_replicas, rerep.recovery_replicas);
     }
-    if let Some(path) = metrics_json_from_args() {
-        use serde::Serialize;
-        let records: Vec<serde::Value> = lines
-            .iter()
-            .map(|s| {
-                serde::Value::Map(vec![
-                    (
-                        "policy".to_string(),
-                        serde::Value::Str(s.policy_label.clone()),
-                    ),
-                    ("runs".to_string(), serde::Value::UInt(s.runs as u64)),
-                    ("metrics".to_string(), s.metrics.to_value()),
-                ])
-            })
-            .collect();
+    if let Some(path) = metrics_path {
+        let records = lines.iter().map(|s| metrics_record(s, vec![])).collect();
         let txt = serde_json::to_string_pretty(&serde::Value::Seq(records))
             .expect("serializable metrics");
         std::fs::write(&path, txt).expect("writable metrics path");

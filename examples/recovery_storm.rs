@@ -15,53 +15,53 @@
 //! baseline) is swept; the output is deterministic for a given argument
 //! list, which CI exploits by diffing two invocations.
 
+use ftsched::experiments::cli::{or_exit, Flags};
 use ftsched::experiments::{ranking_flips, render_storm, run_storm, StormConfig};
 use ftsched::prelude::Contention;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let flag = |name: &str| {
-        args.iter()
-            .position(|a| a == name)
-            .and_then(|i| args.get(i + 1))
+const FLAGS: Flags = Flags(
+    &[],
+    &[
+        "--runs",
+        "--granularity",
+        "--burst",
+        "--detection-latency",
+        "--eps",
+        "--tasks",
+        "--contention",
+    ],
+    0,
+);
+
+/// The sweep the command line asks for: the default storm with each
+/// given knob replaced.
+fn read_config() -> Result<StormConfig, String> {
+    let args = FLAGS.parse(std::env::args().skip(1))?;
+    let d = StormConfig::default();
+    let bursts = args.parse_all("--burst", "an integer", |v| v.parse().ok())?;
+    let mut cfg = StormConfig {
+        runs: args.number("--runs")?.unwrap_or(d.runs),
+        granularity: args.number("--granularity")?.unwrap_or(d.granularity),
+        detection_latency: args
+            .number("--detection-latency")?
+            .unwrap_or(d.detection_latency),
+        eps: args.number("--eps")?.unwrap_or(d.eps),
+        tasks: args.number("--tasks")?.unwrap_or(d.tasks),
+        ..d
     };
-    let mut cfg = StormConfig::default();
-    if let Some(runs) = flag("--runs") {
-        cfg.runs = runs.parse().expect("--runs takes a positive integer");
-    }
-    if let Some(g) = flag("--granularity") {
-        cfg.granularity = g.parse().expect("--granularity takes a positive number");
-    }
-    let bursts: Vec<usize> = args
-        .iter()
-        .enumerate()
-        .filter(|(_, a)| *a == "--burst")
-        .map(|(i, _)| {
-            args.get(i + 1)
-                .and_then(|s| s.parse().ok())
-                .expect("--burst takes a positive integer")
-        })
-        .collect();
     if !bursts.is_empty() {
         cfg.burst_sizes = bursts;
     }
-    if let Some(d) = flag("--detection-latency") {
-        cfg.detection_latency = d.parse().expect("--detection-latency takes a number");
-    }
-    if let Some(e) = flag("--eps") {
-        cfg.eps = e.parse().expect("--eps takes an integer");
-    }
-    if let Some(t) = flag("--tasks") {
-        cfg.tasks = t.parse().expect("--tasks takes a positive integer");
-    }
-    if let Some(mode) = flag("--contention") {
-        let mode = Contention::parse(mode).unwrap_or_else(|| {
-            eprintln!("unknown contention mode '{mode}' — expected ideal, exclusive or fair-share");
-            std::process::exit(2);
-        });
+    let modes = "ideal, exclusive or fair-share";
+    if let Some(mode) = args.parse("--contention", modes, Contention::parse)? {
         cfg.contentions = vec![Contention::Ideal, mode];
         cfg.contentions.dedup();
     }
+    Ok(cfg)
+}
+
+fn main() {
+    let cfg = or_exit("recovery_storm", read_config());
     let rows = run_storm(&cfg);
     print!("{}", render_storm(&cfg, &rows));
     let flips = ranking_flips(&rows);

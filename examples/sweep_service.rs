@@ -11,16 +11,15 @@
 //! Run with `cargo run --release --example sweep_service`.
 //! Pass `--root DIR` to keep (and inspect) the queue tree afterwards.
 
+use ftsched::experiments::cli::{or_exit, Flags};
 use ftsched::prelude::*;
 use ftsched::serve::{read_deltas, read_final};
 
+const FLAGS: Flags = Flags(&[], &["--root"], 0);
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let keep_root = args
-        .iter()
-        .position(|a| a == "--root")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from);
+    let args = or_exit("sweep_service", FLAGS.parse(std::env::args().skip(1)));
+    let keep_root = args.value("--root").map(std::path::PathBuf::from);
     let root = keep_root.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("ft-serve-example-{}", std::process::id()))
     });
@@ -60,19 +59,12 @@ fn main() {
 
     for id in [&a, &b] {
         let rec = read_final(&root, id).expect("final record");
+        let warm = |hit| if hit { "warm" } else { "cold" };
         println!(
             "\n{id}: {} cells (instance {}, schedule {})",
             rec.cells.len(),
-            if rec.cache.instance_hit {
-                "warm"
-            } else {
-                "cold"
-            },
-            if rec.cache.schedule_hit {
-                "warm"
-            } else {
-                "cold"
-            },
+            warm(rec.cache.instance_hit),
+            warm(rec.cache.schedule_hit),
         );
         for cell in rec.cells.iter().take(4) {
             println!(

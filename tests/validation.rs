@@ -1,7 +1,7 @@
 //! The validation gate: every committed `validation/VALIDATION_*.json`
-//! record re-evaluates to PASSED at the quick dimensions, and every
-//! family also has a committed full-resolution record under
-//! `validation/full/`.
+//! record re-evaluates at the quick dimensions to PASSED and to its own
+//! bytes, and every family also has a committed full-resolution record
+//! under `validation/full/`.
 //!
 //! This is the CI face of the harness (`paper-figures validate --quick`
 //! is the CLI face): byte-for-byte golden files guard the engine, these
@@ -10,7 +10,9 @@
 //! is intentional, rebless with `paper-figures validate --quick --bless`
 //! and review the diff of the committed record.
 
-use ft_experiments::validate::{committed_dir, load_family, render, validate_family, FAMILIES};
+use ft_experiments::validate::{
+    committed_dir, family_path, load_family, render, validate_family, FAMILIES,
+};
 
 /// Every family has a committed record in both lanes — quick
 /// (`validation/`) and full resolution (`validation/full/`) — each record
@@ -42,6 +44,9 @@ fn committed_records_exist_and_are_passed() {
     }
 }
 
+/// The family re-evaluates at the quick dimensions to PASSED, and to the
+/// committed record byte for byte: a prediction may not drift inside its
+/// tolerance unnoticed. A change that moves one on purpose re-blesses.
 fn assert_family_validates(fam: &str) {
     let committed = load_family(&committed_dir(), fam)
         .unwrap_or_else(|| panic!("validation/VALIDATION_{fam}.json is not committed"));
@@ -49,6 +54,15 @@ fn assert_family_validates(fam: &str) {
     assert!(
         rec.passed(),
         "family '{fam}' regressed against its committed record:\n{}",
+        render(&rec)
+    );
+    // The bytes `save_family` writes: pretty JSON and a trailing newline.
+    let fresh = serde_json::to_string_pretty(&rec).expect("records serialize") + "\n";
+    let path = family_path(&committed_dir(), fam);
+    assert!(
+        fresh == std::fs::read_to_string(&path).expect("committed record reads"),
+        "family '{fam}' re-evaluated to other bytes than {}:\n{}",
+        path.display(),
         render(&rec)
     );
     // Every committed claim was re-measured (a renamed claim id would
