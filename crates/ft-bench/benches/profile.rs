@@ -9,8 +9,8 @@
 //!
 //! The bench also aggregates a [`PhaseProfile`] over a batch of runs and
 //! reports the per-phase wall-clock attribution
-//! (queue pop / completion drain / detection fan-out / policy dispatch /
-//! action validation / spawn-replan). Set `PHASE_JSON=<path>` to dump the
+//! (op build / queue pop / completion drain / detection fan-out / policy
+//! dispatch / action validation / spawn-replan). Set `PHASE_JSON=<path>` to dump the
 //! aggregate as JSON; the committed attribution baseline lives in
 //! `BENCH_phases.json` at the repo root, regenerated with
 //!

@@ -119,6 +119,19 @@ use ft_platform::{Instance, ProcId};
 use ft_sim::FaultScenario;
 use std::cmp::Reverse;
 
+/// Times `$body` into the engine's attached [`PhaseProfile`], if any; an
+/// unprofiled run pays one `Option` check per phase.
+macro_rules! phase {
+    ($self:ident, $ph:ident, $body:expr) => {{
+        let timer = $self.profile.is_some().then(std::time::Instant::now);
+        let out = $body;
+        if let (Some(profile), Some(start)) = ($self.profile.as_deref_mut(), timer) {
+            profile.record(crate::observe::Phase::$ph, start.elapsed());
+        }
+        out
+    }};
+}
+
 /// Runs one scenario on a throwaway template-free plan, through an arena
 /// borrowed from the process-wide pool: the one-shot path behind
 /// [`Simulation::run`](crate::Simulation::run) and its observed and
@@ -176,7 +189,7 @@ pub(crate) fn run_into<'a>(
     let arena = std::mem::take(scratch);
     let mut engine = Engine::from_parts(inst, sched, scenario, cfg, policy, plan, arena);
     engine.profile = profile;
-    engine.build_ops();
+    phase!(engine, OpBuild, engine.build_ops());
     engine.seed_events();
     match observer {
         Some(obs) => {
@@ -207,10 +220,14 @@ pub(crate) fn build_template(
     let arena = EngineScratch::default();
     let mut engine = Engine::from_parts(inst, sched, &none, &cfg, policy, plan, arena);
     engine.build_static_ops();
-    OpTemplate {
-        ops: engine.arena.ops,
-        static_exec: engine.arena.static_exec,
-    }
+    let EngineScratch {
+        ops,
+        live,
+        static_exec,
+        ..
+    } = engine.arena;
+    debug_assert_eq!(ops.len(), live, "a fresh arena pools no spare ops");
+    OpTemplate { ops, static_exec }
 }
 
 /// Empties a per-element buffer vector to length `n`, keeping every
@@ -229,24 +246,62 @@ fn reset_flat<T: Copy>(v: &mut Vec<T>, n: usize, fill: T) {
     v.resize(n, fill);
 }
 
-/// Writes `op` into slot `*next` of the op arena and advances `*next`:
-/// over the recycled op there, in place via `Clone::clone_from`, so its
-/// four per-op lists keep their capacity, or appended past the end.
-/// Returns the op's id.
-fn put_op(ops: &mut Vec<Op>, next: &mut usize, op: Op) -> u32 {
+/// Writes `op` into slot `*next` of the op pool and advances `*next`,
+/// the pool's live count: over the recycled op there, in place via
+/// `Clone::clone_from`, so its four per-op lists keep their capacity, or
+/// appended past the end. Returns the op's id. Every op of a run — the
+/// full build's, the template's and every repair op — enters the pool
+/// here.
+fn put_op(ops: &mut Vec<Op>, next: &mut usize, op: &Op) -> u32 {
     let id = *next;
     match ops.get_mut(id) {
-        Some(slot) => slot.clone_from(&op),
-        None => ops.push(op),
+        Some(slot) => slot.clone_from(op),
+        None => ops.push(op.clone()),
     }
     *next += 1;
     id as u32
 }
 
+/// Visits every entry of the inherited FIFO orders as `(queue, (start,
+/// op))`, where queue `p` is processor `p`, `m + p` its send port,
+/// `2m + p` its receive port and `3m + k·m + h` the link `k → h`: each
+/// built replica on its host, and each built remote message on its
+/// sender's send port, on its receiver's receive port unless the
+/// receiver is dead at `t = 0`, and on its link.
+fn fifo_entries(
+    sched: &FtSchedule,
+    static_exec: &[Vec<Option<u32>>],
+    msg_op: &[Option<u32>],
+    deadline: &[f64],
+    mut visit: impl FnMut(usize, (f64, u32)),
+) {
+    let m = deadline.len();
+    let dead0 = |p: ProcId| deadline[p.index()] <= 0.0;
+    for (rs, ops) in sched.replicas.iter().zip(static_exec) {
+        for (r, op) in rs.iter().zip(ops) {
+            if let Some(op) = *op {
+                visit(r.proc.index(), (r.start, op));
+            }
+        }
+    }
+    for (msg, op) in sched.messages.iter().zip(msg_op) {
+        let Some(op) = *op else { continue };
+        if msg.is_local() {
+            continue;
+        }
+        let entry = (msg.start, op);
+        visit(m + msg.from.index(), entry);
+        if !dead0(msg.to) {
+            visit(2 * m + msg.to.index(), entry);
+        }
+        visit((3 + msg.from.index()) * m + msg.to.index(), entry);
+    }
+}
+
 /// One surviving copy of a task's output data: `(op, proc, ready)` — the
 /// op still producing it (`None` once the data exists), the processor it
 /// lives on, and when it is (estimated to be) available.
-type DataCopy = (Option<u32>, ProcId, f64);
+pub(crate) type DataCopy = (Option<u32>, ProcId, f64);
 
 /// Read-only view of the engine's belief and progress state, handed to
 /// the [`Policy`] hooks at each event. The view exposes the engine's own
@@ -569,19 +624,6 @@ impl Clone for Op {
     }
 }
 
-/// Times `$body` into the engine's attached [`PhaseProfile`], if any; an
-/// unprofiled run pays one `Option` check per phase.
-macro_rules! phase {
-    ($self:ident, $ph:ident, $body:expr) => {{
-        let timer = $self.profile.is_some().then(std::time::Instant::now);
-        let out = $body;
-        if let (Some(profile), Some(start)) = ($self.profile.as_deref_mut(), timer) {
-            profile.record(crate::observe::Phase::$ph, start.elapsed());
-        }
-        out
-    }};
-}
-
 /// Local propagation actions, drained to a fixpoint between events.
 pub(crate) enum Act {
     TrySchedule(u32),
@@ -781,8 +823,10 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// The template fast path: clone the pre-built op graph reusing this
-    /// arena's per-op buffers, then overwrite the crash deadlines.
+    /// The template fast path: clone the pre-built op graph over the
+    /// pool's leading slots, reusing their per-op buffers, and overwrite
+    /// the crash deadlines. The slots past the template keep their ops
+    /// for this run's repair work.
     fn build_from_template(&mut self, template: &OpTemplate) {
         let m = self.inst.num_procs();
         let scenario = self.scenario;
@@ -791,9 +835,10 @@ impl<'a> Engine<'a> {
         arena
             .proc_deadline
             .extend((0..m).map(|p| scenario.deadline_after(ProcId::from_index(p), 0.0)));
-        arena.ops.clone_from(&template.ops);
-        for op in &mut arena.ops {
-            op.deadline = arena.proc_deadline[op.proc as usize];
+        arena.live = 0;
+        for op in &template.ops {
+            let id = put_op(&mut arena.ops, &mut arena.live, op);
+            arena.ops[id as usize].deadline = arena.proc_deadline[op.proc as usize];
         }
         arena.static_exec.clone_from(&template.static_exec);
     }
@@ -801,13 +846,12 @@ impl<'a> Engine<'a> {
     /// Mirrors `ft_sim::replay` passes 1–2: prunes replicas dead or
     /// statically starved under the processors crashed at t ≤ 0, builds
     /// exec/msg ops, inherits the static FIFO orders, and wires the
-    /// first-copy input groups.
+    /// first-copy input groups, each pass one sweep over its input.
     ///
-    /// The ops are written over the arena's recycled ones in place
-    /// ([`put_op`]) and the arena is then cut to the build's op count, so
-    /// a one-shot run keeps the dependency lists' capacity of the
-    /// previous run through the pooled arena; every per-replica table is
-    /// a flat arena buffer.
+    /// The ops are written over the pool's recycled ones in place
+    /// ([`put_op`]) and only the live count moves, so a one-shot run
+    /// keeps the dependency lists' capacity of every earlier run through
+    /// the pooled arena; every per-replica table is a flat arena buffer.
     fn build_static_ops(&mut self) {
         let g = &self.inst.graph;
         let sched = self.sched;
@@ -828,8 +872,10 @@ impl<'a> Engine<'a> {
             .extend((0..m).map(|p| scenario.deadline_after(ProcId::from_index(p), 0.0)));
         let dead0 = |deadline: &[f64], p: ProcId| deadline[p.index()] <= 0.0;
 
-        // Pass 1: static liveness (crash-at-0 processors only).
-        a.slots.index(sched);
+        // Pass 1: static liveness (crash-at-0 processors only). A live
+        // replica starves when one of its input groups has no live
+        // sender.
+        a.slots.index(sched, g, &self.plan.edge_pos);
         a.slot_alive.clear();
         a.slot_alive.extend(
             sched
@@ -842,27 +888,21 @@ impl<'a> Engine<'a> {
             let ti = t.index();
             for c in 0..sched.replicas[ti].len() {
                 let s = a.slots.slot(ti, c);
-                if !a.slot_alive[s] {
-                    continue;
-                }
-                for &e in g.in_edges(t) {
-                    let has_live_copy = a.slots.inbox(s).iter().any(|&mi| {
-                        let msg = &sched.messages[mi as usize];
-                        msg.edge == e
-                            && a.slots
-                                .slot_of(msg.src)
-                                .is_some_and(|src| a.slot_alive[src])
+                let starved = a.slot_alive[s]
+                    && !(0..g.in_edges(t).len()).all(|k| {
+                        a.slots.group(s, k).iter().any(|&mi| {
+                            let src = a.slots.slot_of(sched.messages[mi as usize].src);
+                            src.is_some_and(|src| a.slot_alive[src])
+                        })
                     });
-                    if !has_live_copy {
-                        a.slot_alive[s] = false; // statically starved
-                        break;
-                    }
+                if starved {
+                    a.slot_alive[s] = false;
                 }
             }
         }
 
         // Pass 2a: exec ops for surviving replicas.
-        let mut built = 0;
+        self.arena.live = 0;
         for (t, rs) in sched.replicas.iter().enumerate() {
             for (c, r) in rs.iter().enumerate() {
                 if !self.arena.slot_alive[self.arena.slots.slot(t, c)] {
@@ -876,7 +916,7 @@ impl<'a> Engine<'a> {
                 );
                 op.task = Some(r.of.task);
                 self.apply_checkpointing(&mut op);
-                let id = put_op(&mut self.arena.ops, &mut built, op);
+                let id = put_op(&mut self.arena.ops, &mut self.arena.live, &op);
                 self.arena.static_exec[t][c] = Some(id);
             }
         }
@@ -896,67 +936,62 @@ impl<'a> Engine<'a> {
                 msg.from,
             );
             mop.dst = msg.to.index() as u32;
-            let id = put_op(&mut self.arena.ops, &mut built, mop);
+            let id = put_op(&mut self.arena.ops, &mut self.arena.live, &mop);
             self.arena.msg_op.push(Some(id));
             let src = self.arena.static_exec[msg.src.task.index()][msg.src.copy as usize]
                 .expect("surviving source replica has an exec op");
             self.add_hard_dep(src, id);
         }
-        self.arena.ops.truncate(built);
 
-        // Pass 2c: inherited FIFO chains (from static start times), as one
-        // `(queue, start, op)` table sorted once: queue p is processor p,
-        // m + p its send port, 2m + p its receive port and 3m + k·m + h
-        // the link k → h, so each queue chains in start order and the
-        // queues chain in that order.
+        // Pass 2c: inherited FIFO chains (from static start times). A
+        // counting sort buckets the entries by queue (see
+        // [`fifo_entries`]); each bucket is ordered by `(start, op)` and
+        // chained in that order, queue by queue. Every `(queue, op)` pair
+        // is unique, so this is the one `(queue, start, op)` order of a
+        // global sort, and a one-port schedule's port and link queues
+        // already arrive in start order.
         let a = &mut self.arena;
-        let queue = |base: usize, p: ProcId| (base * m + p.index()) as u32;
-        a.fifo.clear();
-        for (t, rs) in sched.replicas.iter().enumerate() {
-            for (c, r) in rs.iter().enumerate() {
-                if let Some(op) = a.static_exec[t][c] {
-                    a.fifo.push((queue(0, r.proc), r.start, op));
-                }
-            }
+        let (exec, msg_op, deadline) = (&a.static_exec, &a.msg_op, &a.proc_deadline);
+        let (start, fifo) = (&mut a.fifo_start, &mut a.fifo);
+        let queues = 3 * m + m * m;
+        start.clear();
+        start.resize(queues + 2, 0);
+        fifo_entries(sched, exec, msg_op, deadline, |q, _| start[q + 2] += 1);
+        for q in 2..queues + 2 {
+            start[q] += start[q - 1];
         }
-        for (msg, op) in sched.messages.iter().zip(&a.msg_op) {
-            let Some(op) = *op else { continue };
-            if msg.is_local() {
-                continue;
-            }
-            a.fifo.push((queue(1, msg.from), msg.start, op));
-            if !dead0(&a.proc_deadline, msg.to) {
-                a.fifo.push((queue(2, msg.to), msg.start, op));
-            }
-            a.fifo
-                .push((queue(3 + msg.from.index(), msg.to), msg.start, op));
-        }
-        a.fifo
-            .sort_unstable_by(|x, y| x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)).then(x.2.cmp(&y.2)));
-        for w in a.fifo.windows(2) {
-            let ((q, _, prev), (q_next, _, next)) = (w[0], w[1]);
-            if q == q_next {
+        fifo.clear();
+        fifo.resize(start[queues + 1] as usize, (0.0, 0));
+        fifo_entries(sched, exec, msg_op, deadline, |q, entry| {
+            fifo[start[q + 1] as usize] = entry;
+            start[q + 1] += 1;
+        });
+        for q in 0..queues {
+            let chain = &mut fifo[start[q] as usize..start[q + 1] as usize];
+            chain.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)));
+            for w in chain.windows(2) {
+                let ((_, prev), (_, next)) = (w[0], w[1]);
                 a.ops[prev as usize].fifo_deps.push(next);
                 a.ops[next as usize].fifo_remaining += 1;
             }
         }
 
-        // Pass 2d: first-copy input groups.
+        // Pass 2d: first-copy input groups, one per (replica, in-edge).
         let mut members = std::mem::take(&mut self.arena.members);
         for (t, rs) in sched.replicas.iter().enumerate() {
+            let in_degree = g.in_edges(TaskId::from_index(t)).len();
             for c in 0..rs.len() {
                 let Some(ex) = self.arena.static_exec[t][c] else {
                     continue;
                 };
                 let s = self.arena.slots.slot(t, c);
-                for &e in g.in_edges(TaskId::from_index(t)) {
+                for k in 0..in_degree {
                     members.clear();
                     members.extend(
                         self.arena
                             .slots
-                            .inbox(s)
+                            .group(s, k)
                             .iter()
-                            .filter(|&&mi| sched.messages[mi as usize].edge == e)
                             .filter_map(|&mi| self.arena.msg_op[mi as usize]),
                     );
                     debug_assert!(!members.is_empty(), "live replica with starved edge");
@@ -998,7 +1033,7 @@ impl<'a> Engine<'a> {
                 arena.queue.push(Reverse(EventKey(w, 1, e as u32)));
             }
         }
-        let n = self.arena.ops.len() as u32;
+        let n = self.arena.live as u32;
         self.arena.act_scratch.extend((0..n).map(Act::TrySchedule));
         self.settle();
     }
@@ -1430,9 +1465,11 @@ impl<'a> Engine<'a> {
         }
         let v = self.inst.num_tasks();
         let m = self.inst.num_procs();
-        let mut spawns: Vec<(usize, bool)> = Vec::new();
+        let mut spawns = std::mem::take(&mut self.arena.spawns);
         let mut replans = 0usize;
-        let mut prestages: Vec<(usize, usize)> = Vec::new();
+        let mut prestages = std::mem::take(&mut self.arena.prestages);
+        spawns.clear();
+        prestages.clear();
         phase!(self, ActionValidation, {
             for &action in actions {
                 match action {
@@ -1442,10 +1479,10 @@ impl<'a> Engine<'a> {
                         }
                     }
                     RecoveryAction::SpawnReplica(t) if t.index() < v => {
-                        spawns.push((t.index(), false));
+                        spawns.push((t.index(), false, spawns.len() as u32));
                     }
                     RecoveryAction::ResumeFromCheckpoint(t) if t.index() < v => {
-                        spawns.push((t.index(), true));
+                        spawns.push((t.index(), true, spawns.len() as u32));
                     }
                     RecoveryAction::Replan => replans += 1,
                     RecoveryAction::PreStage { task, on }
@@ -1462,11 +1499,13 @@ impl<'a> Engine<'a> {
             }
         });
         phase!(self, SpawnReplan, {
-            // Topological order, first proposal per task winning (the stable
-            // sort keeps push order within a task's duplicates).
-            spawns.sort_by_key(|&(t, _)| self.plan.topo_position[t]);
-            spawns.dedup_by_key(|&mut (t, _)| t);
-            for (t, allow_resume) in spawns {
+            // Topological order, first proposal per task winning: the key
+            // (topological position, push index) is unique, so the
+            // unstable sort keeps push order within a task's duplicates.
+            let topo = &self.plan.topo_position;
+            spawns.sort_unstable_by_key(|&(t, _, i)| (topo[t], i));
+            spawns.dedup_by_key(|&mut (t, _, _)| t);
+            for &(t, allow_resume, _) in &spawns {
                 // A spawn re-marks the task deferred if no survivor is
                 // repair-eligible yet.
                 self.arena.deferred[t] = false;
@@ -1484,10 +1523,12 @@ impl<'a> Engine<'a> {
             for _ in 0..replans {
                 self.reschedule(now);
             }
-            for (t, q) in prestages {
+            for &(t, q) in &prestages {
                 self.prestage_inputs(t, q, now);
             }
         });
+        self.arena.spawns = spawns;
+        self.arena.prestages = prestages;
     }
 
     /// The survivor-knowledge rule: `q` may host repair work at time
@@ -1507,13 +1548,15 @@ impl<'a> Engine<'a> {
                 .all(|p| arena.believed[p].is_some_and(|e| arena.knows[e as usize * m + q] <= now))
     }
 
-    /// The repair-eligible processors at `now`, in index order: the only
-    /// hosts repair work may land on.
-    fn eligible_hosts(&self, now: f64) -> Vec<ProcId> {
-        (0..self.inst.num_procs())
-            .filter(|&p| self.repair_eligible(p, now))
-            .map(ProcId::from_index)
-            .collect()
+    /// Fills `out` with the repair-eligible processors at `now`, in index
+    /// order: the only hosts repair work may land on.
+    fn eligible_hosts(&self, now: f64, out: &mut Vec<ProcId>) {
+        out.clear();
+        out.extend(
+            (0..self.inst.num_procs())
+                .filter(|&p| self.repair_eligible(p, now))
+                .map(ProcId::from_index),
+        );
     }
 
     /// True if some replica of `t` is completed, or is scheduled on a
@@ -1531,36 +1574,42 @@ impl<'a> Engine<'a> {
             || self.arena.recovery_exec[t].iter().any(safe)
     }
 
-    /// Surviving data copies of task `t`, by availability then processor:
-    /// its replica outputs and its pre-staged copies alike (a staged copy
-    /// feeds later repairs exactly like a replica output), each living on
-    /// its op's destination — a replica's host, a staged transfer's
-    /// receiver. Completed data exists (`op = None`); a scheduled op's
-    /// data will exist at its finish, a pending repair op's at its
-    /// estimate. Local data persists across reboots, so only the belief
-    /// filter applies.
-    fn surviving_copies(&self, t: usize) -> Vec<DataCopy> {
+    /// Surviving data copies of task `t`, unordered: its replica outputs
+    /// and its pre-staged copies alike (a staged copy feeds later repairs
+    /// exactly like a replica output), each living on its op's
+    /// destination — a replica's host, a staged transfer's receiver.
+    /// Completed data exists (`op = None`); a scheduled op's data will
+    /// exist at its finish, a pending repair op's at its estimate. Local
+    /// data persists across reboots, so only the belief filter applies.
+    fn copies_of(&self, t: usize) -> impl Iterator<Item = DataCopy> + '_ {
         let arena = &self.arena;
         let replicas = arena.static_exec[t].iter().flatten();
-        let mut out = Vec::new();
-        for &id in replicas
+        replicas
             .chain(&arena.recovery_exec[t])
             .chain(&arena.staged[t])
-        {
-            let op = &arena.ops[id as usize];
-            if arena.known_dead[op.dst as usize] {
-                continue;
-            }
-            let at = ProcId::from_index(op.dst as usize);
-            match op.state {
-                OpState::Done => out.push((None, at, op.finish)),
-                OpState::Scheduled => out.push((Some(id), at, op.finish)),
-                OpState::Pending if op.recovery => out.push((Some(id), at, op.est_finish)),
-                _ => {}
-            }
-        }
-        out.sort_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.1.cmp(&b.1)));
-        out
+            .filter_map(move |&id| {
+                let op = &arena.ops[id as usize];
+                if arena.known_dead[op.dst as usize] {
+                    return None;
+                }
+                let at = ProcId::from_index(op.dst as usize);
+                match op.state {
+                    OpState::Done => Some((None, at, op.finish)),
+                    OpState::Scheduled => Some((Some(id), at, op.finish)),
+                    OpState::Pending if op.recovery => Some((Some(id), at, op.est_finish)),
+                    _ => None,
+                }
+            })
+    }
+
+    /// Appends the surviving data copies of task `t` ([`copies_of`]) to
+    /// `out` as one segment, by availability then processor.
+    ///
+    /// [`copies_of`]: Engine::copies_of
+    fn surviving_copies(&self, t: usize, out: &mut Vec<DataCopy>) {
+        let from = out.len();
+        out.extend(self.copies_of(t));
+        out[from..].sort_by(|a, b| a.2.total_cmp(&b.2).then_with(|| a.1.cmp(&b.1)));
     }
 
     /// The loss selection behind both [`PolicyView`] repair lists, in
@@ -1634,13 +1683,12 @@ impl<'a> Engine<'a> {
         deadline: f64,
         now: f64,
     ) -> u32 {
-        let mid = self.arena.ops.len() as u32;
         let mut op = Op::new(w, now, deadline, src.1);
         op.dst = to.index() as u32;
         op.fixed_finish = fixed_finish;
         op.recovery = true;
         op.est_finish = src.2.max(now) + w;
-        self.arena.ops.push(op);
+        let mid = put_op(&mut self.arena.ops, &mut self.arena.live, &op);
         if src.1 != to {
             self.arena.outcome.recovery_messages += 1;
         }
@@ -1654,9 +1702,8 @@ impl<'a> Engine<'a> {
     /// recovery replica; returns its id.
     fn push_recovery_exec(&mut self, mut op: Op) -> u32 {
         let t = op.task.expect("a computation").index();
-        let id = self.arena.ops.len() as u32;
         op.recovery = true;
-        self.arena.ops.push(op);
+        let id = put_op(&mut self.arena.ops, &mut self.arena.live, &op);
         self.arena.recovery_exec[t].push(id);
         self.arena.outcome.recovery_replicas += 1;
         id
@@ -1681,9 +1728,11 @@ impl<'a> Engine<'a> {
         // keep `&mut self` callable below.
         let inst = self.inst;
         let mut staged_any = false;
+        let mut copies = std::mem::take(&mut self.arena.copies);
         for &e in inst.graph.in_edges(TaskId::from_index(t)) {
             let pred = inst.graph.edge(e).src.index();
-            let copies = self.surviving_copies(pred);
+            copies.clear();
+            self.surviving_copies(pred, &mut copies);
             if copies.is_empty() || copies.iter().any(|&(_, p, _)| p == on) {
                 continue; // nothing to stage, or already warm on `on`
             }
@@ -1696,6 +1745,7 @@ impl<'a> Engine<'a> {
             self.arena.staged[pred].push(mid);
             staged_any = true;
         }
+        self.arena.copies = copies;
         if staged_any {
             self.arena.outcome.prestaged += 1;
         }
@@ -1726,112 +1776,124 @@ impl<'a> Engine<'a> {
         } else {
             inst.graph.in_edges(t)
         };
-        // Surviving sources per input edge.
-        let mut edge_sources: Vec<Vec<DataCopy>> = Vec::new();
-        for &e in in_edges {
-            let pred = inst.graph.edge(e).src;
-            let copies = self.surviving_copies(pred.index());
-            if copies.is_empty() {
-                // No resolvable source now. If the predecessor still has a
-                // pending static replica on a survivor, its data may yet be
-                // produced — the eager one-shot heuristic simply cannot plan
-                // this far behind the frontier and leaves the task to its
-                // static replicas (`Reschedule` handles this case). Only
-                // count the task unrecoverable when the data is truly gone.
-                let pred_may_run = self.arena.static_exec[pred.index()].iter().any(|&id| {
-                    id.is_some_and(|id| {
-                        let op = &self.arena.ops[id as usize];
-                        op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
-                    })
-                });
-                if !pred_may_run {
-                    self.arena.unrecoverable[t.index()] = true;
+        // Surviving sources per input edge: the k-th in-edge's copies are
+        // the k-th segment of `copies`, ending at `ends[k]`.
+        let mut copies = std::mem::take(&mut self.arena.copies);
+        let mut ends = std::mem::take(&mut self.arena.copy_ends);
+        let mut hosts = std::mem::take(&mut self.arena.hosts);
+        copies.clear();
+        ends.clear();
+        'spawn: {
+            for &e in in_edges {
+                let pred = inst.graph.edge(e).src;
+                let from = copies.len();
+                self.surviving_copies(pred.index(), &mut copies);
+                if copies.len() == from {
+                    // No resolvable source now. If the predecessor still has
+                    // a pending static replica on a survivor, its data may
+                    // yet be produced — the eager one-shot heuristic simply
+                    // cannot plan this far behind the frontier and leaves
+                    // the task to its static replicas (`Reschedule` handles
+                    // this case). Only count the task unrecoverable when
+                    // the data is truly gone.
+                    let pred_may_run = self.arena.static_exec[pred.index()].iter().any(|&id| {
+                        id.is_some_and(|id| {
+                            let op = &self.arena.ops[id as usize];
+                            op.state == OpState::Pending && !self.arena.known_dead[op.proc as usize]
+                        })
+                    });
+                    if !pred_may_run {
+                        self.arena.unrecoverable[t.index()] = true;
+                    }
+                    break 'spawn;
                 }
-                return;
+                ends.push(copies.len());
             }
-            edge_sources.push(copies);
-        }
-        let Some(candidates) = self.replacement_candidates(t, now) else {
-            return;
-        };
-        // Pick the host minimizing the estimated finish.
-        let mut best: Option<(f64, ProcId)> = None;
-        for &q in &candidates {
-            let mut start = now;
-            for (&e, copies) in in_edges.iter().zip(&edge_sources) {
-                start = start.max(self.nearest_copy(copies, e, q).1);
+            if !self.replacement_candidates(t, now, &mut hosts) {
+                break 'spawn;
             }
-            let w = inst.exec_time(t, q) * (1.0 - frac);
-            // The wall clock adds the task's checkpoint writes, and for a
-            // resume one checkpoint read before recomputing.
-            let est = match self.plan.plans[t.index()] {
-                Some((interval, overhead)) if frac > 0.0 => {
-                    start + overhead + w + checkpoints_for(w, interval) as f64 * overhead
+            let sources = |k: usize| &copies[k.checked_sub(1).map_or(0, |j| ends[j])..ends[k]];
+            // Pick the host minimizing the estimated finish.
+            let mut best: Option<(f64, ProcId)> = None;
+            for &q in &hosts {
+                let mut start = now;
+                for (k, &e) in in_edges.iter().enumerate() {
+                    start = start.max(self.nearest_copy(sources(k), e, q).1);
                 }
-                Some((interval, overhead)) => {
-                    start + (w + checkpoints_for(w, interval) as f64 * overhead)
+                let w = inst.exec_time(t, q) * (1.0 - frac);
+                // The wall clock adds the task's checkpoint writes, and for
+                // a resume one checkpoint read before recomputing.
+                let est = match self.plan.plans[t.index()] {
+                    Some((interval, overhead)) if frac > 0.0 => {
+                        start + overhead + w + checkpoints_for(w, interval) as f64 * overhead
+                    }
+                    Some((interval, overhead)) => {
+                        start + (w + checkpoints_for(w, interval) as f64 * overhead)
+                    }
+                    None => start + w,
+                };
+                if best.is_none_or(|(b, bp)| {
+                    est.total_cmp(&b).then_with(|| q.cmp(&bp)) == std::cmp::Ordering::Less
+                }) {
+                    best = Some((est, q));
                 }
-                None => start + w,
-            };
-            if best.is_none_or(|(b, bp)| {
-                est.total_cmp(&b).then_with(|| q.cmp(&bp)) == std::cmp::Ordering::Less
-            }) {
-                best = Some((est, q));
             }
-        }
-        let (est, q) = best.expect("candidate list non-empty");
+            let (est, q) = best.expect("candidate list non-empty");
 
-        // Materialize: the replacement computation, then one
-        // contention-free transfer per remote input, from the same
-        // nearest copies the estimate used.
-        let full = inst.exec_time(t, q);
-        let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
-        op.task = Some(t);
-        op.full = full;
-        op.done_frac = frac;
-        op.est_finish = est;
-        self.apply_checkpointing(&mut op);
-        let ex = self.push_recovery_exec(op);
-        for (&e, copies) in in_edges.iter().zip(&edge_sources) {
-            let (src, _) = self.nearest_copy(copies, e, q);
-            if src.1 == q {
-                self.feed(src, ex);
-                continue;
+            // Materialize: the replacement computation, then one
+            // contention-free transfer per remote input, from the same
+            // nearest copies the estimate used.
+            let full = inst.exec_time(t, q);
+            let mut op = Op::new(full * (1.0 - frac), now, self.deadline_after(q, now), q);
+            op.task = Some(t);
+            op.full = full;
+            op.done_frac = frac;
+            op.est_finish = est;
+            self.apply_checkpointing(&mut op);
+            let ex = self.push_recovery_exec(op);
+            for (k, &e) in in_edges.iter().enumerate() {
+                let (src, _) = self.nearest_copy(sources(k), e, q);
+                if src.1 == q {
+                    self.feed(src, ex);
+                    continue;
+                }
+                let w = inst.comm_time(e, src.1, q);
+                let mid = self.push_transfer(src, q, w, None, self.deadline_after(src.1, now), now);
+                self.add_hard_dep(mid, ex);
             }
-            let w = inst.comm_time(e, src.1, q);
-            let mid = self.push_transfer(src, q, w, None, self.deadline_after(src.1, now), now);
-            self.add_hard_dep(mid, ex);
+            self.arena.act_scratch.push(Act::TrySchedule(ex));
+            self.settle();
         }
-        self.arena.act_scratch.push(Act::TrySchedule(ex));
-        self.settle();
+        self.arena.copies = copies;
+        self.arena.copy_ends = ends;
+        self.arena.hosts = hosts;
     }
 
-    /// Candidate hosts for a replacement or resumed replica of `t`:
-    /// repair-eligible survivors (the survivor-knowledge rule — see
-    /// [`Engine::repair_eligible`]), excluding hosts of live copies of
-    /// `t` (space exclusion) when possible. `None` with the task flagged
-    /// unrecoverable when no survivor is left at all; `None` with the
-    /// task marked *deferred* when survivors exist but none has detected
-    /// every known crash yet — the next detection event retries deferred
-    /// tasks (the deferred rescan in [`Engine::apply_actions`], fed by
-    /// the `deferred` term of [`Engine::lost_tasks_where`]).
-    fn replacement_candidates(&mut self, t: TaskId, now: f64) -> Option<Vec<ProcId>> {
-        let eligible = self.eligible_hosts(now);
-        if eligible.is_empty() {
+    /// Fills `hosts` with the candidate hosts for a replacement or
+    /// resumed replica of `t`: repair-eligible survivors (the
+    /// survivor-knowledge rule — see [`Engine::repair_eligible`]),
+    /// excluding hosts of live copies of `t` (space exclusion) when
+    /// possible. `false` with the task flagged unrecoverable when no
+    /// survivor is left at all; `false` with the task marked *deferred*
+    /// when survivors exist but none has detected every known crash yet —
+    /// the next detection event retries deferred tasks (the deferred
+    /// rescan in [`Engine::apply_actions`], fed by the `deferred` term of
+    /// [`Engine::lost_tasks_where`]).
+    fn replacement_candidates(&mut self, t: TaskId, now: f64, hosts: &mut Vec<ProcId>) -> bool {
+        self.eligible_hosts(now, hosts);
+        if hosts.is_empty() {
             if self.arena.known_dead.iter().all(|&dead| dead) {
                 self.arena.unrecoverable[t.index()] = true;
             } else {
                 self.arena.deferred[t.index()] = true;
             }
-            return None;
+            return false;
         }
-        let hosting = self.surviving_copies(t.index());
-        let spread: Vec<ProcId> = eligible
-            .iter()
-            .copied()
-            .filter(|&p| hosting.iter().all(|c| c.1 != p))
-            .collect();
-        Some(if spread.is_empty() { eligible } else { spread })
+        let spread = |p: &ProcId| self.copies_of(t.index()).all(|c| c.1 != *p);
+        if hosts.iter().any(spread) {
+            hosts.retain(spread);
+        }
+        true
     }
 
     /// `Reschedule`: cancel any previous repair plan and re-run CAFT on
@@ -1840,7 +1902,8 @@ impl<'a> Engine<'a> {
     /// that know the platform shrank — under non-uniform detection the
     /// plan improves as knowledge spreads, one event at a time).
     fn reschedule(&mut self, now: f64) {
-        let alive = self.eligible_hosts(now);
+        let mut alive = std::mem::take(&mut self.arena.hosts);
+        self.eligible_hosts(now, &mut alive);
         if alive.is_empty() {
             // Knowledge lag (live survivors, none informed yet) is not a
             // replan — a later event will produce one; a platform with no
@@ -1849,11 +1912,13 @@ impl<'a> Engine<'a> {
             if self.arena.known_dead.iter().all(|&dead| dead) {
                 self.arena.outcome.reschedules += 1;
             }
+            self.arena.hosts = alive;
             return;
         }
         self.arena.outcome.reschedules += 1;
         // Cancel superseded repair work.
-        for op in &mut self.arena.ops {
+        let live = self.arena.live;
+        for op in &mut self.arena.ops[..live] {
             if op.recovery && matches!(op.state, OpState::Pending | OpState::Scheduled) {
                 op.state = OpState::Cancelled;
             }
@@ -1870,6 +1935,7 @@ impl<'a> Engine<'a> {
         let mut rp = std::mem::take(&mut self.arena.replan);
         let mut slots = std::mem::take(&mut self.arena.slots);
         let mut members = std::mem::take(&mut self.arena.members);
+        let mut copies = std::mem::take(&mut self.arena.copies);
 
         // Remnant = not completed and not safely in flight.
         rp.remnant.clear();
@@ -1883,7 +1949,9 @@ impl<'a> Engine<'a> {
             if rp.remnant[t] {
                 continue;
             }
-            for (op, proc, est) in self.surviving_copies(t).into_iter().take(eps + 1) {
+            copies.clear();
+            self.surviving_copies(t, &mut copies);
+            for &(op, proc, est) in copies.iter().take(eps + 1) {
                 rp.sources[t].push((proc, est));
                 rp.src_ops[t].push(op);
             }
@@ -1939,21 +2007,23 @@ impl<'a> Engine<'a> {
                 rp.src_ops[t].get(c).copied()
             }
         };
-        // Each replica reads its own inbox of plan messages, in plan order,
-        // instead of rescanning every message per replica and in-edge.
-        slots.index(plan);
+        // Each (replica, in-edge) reads its own group of plan messages, in
+        // plan order.
+        slots.index(plan, &self.inst.graph, &self.plan.edge_pos);
         for t in 0..v {
             if !rp.remnant[t] {
                 continue;
             }
+            let in_degree = self.inst.graph.in_edges(TaskId::from_index(t)).len();
             for (c, &ex) in rp.new_exec[t].iter().enumerate() {
-                let inbox = slots.inbox(slots.slot(t, c));
-                for &e in self.inst.graph.in_edges(TaskId::from_index(t)) {
+                let s = slots.slot(t, c);
+                for k in 0..in_degree {
                     members.clear();
-                    for msg in inbox.iter().map(|&mi| &plan.messages[mi as usize]) {
-                        if msg.edge != e {
-                            continue;
-                        }
+                    for msg in slots
+                        .group(s, k)
+                        .iter()
+                        .map(|&mi| &plan.messages[mi as usize])
+                    {
                         let Some(src_op) = resolve_src(msg.src) else {
                             continue;
                         };
@@ -1981,6 +2051,8 @@ impl<'a> Engine<'a> {
         self.arena.replan = rp;
         self.arena.slots = slots;
         self.arena.members = members;
+        self.arena.copies = copies;
+        self.arena.hosts = alive;
         self.settle();
     }
 
@@ -2002,7 +2074,7 @@ impl<'a> Engine<'a> {
     /// Streams every materialized operation to `obs` in creation order —
     /// the [`Observer::on_op`] pass after the event loop drains.
     fn emit_ops(&self, obs: &mut dyn Observer) {
-        for op in &self.arena.ops {
+        for op in &self.arena.ops[..self.arena.live] {
             obs.on_op(&OpTrace {
                 proc: ProcId::from_index(op.proc as usize),
                 task: op.task,
@@ -2027,13 +2099,15 @@ mod tests {
     use crate::detection::DetectionModel;
     use crate::observe::TraceObserver;
     use crate::policy::RecoveryPolicy;
-    use ft_algos::{caft, ftsa, CommModel};
+    use crate::scratch::ReplicaSlots;
+    use ft_algos::{caft, caft_with, ftsa, CommModel};
     use ft_graph::gen::{random_layered, RandomDagParams};
     use ft_net::Contention;
     use ft_platform::PlatformParams;
     use ft_sim::{replay, ReplayOutcome};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup(seed: u64, tasks: usize, gran: f64) -> Instance {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -2069,6 +2143,288 @@ mod tests {
             None,
         );
         (out, tracer.into_trace())
+    }
+
+    /// The messages into each replica slot of a schedule, in schedule
+    /// order: the per-replica inboxes the op build used to filter once
+    /// per in-edge, kept as the reference of the per-(replica, in-edge)
+    /// groups.
+    struct Inboxes {
+        base: Vec<usize>,
+        inbox: Vec<Vec<u32>>,
+    }
+
+    impl Inboxes {
+        fn new(sched: &FtSchedule) -> Self {
+            let mut base = vec![0];
+            for rs in &sched.replicas {
+                base.push(base[base.len() - 1] + rs.len());
+            }
+            let mut inboxes = Inboxes {
+                inbox: vec![Vec::new(); base[base.len() - 1]],
+                base,
+            };
+            for (mi, msg) in sched.messages.iter().enumerate() {
+                if let Some(s) = inboxes.slot_of(msg.dst) {
+                    inboxes.inbox[s].push(mi as u32);
+                }
+            }
+            inboxes
+        }
+
+        fn slot_of(&self, r: ReplicaRef) -> Option<usize> {
+            let t = r.task.index();
+            let at = self.base[t] + r.copy as usize;
+            (at < self.base[t + 1]).then_some(at)
+        }
+
+        /// The messages into slot `s` along edge `e`: its inbox, filtered.
+        fn group<'s>(
+            &'s self,
+            sched: &'s FtSchedule,
+            s: usize,
+            e: EdgeId,
+        ) -> impl Iterator<Item = u32> + 's {
+            let inbox = self.inbox[s].iter().copied();
+            inbox.filter(move |&mi| sched.messages[mi as usize].edge == e)
+        }
+    }
+
+    impl Engine<'_> {
+        /// The op build before queue buckets and per-edge groups, kept as
+        /// the reference [`Engine::build_static_ops`] must reproduce op
+        /// for op: liveness and first-copy groups filter each replica's
+        /// inbox per in-edge, and the FIFO orders are one globally sorted
+        /// `(queue, start, op)` table.
+        fn build_static_ops_reference(&mut self) {
+            let g = &self.inst.graph;
+            let sched = self.sched;
+            let m = self.inst.num_procs();
+            let deadline: Vec<f64> = (0..m)
+                .map(|p| self.scenario.deadline_after(ProcId::from_index(p), 0.0))
+                .collect();
+            let dead0 = |p: ProcId| deadline[p.index()] <= 0.0;
+            let inboxes = Inboxes::new(sched);
+            let flat = sched.replicas.iter().flatten();
+            let mut alive: Vec<bool> = flat.map(|r| !dead0(r.proc)).collect();
+            for &t in &self.plan.topo_order {
+                for c in 0..sched.replicas[t.index()].len() {
+                    let s = inboxes.base[t.index()] + c;
+                    for &e in g.in_edges(t) {
+                        let fed = inboxes.group(sched, s, e).any(|mi| {
+                            let src = inboxes.slot_of(sched.messages[mi as usize].src);
+                            src.is_some_and(|src| alive[src])
+                        });
+                        if !fed {
+                            alive[s] = false;
+                            break;
+                        }
+                    }
+                }
+            }
+            let a = &mut self.arena;
+            a.static_exec = sched
+                .replicas
+                .iter()
+                .map(|rs| vec![None; rs.len()])
+                .collect();
+            a.live = 0;
+            for (t, rs) in sched.replicas.iter().enumerate() {
+                for (c, r) in rs.iter().enumerate() {
+                    if !alive[inboxes.base[t] + c] {
+                        continue;
+                    }
+                    let exec = self.inst.exec_time(r.of.task, r.proc);
+                    let mut op = Op::new(exec, 0.0, deadline[r.proc.index()], r.proc);
+                    op.task = Some(r.of.task);
+                    self.apply_checkpointing(&mut op);
+                    let id = put_op(&mut self.arena.ops, &mut self.arena.live, &op);
+                    self.arena.static_exec[t][c] = Some(id);
+                }
+            }
+            let mut msg_op = Vec::new();
+            for msg in &sched.messages {
+                if !alive[inboxes.slot_of(msg.src).expect("a scheduled sender")] {
+                    msg_op.push(None);
+                    continue;
+                }
+                let w = msg.finish - msg.start;
+                let mut mop = Op::new(w, 0.0, deadline[msg.from.index()], msg.from);
+                mop.dst = msg.to.index() as u32;
+                let id = put_op(&mut self.arena.ops, &mut self.arena.live, &mop);
+                msg_op.push(Some(id));
+                let src = self.arena.static_exec[msg.src.task.index()][msg.src.copy as usize];
+                self.add_hard_dep(src.expect("a live sender"), id);
+            }
+            let queue = |base: usize, p: ProcId| (base * m + p.index()) as u32;
+            let mut fifo = Vec::new();
+            for (t, rs) in sched.replicas.iter().enumerate() {
+                for (c, r) in rs.iter().enumerate() {
+                    if let Some(op) = self.arena.static_exec[t][c] {
+                        fifo.push((queue(0, r.proc), r.start, op));
+                    }
+                }
+            }
+            for (msg, op) in sched.messages.iter().zip(&msg_op) {
+                let Some(op) = *op else { continue };
+                if msg.is_local() {
+                    continue;
+                }
+                fifo.push((queue(1, msg.from), msg.start, op));
+                if !dead0(msg.to) {
+                    fifo.push((queue(2, msg.to), msg.start, op));
+                }
+                fifo.push((queue(3 + msg.from.index(), msg.to), msg.start, op));
+            }
+            fifo.sort_unstable_by(|x, y| {
+                x.0.cmp(&y.0).then(x.1.total_cmp(&y.1)).then(x.2.cmp(&y.2))
+            });
+            for w in fifo.windows(2) {
+                let ((q, _, prev), (q_next, _, next)) = (w[0], w[1]);
+                if q == q_next {
+                    self.arena.ops[prev as usize].fifo_deps.push(next);
+                    self.arena.ops[next as usize].fifo_remaining += 1;
+                }
+            }
+            for (t, rs) in sched.replicas.iter().enumerate() {
+                for c in 0..rs.len() {
+                    let Some(ex) = self.arena.static_exec[t][c] else {
+                        continue;
+                    };
+                    for &e in g.in_edges(TaskId::from_index(t)) {
+                        let group = inboxes.group(sched, inboxes.base[t] + c, e);
+                        let members: Vec<u32> =
+                            group.filter_map(|mi| msg_op[mi as usize]).collect();
+                        self.add_group(ex, &members);
+                    }
+                }
+            }
+        }
+    }
+
+    /// A `caft_on_subdag` repair of `sched`: processor 0 is lost at half
+    /// the latency, the tasks with no replica finished by then (closed
+    /// under successors) are the remnant, and the other tasks' replicas
+    /// off processor 0 are its frontier.
+    fn subdag_repair(inst: &Instance, sched: &FtSchedule, opts: &CaftOptions) -> FtSchedule {
+        let g = &inst.graph;
+        let cut = 0.5 * sched.latency();
+        let lost = ProcId(0);
+        let mut remnant = vec![false; g.num_tasks()];
+        for t in ft_graph::topological_order(g) {
+            remnant[t.index()] = g.predecessors(t).any(|p| remnant[p.index()])
+                || sched.replicas_of(t).iter().all(|r| r.finish > cut);
+        }
+        let sources: Vec<Vec<(ProcId, f64)>> = g
+            .tasks()
+            .map(|t| match remnant[t.index()] {
+                true => Vec::new(),
+                false => {
+                    let live = sched.replicas_of(t).iter().filter(|r| r.proc != lost);
+                    live.map(|r| (r.proc, r.finish)).collect()
+                }
+            })
+            .collect();
+        let alive: Vec<ProcId> = inst.platform.procs().filter(|&p| p != lost).collect();
+        let spec = SubDagSpec {
+            remnant: &remnant,
+            sources: &sources,
+            alive: &alive,
+            release: cut,
+        };
+        caft_on_subdag(inst, &spec, opts).schedule
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The linear op build — queue buckets, per-(replica, in-edge)
+        /// groups, ops written over a recycled pool — wires every op as
+        /// the reference build does, FIFO successor order included, on
+        /// CAFT schedules and sub-DAG repairs under crash-at-0 sets that
+        /// kill a replica's host, a message's sender or its receiver; and
+        /// a replan reads the reference's groups.
+        #[test]
+        fn linear_build_matches_the_reference_build(
+            seed in any::<u64>(),
+            tasks in 2usize..50,
+            procs in 1usize..=12,
+            eps in 0usize..=3,
+            // One-port, insertion policy, sub-DAG repair.
+            variant in (any::<bool>(), any::<bool>(), any::<bool>()),
+            // Kill a replica's host, a message's sender, its receiver.
+            kills in (any::<bool>(), any::<bool>(), any::<bool>()),
+        ) {
+            let (one_port, insertion, repair) = variant;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = random_layered(&RandomDagParams::default().with_tasks(tasks), &mut rng);
+            let params = PlatformParams::default().with_procs(procs);
+            let inst = ft_platform::random_instance(g, &params, 1.0, &mut rng);
+            let opts = CaftOptions {
+                eps: eps.min(procs - 1),
+                model: if one_port { CommModel::OnePort } else { CommModel::MacroDataflow },
+                seed,
+                insertion,
+                ..CaftOptions::default()
+            };
+            let mut sched = caft_with(&inst, opts);
+            if repair && procs > 1 {
+                sched = subdag_repair(&inst, &sched, &opts);
+            }
+            let hosts: Vec<ProcId> = sched.replicas.iter().flatten().map(|r| r.proc).collect();
+            let remote: Vec<_> = sched.messages.iter().filter(|m| !m.is_local()).collect();
+            let mut dead = Vec::new();
+            if kills.0 && !hosts.is_empty() {
+                dead.push(hosts[rng.gen_range(0..hosts.len())]);
+            }
+            if !remote.is_empty() {
+                if kills.1 {
+                    dead.push(remote[rng.gen_range(0..remote.len())].from);
+                }
+                if kills.2 {
+                    dead.push(remote[rng.gen_range(0..remote.len())].to);
+                }
+            }
+            dead.sort();
+            dead.dedup();
+            let scenario = FaultScenario::procs(&dead);
+            let policy = RecoveryPolicy::checkpoint(inst.mean_task_cost(), 0.05);
+            let plan = StaticPlan::one_shot(&inst, checkpoint_table(&inst, &policy));
+            let cfg = EngineConfig::default();
+
+            // The linear build writes over a pool a larger build left.
+            let big = setup(seed ^ 1, 60, 1.0);
+            let big_sched = caft(&big, 2, CommModel::OnePort, seed);
+            let big_plan = StaticPlan::one_shot(&big, checkpoint_table(&big, &policy));
+            let none = FaultScenario::none();
+            let pooled = EngineScratch::new();
+            let mut first = Engine::from_parts(&big, &big_sched, &none, &cfg, &policy, &big_plan, pooled);
+            first.build_static_ops();
+            let pooled = first.arena;
+
+            let mut linear = Engine::from_parts(&inst, &sched, &scenario, &cfg, &policy, &plan, pooled);
+            linear.build_static_ops();
+            let fresh = EngineScratch::new();
+            let mut reference = Engine::from_parts(&inst, &sched, &scenario, &cfg, &policy, &plan, fresh);
+            reference.build_static_ops_reference();
+            let (a, b) = (&linear.arena, &reference.arena);
+            prop_assert_eq!(a.live, b.live);
+            prop_assert_eq!(format!("{:?}", &a.ops[..a.live]), format!("{:?}", &b.ops[..b.live]));
+            prop_assert_eq!(&a.static_exec, &b.static_exec);
+
+            let inboxes = Inboxes::new(&sched);
+            let mut slots = ReplicaSlots::default();
+            slots.index(&sched, &inst.graph, &plan.edge_pos);
+            for t in inst.graph.tasks() {
+                for c in 0..sched.replicas[t.index()].len() {
+                    let s = slots.slot(t.index(), c);
+                    for (k, &e) in inst.graph.in_edges(t).iter().enumerate() {
+                        let want: Vec<u32> = inboxes.group(&sched, s, e).collect();
+                        prop_assert_eq!(slots.group(s, k), &want[..]);
+                    }
+                }
+            }
+        }
     }
 
     fn assert_matches_replay(out: &RunOutcome, rep: &ReplayOutcome) {
@@ -2900,6 +3256,13 @@ mod tests {
                     .iter()
                     .map(|(inst, sched)| crate::Executor::new(inst, sched, &cfg))
                     .collect();
+                // The observed runs go through warm plans and arenas of
+                // their own, like an Executor's.
+                let plans: Vec<_> = cases
+                    .iter()
+                    .map(|(inst, sched)| StaticPlan::new(inst, sched, &cfg.policy))
+                    .collect();
+                let mut arenas: Vec<_> = cases.iter().map(|_| EngineScratch::new()).collect();
                 // Two passes over the same arenas: the second pass runs
                 // every scenario through buffers warmed by a *different*
                 // scenario.
@@ -2907,12 +3270,35 @@ mod tests {
                     for &(i, k) in &order {
                         let (inst, sched) = &cases[k];
                         let scenario = &scenarios[k][i];
+                        let case = format!("{policy} {contention:?}: instance {k}, scenario {i}");
                         let warm = serde_json::to_string(execs[k].run(scenario)).unwrap();
                         let cold =
                             serde_json::to_string(&one_shot(inst, sched, scenario, &cfg)).unwrap();
+                        assert_eq!(warm, cold, "{case}, pass {pass}");
+                        // Observed, both paths stream the same ops and
+                        // events: no stale pooled op past the live count
+                        // reaches `emit_ops` or the replan's cancel scan.
+                        let mut tracer = TraceObserver::new();
+                        run_into(
+                            inst,
+                            sched,
+                            scenario,
+                            &cfg,
+                            &cfg.policy,
+                            &plans[k],
+                            &mut arenas[k],
+                            Some(&mut tracer),
+                            None,
+                        );
+                        let (cold_out, cold_trace) = traced(inst, sched, scenario, &cfg);
+                        let observed = serde_json::to_string(&arenas[k].outcome).unwrap();
+                        assert_eq!(observed, cold, "{case}, pass {pass}");
+                        assert_eq!(serde_json::to_string(&cold_out).unwrap(), cold);
+                        let trace = |t: &EngineTrace| serde_json::to_string(t).unwrap();
                         assert_eq!(
-                            warm, cold,
-                            "{policy} {contention:?}: instance {k}, scenario {i}, pass {pass}"
+                            trace(&tracer.into_trace()),
+                            trace(&cold_trace),
+                            "{case}, pass {pass}: traces differ"
                         );
                     }
                 }

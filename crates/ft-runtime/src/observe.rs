@@ -22,8 +22,9 @@
 //!
 //! # Phase profiling
 //!
-//! [`PhaseProfile`] aggregates per-[`Phase`] wall-clock timers over the
-//! engine's hot loop. The timers run only when a profile is attached by
+//! [`PhaseProfile`] aggregates per-[`Phase`] wall-clock timers over a
+//! run: its op-graph build and the phases of the engine's hot loop. The
+//! timers run only when a profile is attached by
 //! [`Simulation::run_profiled`](crate::Simulation::run_profiled); every
 //! other run pays one `Option` check per phase.
 
@@ -108,14 +109,18 @@ impl Observer for TraceObserver {
     }
 }
 
-/// The instrumented phases of the engine's event loop.
+/// The instrumented phases of a run.
 ///
-/// The phases are disjoint slices of the hot loop, chosen to answer
-/// "where does the no-failure overhead go": heap traffic, completion
-/// cascades, crash/rejoin bookkeeping, the policy itself, validating what
-/// the policy asked for, and materializing the repairs.
+/// The phases are disjoint slices of the run, chosen to answer "where
+/// does the no-failure overhead go": building the op graph, then in the
+/// hot loop heap traffic, completion cascades, crash/rejoin bookkeeping,
+/// the policy itself, validating what the policy asked for, and
+/// materializing the repairs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Phase {
+    /// Building the run's static op graph before the loop starts: the
+    /// clone of a warm plan's template or the full build.
+    OpBuild,
     /// Popping the next event off the central binary heap.
     QueuePop,
     /// Completion handling: marking the op done and draining the
@@ -135,8 +140,9 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in hot-loop order.
-    pub const ALL: [Phase; 6] = [
+    /// Every phase, in run order.
+    pub const ALL: [Phase; 7] = [
+        Phase::OpBuild,
         Phase::QueuePop,
         Phase::Completion,
         Phase::DetectionFanout,
@@ -148,6 +154,7 @@ impl Phase {
     /// Stable lower-snake name used in exported JSON.
     pub fn name(self) -> &'static str {
         match self {
+            Phase::OpBuild => "op_build",
             Phase::QueuePop => "queue_pop",
             Phase::Completion => "completion",
             Phase::DetectionFanout => "detection_fanout",
@@ -269,6 +276,7 @@ mod tests {
         assert_eq!(
             names,
             [
+                "op_build",
                 "queue_pop",
                 "completion",
                 "detection_fanout",

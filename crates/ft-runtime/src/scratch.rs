@@ -17,14 +17,16 @@
 //!   and one-shot plans, which carry no template, take the full build,
 //!   byte-for-byte, written over the arena's recycled ops in place.
 //! * [`EngineScratch`] — every per-run buffer the engine touches, kept
-//!   across runs: the op arena, the event queue, belief state, the
-//!   run's availability-event table, propagation scratch, and the run's
-//!   [`RunOutcome`], whose per-task vectors are the run's
+//!   across runs: the op pool, the event queue, belief state, the run's
+//!   availability-event table, propagation and repair scratch, and the
+//!   run's [`RunOutcome`], whose per-task vectors are the run's
 //!   first-finish/recovered buffers. A run owns the arena whole — moved
 //!   in, each buffer reset in place, moved back. Once warm, a run
 //!   performs **zero** heap allocations when it is failure-free, and
-//!   under `Absorb` when processors crash and reboot, whatever the
-//!   detection model (pinned by `tests/alloc_discipline.rs`).
+//!   when processors crash and reboot under `Absorb`, `ReReplicate`,
+//!   `WarmSpare` and `Checkpoint`, whatever the detection model (pinned
+//!   by `tests/alloc_discipline.rs`); `Reschedule`'s CAFT replan still
+//!   allocates.
 //! * [`ScratchPool`] — a mutex-guarded stack of warm arenas, shared by
 //!   the rayon workers of [`simulate_many`](crate::simulate_many) /
 //!   [`ChunkedBatch`](crate::ChunkedBatch) chunks and across the cells
@@ -41,11 +43,11 @@
 //! event order (the event-queue keys are all distinct, so *any* correct
 //! min-heap pops them in the same ascending order).
 
-use crate::engine::{build_template, run_into, Act, Op};
+use crate::engine::{build_template, run_into, Act, DataCopy, Op};
 use crate::metrics::RunOutcome;
 use crate::policy::{EngineConfig, Policy, RecoveryAction, TaskInfo};
-use ft_graph::TaskId;
-use ft_model::{FtSchedule, ReplicaRef};
+use ft_graph::{TaskGraph, TaskId};
+use ft_model::{FtSchedule, MessageRecord, ReplicaRef};
 use ft_net::{NetworkModel, NetworkState};
 use ft_platform::{Instance, Platform, ProcId};
 use ft_sim::FaultScenario;
@@ -124,6 +126,9 @@ pub struct StaticPlan {
     pub(crate) topo_order: Vec<TaskId>,
     /// Topological position of each task (spawn-ordering key).
     pub(crate) topo_position: Vec<usize>,
+    /// Position of each edge among its target task's in-edges: the key
+    /// of a message's input group in [`ReplicaSlots`].
+    pub(crate) edge_pos: Vec<u32>,
     /// The op template of a warm plan; `None` on a one-shot plan, whose
     /// single run takes the full build.
     pub(crate) template: Option<OpTemplate>,
@@ -175,15 +180,23 @@ impl StaticPlan {
     /// but the op template. Its single run pays the full op build once
     /// anyway, so a template would only add a second one.
     pub(crate) fn one_shot(inst: &Instance, plans: Vec<Option<(f64, f64)>>) -> Self {
-        let topo_order = ft_graph::topological_order(&inst.graph);
+        let g = &inst.graph;
+        let topo_order = ft_graph::topological_order(g);
         let mut topo_position = vec![0usize; inst.num_tasks()];
         for (i, t) in topo_order.iter().enumerate() {
             topo_position[t.index()] = i;
+        }
+        let mut edge_pos = vec![0u32; g.num_edges()];
+        for t in g.tasks() {
+            for (k, e) in g.in_edges(t).iter().enumerate() {
+                edge_pos[e.index()] = k as u32;
+            }
         }
         StaticPlan {
             plans,
             topo_order,
             topo_position,
+            edge_pos,
             template: None,
             network: OnceLock::new(),
         }
@@ -239,9 +252,14 @@ pub(crate) fn checkpoint_table(inst: &Instance, policy: &dyn Policy) -> Vec<Opti
 /// docs](self)).
 #[derive(Default)]
 pub struct EngineScratch {
-    /// The op arena, indexed by op id: static ops first, repair work
-    /// appended as it is spawned.
+    /// The op pool, indexed by op id. The run's ops are its live prefix
+    /// `ops[..live]` — static ops first, repair work appended as it is
+    /// spawned — and every slot past it holds an op of an earlier run,
+    /// kept so that the next op written there (`put_op`) reuses its
+    /// per-op lists' capacity. The pool is never truncated.
     pub(crate) ops: Vec<Op>,
+    /// The number of live ops: the length of the run's prefix of `ops`.
+    pub(crate) live: usize,
     /// `(finish, kind, id)`; kind 0 = op completion (`id` = op), 1 =
     /// knowledge of an availability event (`id` = its index in
     /// `events`). Completions at a given instant precede knowledge
@@ -310,19 +328,39 @@ pub struct EngineScratch {
     /// Per-processor first crash deadline after `t = 0`: the static
     /// ops' deadlines, overwritten in one pass on the template fast path.
     pub(crate) proc_deadline: Vec<f64>,
-    /// Replica slots and per-replica inboxes of the schedule being
-    /// wired: the static schedule during the full build, a replan's plan
-    /// during `Engine::reschedule`.
+    /// Replica slots and per-(replica, in-edge) message groups of the
+    /// schedule being wired: the static schedule during the full build, a
+    /// replan's plan during `Engine::reschedule`.
     pub(crate) slots: ReplicaSlots,
     /// Static liveness per replica slot (full build only).
     pub(crate) slot_alive: Vec<bool>,
     /// Static transfer op per schedule message; `None` when pruned.
     pub(crate) msg_op: Vec<Option<u32>>,
-    /// The inherited FIFO orders as one `(queue, start, op)` table,
-    /// sorted once (see `Engine::build_static_ops`).
-    pub(crate) fifo: Vec<(u32, f64, u32)>,
+    /// Bucket bounds of the inherited FIFO orders: queue `q`'s entries
+    /// are `fifo[fifo_start[q]..fifo_start[q + 1]]` (see
+    /// `Engine::build_static_ops`).
+    pub(crate) fifo_start: Vec<u32>,
+    /// The inherited FIFO orders' `(start, op)` entries, bucketed by
+    /// queue and ordered within each.
+    pub(crate) fifo: Vec<(f64, u32)>,
     /// One first-copy input group's members while it is wired.
     pub(crate) members: Vec<u32>,
+    /// Surviving data copies a repair path is reading, one sorted segment
+    /// per task (`Engine::surviving_copies`): a spawn's inputs, one
+    /// segment per in-edge, a pre-stage's predecessor, or a replan's
+    /// frontier task.
+    pub(crate) copies: Vec<DataCopy>,
+    /// The end of each in-edge's segment of `copies` while a spawn is
+    /// placed.
+    pub(crate) copy_ends: Vec<usize>,
+    /// The repair-eligible hosts of the current event
+    /// (`Engine::eligible_hosts`), narrowed to a spawn's candidates.
+    pub(crate) hosts: Vec<ProcId>,
+    /// One policy batch's spawn and resume proposals as `(task, resume,
+    /// push index)` while `Engine::apply_actions` orders and applies them.
+    pub(crate) spawns: Vec<(usize, bool, u32)>,
+    /// One policy batch's validated pre-stages as `(task, host)`.
+    pub(crate) prestages: Vec<(usize, usize)>,
     /// The per-task tables of a `Reschedule` replan.
     pub(crate) replan: ReplanScratch,
     /// Live link/port occupancy, charged under a contended
@@ -344,37 +382,52 @@ impl EngineScratch {
     }
 }
 
-/// Replica slots of a schedule and each replica's inbox, as flat tables
-/// rebuilt in place per schedule: replica `(t, c)` is slot `base[t] + c`,
-/// and the messages into slot `s`, in schedule order, are
-/// `msgs[start[s]..start[s + 1]]` (message indices). A message into a
-/// copy past its task's replicas has no slot and is dropped.
+/// Replica slots of a schedule and each replica's input groups, as flat
+/// tables rebuilt in place per schedule: replica `(t, c)` is slot
+/// `base[t] + c`, its input group along the `k`-th in-edge of `t` is
+/// group `groups[s] + k`, and the messages of group `g`, in schedule
+/// order, are `msgs[start[g]..start[g + 1]]` (message indices). A message
+/// into a copy past its task's replicas has no slot and is dropped.
 #[derive(Debug, Default)]
 pub(crate) struct ReplicaSlots {
     base: Vec<u32>,
+    groups: Vec<u32>,
     start: Vec<u32>,
     msgs: Vec<u32>,
 }
 
 impl ReplicaSlots {
-    /// Indexes `sched`'s replicas and messages, reusing the tables.
-    pub(crate) fn index(&mut self, sched: &FtSchedule) {
+    /// Indexes `sched`'s replicas and messages, reusing the tables;
+    /// `edge_pos` is [`StaticPlan::edge_pos`] of `graph`.
+    pub(crate) fn index(&mut self, sched: &FtSchedule, graph: &TaskGraph, edge_pos: &[u32]) {
         self.base.clear();
-        let mut slots = 0u32;
-        for rs in &sched.replicas {
+        self.groups.clear();
+        let (mut slots, mut groups) = (0u32, 0u32);
+        for (t, rs) in sched.replicas.iter().enumerate() {
             self.base.push(slots);
             slots += rs.len() as u32;
+            let in_degree = graph.in_edges(TaskId::from_index(t)).len() as u32;
+            for _ in rs {
+                self.groups.push(groups);
+                groups += in_degree;
+            }
         }
         self.base.push(slots);
-        // Counting sort by destination slot: count slot s at s + 2, so
-        // the prefix sums leave each slot's begin at s + 1, where the
-        // fill advances it to its end — the next slot's begin.
-        let n = slots as usize;
+        self.groups.push(groups);
+        // Counting sort by group: count group g at g + 2, so the prefix
+        // sums leave each group's begin at g + 1, where the fill advances
+        // it to its end — the next group's begin.
+        let n = groups as usize;
         self.start.clear();
         self.start.resize(n + 2, 0);
         for msg in &sched.messages {
-            if let Some(s) = self.slot_of(msg.dst) {
-                self.start[s + 2] += 1;
+            debug_assert_eq!(
+                graph.in_edges(msg.dst.task)[edge_pos[msg.edge.index()] as usize],
+                msg.edge,
+                "message along an edge that does not enter its receiver"
+            );
+            if let Some(g) = self.group_of(msg, edge_pos) {
+                self.start[g + 2] += 1;
             }
         }
         for i in 2..n + 2 {
@@ -383,12 +436,18 @@ impl ReplicaSlots {
         self.msgs.clear();
         self.msgs.resize(self.start[n + 1] as usize, 0);
         for (mi, msg) in sched.messages.iter().enumerate() {
-            if let Some(s) = self.slot_of(msg.dst) {
-                let at = &mut self.start[s + 1];
+            if let Some(g) = self.group_of(msg, edge_pos) {
+                let at = &mut self.start[g + 1];
                 self.msgs[*at as usize] = mi as u32;
                 *at += 1;
             }
         }
+    }
+
+    /// The input group of `msg`, `None` when its receiver has no slot.
+    fn group_of(&self, msg: &MessageRecord, edge_pos: &[u32]) -> Option<usize> {
+        let s = self.slot_of(msg.dst)?;
+        Some((self.groups[s] + edge_pos[msg.edge.index()]) as usize)
     }
 
     /// The slot of replica `r`, `None` past its task's replicas.
@@ -404,10 +463,13 @@ impl ReplicaSlots {
         self.base[t] as usize + c
     }
 
-    /// The messages into slot `s`, in schedule order.
+    /// The messages into slot `s` along the `k`-th in-edge of its task,
+    /// in schedule order: the replica's first-copy input group on that
+    /// edge.
     #[inline]
-    pub(crate) fn inbox(&self, s: usize) -> &[u32] {
-        &self.msgs[self.start[s] as usize..self.start[s + 1] as usize]
+    pub(crate) fn group(&self, s: usize, k: usize) -> &[u32] {
+        let g = self.groups[s] as usize + k;
+        &self.msgs[self.start[g] as usize..self.start[g + 1] as usize]
     }
 }
 

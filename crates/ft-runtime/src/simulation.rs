@@ -221,9 +221,9 @@ impl<'a> Simulation<'a> {
     }
 
     /// [`run`](Simulation::run), additionally collecting a
-    /// [`PhaseProfile`]: wall-clock attribution across the engine's
-    /// hot-loop phases. The outcome is byte-identical to the unprofiled
-    /// run.
+    /// [`PhaseProfile`]: wall-clock attribution across the run's op-graph
+    /// build and the engine's hot-loop phases. The outcome is
+    /// byte-identical to the unprofiled run.
     pub fn run_profiled(&self, scenario: &FaultScenario) -> (RunOutcome, PhaseProfile) {
         let mut profile = PhaseProfile::new();
         let out = self.once(scenario, None, Some(&mut profile));
@@ -360,8 +360,10 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             "profiling must not steer the engine"
         );
-        // A run this size must attribute some time somewhere.
+        // A run this size must attribute some time somewhere, and it
+        // builds its op graph exactly once.
         assert!(profile.phases.iter().any(|s| s.calls > 0));
+        assert_eq!(profile.stat(crate::Phase::OpBuild).calls, 1);
     }
 
     #[test]

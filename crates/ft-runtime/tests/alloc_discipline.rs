@@ -1,13 +1,14 @@
 //! Allocation-discipline pin for the zero-alloc event core (DESIGN.md
 //! §15): after warm-up, the steady-state hot loop — a warm
-//! [`Executor`] running failure-free scenarios, or `Absorb` scenarios
-//! with crashes and reboots under any detection model — performs
-//! **zero** heap allocations per run, and batch chunks through a warm
-//! [`ChunkedBatch`] allocate sublinearly in the number of runs (the
-//! only allocations left are the rayon driver's per-chunk bookkeeping).
-//! A one-shot [`Simulation::run`] allocates a constant number of times,
-//! whatever the instance size, and CAFT — static and on a sub-DAG —
-//! allocates a small constant per task. Allocation counts are
+//! [`Executor`] running failure-free scenarios, or scenarios with
+//! crashes and reboots under any detection model and any policy but
+//! `Reschedule` — performs **zero** heap allocations per run, and batch
+//! chunks through a warm [`ChunkedBatch`] allocate sublinearly in the
+//! number of runs (the only allocations left are rayon's per-chunk
+//! bookkeeping). A one-shot [`Simulation::run`] allocates a
+//! constant number of times, whatever the instance size and whichever
+//! instance the pooled arena served before, and CAFT — static and on a
+//! sub-DAG — allocates a small constant per task. Allocation counts are
 //! deterministic, so these gates hold on any machine.
 //!
 //! The counting allocator tallies process-wide, so this binary contains
@@ -105,6 +106,11 @@ fn steady_state_hot_loop_does_not_allocate() {
     // what each processor knows of it live in the arena's event table,
     // written in place by the detection model, so a warm Absorb run
     // allocates nothing under any detection model, contended or not.
+    // Part 1d: the same runs under the repairing policies. Repair ops are
+    // written over the op pool's recycled slots, and every list a spawn,
+    // a pre-stage or a resume reads is an arena buffer, so a warm run
+    // that re-replicates, pre-stages onto a rejoined processor or resumes
+    // from a checkpoint allocates nothing either.
     let nominal = sched.latency();
     let m = inst.num_procs();
     let scenarios = [
@@ -124,32 +130,41 @@ fn steady_state_hot_loop_does_not_allocate() {
             seed: 3,
         },
     ];
-    for detection in detections {
-        for contention in [Contention::Ideal, Contention::FairShare] {
-            let crashy_cfg = EngineConfig {
-                detection: detection.clone(),
-                contention,
-                ..EngineConfig::with_policy(RecoveryPolicy::Absorb)
-            };
-            let mut exec = Executor::new(&inst, &sched, &crashy_cfg);
-            for _ in 0..3 {
-                for scenario in &scenarios {
-                    exec.run(scenario);
+    let policies = [
+        RecoveryPolicy::Absorb,
+        RecoveryPolicy::ReReplicate,
+        RecoveryPolicy::WarmSpare,
+        RecoveryPolicy::checkpoint(2.0, 0.05),
+    ];
+    for policy in policies {
+        for detection in &detections {
+            for contention in [Contention::Ideal, Contention::FairShare] {
+                let crashy_cfg = EngineConfig {
+                    detection: detection.clone(),
+                    contention,
+                    ..EngineConfig::with_policy(policy)
+                };
+                let mut exec = Executor::new(&inst, &sched, &crashy_cfg);
+                for _ in 0..3 {
+                    for scenario in &scenarios {
+                        exec.run(scenario);
+                    }
                 }
-            }
-            for (i, scenario) in scenarios.iter().enumerate() {
-                let before = allocation_count();
-                for _ in 0..100 {
-                    exec.run(scenario);
+                for (i, scenario) in scenarios.iter().enumerate() {
+                    let before = allocation_count();
+                    for _ in 0..100 {
+                        exec.run(scenario);
+                    }
+                    let during = allocation_count() - before;
+                    assert_eq!(
+                        during,
+                        0,
+                        "warm {} runs ({} detection, {contention:?}) on scenario {i} \
+                         allocated {during} times over 100 runs",
+                        policy.label(),
+                        detection.name()
+                    );
                 }
-                let during = allocation_count() - before;
-                assert_eq!(
-                    during,
-                    0,
-                    "warm Absorb runs ({} detection, {contention:?}) on scenario {i} \
-                     allocated {during} times over 100 runs",
-                    detection.name()
-                );
             }
         }
     }
@@ -209,6 +224,51 @@ fn steady_state_hot_loop_does_not_allocate() {
             big.abs_diff(*small) <= 8,
             "{scenario} one-shot runs allocated {small} times on 25 tasks and {big} on 100 — \
              the op-graph build allocates per op again"
+        );
+    }
+    // The pooled arena keeps every op slot it ever held: one-shot Absorb
+    // runs with a mid-run crash that alternate between two crash-drill
+    // instances of different op counts allocate as often as a
+    // failure-free one-shot run, instead of re-growing the larger op
+    // graph each time the smaller one ran before it.
+    let drills: Vec<_> = [7, 8]
+        .into_iter()
+        .map(|seed| {
+            let inst = drill_instance(seed, 100);
+            let sched = caft(&inst, 2, CommModel::OnePort, seed);
+            (inst, sched)
+        })
+        .collect();
+    let op_count =
+        |k: usize| drills[k].1.replicas.iter().flatten().count() + drills[k].1.messages.len();
+    assert_ne!(
+        op_count(0),
+        op_count(1),
+        "the two drills must differ in size"
+    );
+    let sims: Vec<_> = drills
+        .iter()
+        .map(|(inst, sched)| Simulation::of(inst, sched))
+        .collect();
+    let crashes: Vec<_> = drills
+        .iter()
+        .map(|(_, sched)| FaultScenario::timed(&[(ProcId(1), 0.4 * sched.latency())]))
+        .collect();
+    for _ in 0..3 {
+        sims[0].run(&none);
+    }
+    let (failure_free, _) = allocations(|| sims[0].run(&none));
+    for _ in 0..3 {
+        for k in [0, 1] {
+            sims[k].run(&crashes[k]);
+        }
+    }
+    for k in [0, 1, 0, 1] {
+        let (n, _) = allocations(|| sims[k].run(&crashes[k]));
+        assert!(
+            n.abs_diff(failure_free) <= 8,
+            "a one-shot drill run after the other drill allocated {n} times against \
+             {failure_free} for a failure-free one-shot run — the op pool was cut and re-grown"
         );
     }
 

@@ -7,7 +7,9 @@
 //!
 //! Every client subcommand speaks the directory protocol (DESIGN.md
 //! §14) — no daemon connection needed; `submit` against a root whose
-//! daemon starts later just works.
+//! daemon starts later just works. `run` and `submit` create the queue
+//! tree; `status`, `watch`, `cancel`, `verify` and `stop` only read or
+//! signal an existing one, so a root that holds no queue is an error.
 
 use ft_experiments::cli::{Args, Flags};
 use ft_serve::{
@@ -70,6 +72,17 @@ fn root(args: &Args) -> Result<PathBuf, Box<dyn Error>> {
     Ok(args.value("--root").ok_or("--root DIR is required")?.into())
 }
 
+/// The `--root DIR` of a client of an existing queue: an error naming
+/// the root unless `<root>/queue` is a directory, so a mistyped root
+/// creates nothing.
+fn queue_root(args: &Args) -> Result<PathBuf, Box<dyn Error>> {
+    let root = root(args)?;
+    if !root.join("queue").is_dir() {
+        return Err(format!("{} holds no queue (no queue/ directory)", root.display()).into());
+    }
+    Ok(root)
+}
+
 fn cmd_run(args: &[String]) -> Outcome {
     let args = &Flags(&["--once"], &["--root", "--workers", "--poll-ms"], 0).parse(args)?;
     let root = root(args)?;
@@ -113,7 +126,7 @@ fn cmd_submit(args: &[String]) -> Outcome {
 
 fn cmd_status(args: &[String]) -> Outcome {
     let args = &Flags(&[], &["--root"], 1).parse(args)?;
-    let queue = JobQueue::open(root(args)?)?;
+    let queue = JobQueue::open(queue_root(args)?)?;
     match args.positional(0) {
         Some(id) => {
             let state = queue.state(id).ok_or(format!("unknown job {id:?}"))?;
@@ -151,7 +164,7 @@ fn print_job_line(queue: &JobQueue, id: &str, state: JobState) {
 
 fn cmd_watch(args: &[String]) -> Outcome {
     let args = &Flags(&[], &["--root", "--timeout-s"], 1).parse(args)?;
-    let root = root(args)?;
+    let root = queue_root(args)?;
     let id = args.positional(0).ok_or("watch needs a job id")?;
     let timeout = Duration::from_secs(args.number("--timeout-s")?.unwrap_or(600));
     let queue = JobQueue::open(&root)?;
@@ -203,7 +216,7 @@ fn cmd_watch(args: &[String]) -> Outcome {
 
 fn cmd_cancel(args: &[String]) -> Outcome {
     let args = &Flags(&[], &["--root"], 1).parse(args)?;
-    let queue = JobQueue::open(root(args)?)?;
+    let queue = JobQueue::open(queue_root(args)?)?;
     let id = args.positional(0).ok_or("cancel needs a job id")?;
     queue.cancel(id)?;
     eprintln!("{id}: cancellation requested");
@@ -212,7 +225,7 @@ fn cmd_cancel(args: &[String]) -> Outcome {
 
 fn cmd_stop(args: &[String]) -> Outcome {
     let args = &Flags(&[], &["--root"], 0).parse(args)?;
-    let root = root(args)?;
+    let root = queue_root(args)?;
     request_stop(&root)?;
     eprintln!("stop sentinel dropped at {}", root.join("stop").display());
     Ok(ExitCode::SUCCESS)
@@ -224,7 +237,7 @@ fn cmd_stop(args: &[String]) -> Outcome {
 /// drill (with `--expect-cache-hit` for the warm tenant).
 fn cmd_verify(args: &[String]) -> Outcome {
     let args = &Flags(&["--expect-cache-hit"], &["--root"], 1).parse(args)?;
-    let root = root(args)?;
+    let root = queue_root(args)?;
     let id = args.positional(0).ok_or("verify needs a job id")?;
     let queue = JobQueue::open(&root)?;
     if queue.state(id) != Some(JobState::Done) {

@@ -1,6 +1,7 @@
 //! `ft-serve` on the command line: every misread invocation fails, names
-//! the flag or argument at fault and touches no queue; `example-spec`
-//! prints only specs that `submit --spec` accepts.
+//! the flag or argument at fault and touches no queue; a client of a root
+//! that holds no queue fails naming the root and creates nothing;
+//! `example-spec` prints only specs that `submit --spec` accepts.
 
 use ft_serve::JobSpec;
 use std::path::{Path, PathBuf};
@@ -55,6 +56,60 @@ fn misread_flags_and_invalid_specs_fail_naming_the_culprit_and_write_nothing() {
         assert!(written.is_empty(), "{args:?} wrote {written:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+#[test]
+fn clients_refuse_a_root_that_holds_no_queue_and_create_nothing() {
+    let cases: [&[&str]; 5] = [
+        &["status", "--root", "typo/R"],
+        &["watch", "--root", "typo/R", "alice-0", "--timeout-s", "1"],
+        &["cancel", "--root", "typo/R", "alice-0"],
+        &["verify", "--root", "typo/R", "alice-0"],
+        &["stop", "--root", "typo/R"],
+    ];
+    for (i, args) in cases.into_iter().enumerate() {
+        let dir = workdir(&format!("no-queue-{i}"));
+        let out = ft_serve(&dir, args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("typo/R"),
+            "{args:?} must name the root: {stderr}"
+        );
+        let written: Vec<_> = std::fs::read_dir(&dir).expect("dir").collect();
+        assert!(written.is_empty(), "{args:?} wrote {written:?}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    // A root made by `submit` holds a queue: `status` lists the job.
+    let dir = workdir("submitted");
+    let submit = [
+        "submit",
+        "--root",
+        "R",
+        "--example",
+        "alice",
+        "--id",
+        "alice-0",
+    ];
+    let out = ft_serve(&dir, &submit);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = ft_serve(&dir, &["status", "--root", "R"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        stdout.contains("alice-0") && stdout.contains("pending"),
+        "status must list the submitted job: {stdout}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
